@@ -38,7 +38,6 @@ _EXPORTS = {
     "build_h_dm": "operators",
     "build_h_jja": "operators",
     "observable": "operators",
-    "dump_triplets": "operators",
     # mapping
     "JJAParams": "mapping",
     "capacitive_energies": "mapping",

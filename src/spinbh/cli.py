@@ -113,7 +113,7 @@ def _report_violations(violations) -> bool:
 def run_experiment(cfg, quiet: bool = False) -> int:
     """Execute one validated experiment; returns a process exit code."""
     from . import dynamics, mapping, operators, verify
-    from .config import validate_config
+    from .config import model_source, validate_config
     from .hilbert import FockBasis, named_initial_state, physical_mask
     from .model import validate
 
@@ -147,13 +147,12 @@ def run_experiment(cfg, quiet: bool = False) -> int:
 
     # Resolve the models required by the remaining kinds.
     spin_spec = circuit = None
-    if cfg.kind in ("spin", "boson") or (
-        cfg.kind in ("compare", "verify") and cfg.encoding == "ebh"
-    ):
+    source = model_source(cfg)
+    if source == "spin":
         spin_spec = _build_spin_side(cfg)
         if _report_violations(validate(spin_spec)):
             return EXIT_VALIDATION
-    if cfg.kind == "jja" or (cfg.kind in ("compare", "verify") and cfg.encoding == "jja"):
+    elif source == "circuit":
         circuit = _build_circuit(cfg)
         if _report_violations(validate(circuit)):
             return EXIT_VALIDATION
@@ -300,7 +299,7 @@ def main(argv=None) -> int:
         overrides["out_dir"] = args.out_dir
     if args.method:
         overrides["method"] = args.method
-    if args.cutoff:
+    if args.cutoff is not None:
         overrides["cutoff"] = args.cutoff
     if overrides:
         cfg = replace(cfg, **overrides)

@@ -152,6 +152,14 @@ def load_config(path: str) -> ExperimentConfig:
     return from_mapping(data)
 
 
+def model_source(cfg: ExperimentConfig) -> str | None:
+    """The model a run starts from: "spin" (keys J, h), "circuit" (junction
+    energies, mapped to the spin model), or None for design runs."""
+    if cfg.kind in ("compare", "verify"):
+        return {"ebh": "spin", "jja": "circuit"}.get(cfg.encoding)
+    return {"spin": "spin", "boson": "spin", "jja": "circuit"}.get(cfg.kind)
+
+
 def validate_config(cfg: ExperimentConfig) -> list[Violation]:
     report: list[Violation] = []
 
@@ -196,18 +204,13 @@ def validate_config(cfg: ExperimentConfig) -> list[Violation]:
         if "cxx" in cfg.observables and cfg.n_sites < 2:
             err("cxx needs at least two sites")
 
-    needs_spin_model = cfg.kind in ("spin", "boson") or (
-        cfg.kind in ("compare", "verify") and cfg.encoding == "ebh"
-    )
-    needs_circuit = cfg.kind == "jja" or (
-        cfg.kind in ("compare", "verify") and cfg.encoding == "jja"
-    )
-    if needs_spin_model:
+    source = model_source(cfg)
+    if source == "spin":
         if cfg.coupling is None:
             err(f"kind={cfg.kind} with encoding=ebh requires model key J")
         if cfg.fieldstrength is None:
             err(f"kind={cfg.kind} with encoding=ebh requires model key h")
-    if needs_circuit:
+    elif source == "circuit":
         if cfg.e_c is None or cfg.e_j is None or cfg.eprime_j is None:
             err("circuit experiments require model keys e_c, e_j, eprime_j")
     if cfg.kind == "design":

@@ -76,7 +76,7 @@ def expectation(op: SparseOperator, psi: StateVector) -> float:
         raise ValueError(f"operator dim {op.dim} does not match state dim {psi.basis.dim}")
     if not op.hermitian:
         raise HermiticityError("expectation values are defined for Hermitian observables")
-    val = np.vdot(psi.amplitudes, op.apply(psi.amplitudes))
+    val = np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes)
     if abs(val.imag) >= IMAG_TOL:
         raise NumericalError(f"expectation acquired imaginary part {val.imag:.3e}")
     return float(val.real)

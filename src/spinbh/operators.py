@@ -1,8 +1,16 @@
-"""Sparse Hamiltonians and observables.
+"""Sparse Hamiltonians and observables, written as term lists.
 
-Builders assemble operators from site-local matrices embedded into the full
-tensor-product space.  Operator products are applied right to left, exactly
-as composition of linear maps; no normal-ordering rewrites are performed.
+A term ``(coeff, ((site, local), ...))`` is coeff times the product of its
+site-local d x d factors.  Factors apply right to left, exactly as
+composition of linear maps; several may sit on one site, and no
+normal-ordering rewrites are performed.
+
+``assemble`` multiplies each term's factors into a small dense block on the
+term's sorted site support, sums the blocks that share a support, and
+scatters each distinct support into the full space once by index
+arithmetic: block entry (r, c) lands at (rest + offset[r], rest + offset[c])
+for every full index ``rest`` that is empty on the support, where ``offset``
+places the block digits at the support sites (first site least significant).
 """
 
 from __future__ import annotations
@@ -49,9 +57,6 @@ class SparseOperator:
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
 
 
 def hermiticity_deviation(matrix: sp.spmatrix) -> float:
@@ -101,43 +106,77 @@ def local_ops(local_dim: int) -> LocalOperatorSet:
                             hp_sp=hp_sp, hp_sm=hp_sm, hp_sz=hp_sz, **extra)
 
 
-def _embed_csr(basis: FockBasis, site: int, local: np.ndarray) -> sp.csr_matrix:
-    d = basis.local_dim
-    if local.shape != (d, d):
-        raise ValueError(f"local operator must be {d}x{d}, got {local.shape}")
-    if not 0 <= site < basis.n_sites:
-        raise ValueError(f"site {site} outside [0, {basis.n_sites})")
-    # site 0 is least significant, so it is the last kron factor
-    low = sp.identity(d**site, dtype=complex, format="csr")
-    high = sp.identity(d ** (basis.n_sites - site - 1), dtype=complex, format="csr")
-    return sp.kron(high, sp.kron(sp.csr_matrix(local), low, format="csr"), format="csr")
+def _site_offsets(d: int, sites) -> np.ndarray:
+    """Full-space index of every joint occupation of ``sites`` (others empty),
+    the first site varying fastest."""
+    offsets = np.zeros(1, dtype=np.int64)
+    for site in sites:
+        offsets = (offsets + d**site * np.arange(d, dtype=np.int64)[:, None]).ravel()
+    return offsets
+
+
+def assemble(basis: FockBasis, terms) -> SparseOperator:
+    """Sum of ``coeff * factor_1 @ factor_2 @ ...`` over ``terms``."""
+    d, n_sites = basis.local_dim, basis.n_sites
+    blocks: dict[tuple[int, ...], np.ndarray] = {}
+    for coeff, factors in terms:
+        support = tuple(sorted({site for site, _ in factors}))
+        block = np.eye(d ** len(support), dtype=complex)
+        for site, local in factors:
+            local = np.asarray(local, dtype=complex)
+            if local.shape != (d, d):
+                raise ValueError(f"local operator must be {d}x{d}, got {local.shape}")
+            if not 0 <= site < n_sites:
+                raise ValueError(f"site {site} outside [0, {n_sites})")
+            pos = support.index(site)
+            high, low = np.eye(d ** (len(support) - pos - 1)), np.eye(d**pos)
+            block = block @ np.kron(high, np.kron(local, low))
+        blocks[support] = coeff * block + blocks.get(support, 0.0)
+    # One sparse addition per support keeps the peak near the final nnz.
+    total = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    for support, block in blocks.items():
+        rest = _site_offsets(d, [s for s in range(n_sites) if s not in support])[:, None]
+        offsets = _site_offsets(d, support)
+        r, c = np.nonzero(block)
+        data = np.broadcast_to(block[r, c], (rest.size, r.size)).ravel()
+        rows, cols = (rest + offsets[r]).ravel(), (rest + offsets[c]).ravel()
+        total = total + sp.csr_matrix((data, (rows, cols)), shape=total.shape)
+    return SparseOperator.from_matrix(total)
+
+
+def _plus_adjoints(terms):
+    """``terms`` followed by their adjoints: conjugated, daggered, reversed."""
+    return terms + [(np.conj(coeff), tuple((site, m.conj().T) for site, m in reversed(factors)))
+                    for coeff, factors in terms]
 
 
 def embed(basis: FockBasis, site: int, local: np.ndarray) -> SparseOperator:
     """Identity everywhere except ``local`` acting on ``site``."""
-    return SparseOperator.from_matrix(_embed_csr(basis, site, np.asarray(local, dtype=complex)))
+    return assemble(basis, [(1.0, ((site, local),))])
+
+
+def _field_terms(spec: SpinModelSpec, sz: np.ndarray):
+    return [(field, ((j, sz),)) for j, field in enumerate(spec.fields) if field != 0.0]
+
+
+def _dm_terms(spec: SpinModelSpec, ops: LocalOperatorSet):
+    """S+ -> a+ (1 - n), S- -> a, Sz -> n - 1/2; at d=2 these are the spin matrices."""
+    terms = []
+    for j, k, coupling in spec.edges:
+        terms += [(-0.5 * coupling, ((j, ops.hp_sp), (k, ops.a))),
+                  (-0.5 * coupling, ((j, ops.a), (k, ops.hp_sp))),
+                  (-coupling, ((j, ops.hp_sz), (k, ops.hp_sz)))]
+    return terms + _field_terms(spec, ops.hp_sz)
 
 
 def build_h_spin(spec: SpinModelSpec) -> SparseOperator:
     """Heisenberg Hamiltonian on the 2^N spin space,
-    -sum_{j<k} J_jk ((S+_j S-_k + S-_j S+_k)/2 + S^z_j S^z_k) + sum_j h_j S^z_j."""
+    -sum_{j<k} J_jk ((S+_j S-_k + S-_j S+_k)/2 + S^z_j S^z_k) + sum_j h_j S^z_j.
+
+    On two levels the DM encoding is the spin model, so this shares its terms."""
     if spec.n_sites > MAX_SPIN_SITES:
         raise InvalidSpecError(f"spin builder limited to {MAX_SPIN_SITES} sites")
-    basis = FockBasis(spec.n_sites, 2)
-    ops = local_ops(2)
-    site_sp = [_embed_csr(basis, s, ops.sp) for s in range(spec.n_sites)]
-    site_sm = [_embed_csr(basis, s, ops.sm) for s in range(spec.n_sites)]
-    site_sz = [_embed_csr(basis, s, ops.sz) for s in range(spec.n_sites)]
-    h = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for j, k, coupling in spec.edges:
-        h = h - coupling * (
-            0.5 * (site_sp[j] @ site_sm[k]) + 0.5 * (site_sm[j] @ site_sp[k])
-            + site_sz[j] @ site_sz[k]
-        )
-    for j, field in enumerate(spec.fields):
-        if field != 0.0:
-            h = h + field * site_sz[j]
-    return SparseOperator.from_matrix(h)
+    return assemble(FockBasis(spec.n_sites, 2), _dm_terms(spec, local_ops(2)))
 
 
 def build_h_ebh(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
@@ -152,21 +191,15 @@ def build_h_ebh(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
     if basis.n_sites != spec.n_sites:
         raise InvalidSpecError("basis and spec disagree on the number of sites")
     ops = local_ops(basis.local_dim)
-    eye = sp.identity(basis.dim, dtype=complex, format="csr")
-    site_a = [_embed_csr(basis, s, ops.a) for s in range(basis.n_sites)]
-    site_ad = [_embed_csr(basis, s, ops.adag) for s in range(basis.n_sites)]
-    site_n = [_embed_csr(basis, s, ops.n) for s in range(basis.n_sites)]
-    h = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    terms = []
     for j, k, coupling in spec.edges:
-        hop = site_ad[j] @ site_a[k]
-        corr = site_ad[j] @ (site_n[j] + site_n[k]) @ site_a[k]
-        half = -(coupling / 2.0) * (hop - corr)
-        h = h + half + half.getH()
-        h = h - coupling * ((site_n[j] - 0.5 * eye) @ (site_n[k] - 0.5 * eye))
-    for j, field in enumerate(spec.fields):
-        if field != 0.0:
-            h = h + field * (site_n[j] - 0.5 * eye)
-    return SparseOperator.from_matrix(h)
+        terms += _plus_adjoints([
+            (-0.5 * coupling, ((j, ops.adag), (k, ops.a))),
+            (0.5 * coupling, ((j, ops.adag), (j, ops.n), (k, ops.a))),
+            (0.5 * coupling, ((j, ops.adag), (k, ops.n), (k, ops.a))),
+        ])
+        terms.append((-coupling, ((j, ops.hp_sz), (k, ops.hp_sz))))
+    return assemble(basis, terms + _field_terms(spec, ops.hp_sz))
 
 
 def build_h_dm(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
@@ -176,20 +209,7 @@ def build_h_dm(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
     on the hard-core subspace it agrees with the symmetric encoding."""
     if basis.n_sites != spec.n_sites:
         raise InvalidSpecError("basis and spec disagree on the number of sites")
-    ops = local_ops(basis.local_dim)
-    site_sp = [_embed_csr(basis, s, ops.adag @ (ops.ident - ops.n)) for s in range(basis.n_sites)]
-    site_sm = [_embed_csr(basis, s, ops.a) for s in range(basis.n_sites)]
-    site_sz = [_embed_csr(basis, s, ops.n - 0.5 * ops.ident) for s in range(basis.n_sites)]
-    h = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for j, k, coupling in spec.edges:
-        h = h - coupling * (
-            0.5 * (site_sp[j] @ site_sm[k]) + 0.5 * (site_sm[j] @ site_sp[k])
-            + site_sz[j] @ site_sz[k]
-        )
-    for j, field in enumerate(spec.fields):
-        if field != 0.0:
-            h = h + field * site_sz[j]
-    return SparseOperator.from_matrix(h)
+    return assemble(basis, _dm_terms(spec, local_ops(basis.local_dim)))
 
 
 def build_h_jja(params: "JJAParams", basis: FockBasis, variant: str = "simplified") -> SparseOperator:
@@ -207,31 +227,26 @@ def build_h_jja(params: "JJAParams", basis: FockBasis, variant: str = "simplifie
     """
     if variant not in ("simplified", "full"):
         raise ValueError(f"unknown variant {variant!r}")
-    n_sites = basis.n_sites
-    if params.n_sites != n_sites:
+    if params.n_sites != basis.n_sites:
         raise InvalidSpecError("params and basis disagree on the number of sites")
     ops = local_ops(basis.local_dim)
-    site_a = [_embed_csr(basis, s, ops.a) for s in range(n_sites)]
-    site_ad = [_embed_csr(basis, s, ops.adag) for s in range(n_sites)]
-    site_n = [_embed_csr(basis, s, ops.n) for s in range(n_sites)]
-    h = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for s in range(n_sites):
-        coeff = params.omega[s] + params.delta_omega[s] - params.delta_tilde[s]
-        h = h + coeff * site_n[s]
-        if variant == "full":
-            anharm = _embed_csr(basis, s, ops.adag @ ops.adag @ ops.a @ ops.a)
-            h = h + (params.delta_omega[s] / 2.0) * anharm
-    for i in range(n_sites - 1):
-        j, k = i, i + 1
-        h = h + params.t[i] * (site_ad[j] @ site_a[k] + site_ad[k] @ site_a[j])
-        h = h - params.delta[i] * (site_n[j] @ site_n[k])
-        corr = (params.corr_t[i] * (site_ad[j] @ site_n[j] @ site_a[k])
-                + params.corr_tp[i] * (site_ad[j] @ site_n[k] @ site_a[k]))
-        h = h + corr + corr.getH()
-        if variant == "full":
-            pair = -(params.delta[i] / 4.0) * (site_a[k] @ site_a[k] @ site_ad[j] @ site_ad[j])
-            h = h + pair + pair.getH()
-    return SparseOperator.from_matrix(h)
+    a, ad, n = ops.a, ops.adag, ops.n
+    full = variant == "full"
+    terms = []
+    for s in range(basis.n_sites):
+        terms.append((params.omega[s] + params.delta_omega[s] - params.delta_tilde[s], ((s, n),)))
+        if full:
+            terms.append((params.delta_omega[s] / 2.0, ((s, ad), (s, ad), (s, a), (s, a))))
+    for j in range(basis.n_sites - 1):
+        k = j + 1
+        terms.append((-params.delta[j], ((j, n), (k, n))))
+        hopping = [(params.t[j], ((j, ad), (k, a))),
+                   (params.corr_t[j], ((j, ad), (j, n), (k, a))),
+                   (params.corr_tp[j], ((j, ad), (k, n), (k, a)))]
+        if full:
+            hopping.append((-params.delta[j] / 4.0, ((k, a), (k, a), (j, ad), (j, ad))))
+        terms += _plus_adjoints(hopping)
+    return assemble(basis, terms)
 
 
 OBSERVABLE_NAMES = ("sz1", "mx", "cxx")
@@ -243,39 +258,24 @@ def observable(name: str, sector: str, basis: FockBasis) -> SparseOperator:
     sz1   z magnetization of the first site (boson: n_0 - 1/2)
     mx    mean x magnetization (boson: mean quadrature (a + a+)/2)
     cxx   x-x correlator of the first two sites
+
+    On two levels n - 1/2 and (a + a+)/2 are S^z and S^x, so both sectors
+    share the same local matrices.
     """
     if sector not in ("spin", "boson"):
         raise ValueError(f"unknown sector {sector!r}")
     if sector == "spin" and basis.local_dim != 2:
         raise ValueError("spin sector requires local_dim = 2")
     ops = local_ops(basis.local_dim)
-    if sector == "spin":
-        x_local = np.asarray(ops.sx)
-        z_local = np.asarray(ops.sz)
-    else:
-        x_local = 0.5 * (ops.a + ops.adag)
-        z_local = ops.n - 0.5 * ops.ident
+    x = 0.5 * (ops.a + ops.adag)
     if name == "sz1":
-        return SparseOperator.from_matrix(_embed_csr(basis, 0, z_local))
-    if name == "mx":
-        total = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-        for s in range(basis.n_sites):
-            total = total + _embed_csr(basis, s, x_local)
-        return SparseOperator.from_matrix(total / basis.n_sites)
-    if name == "cxx":
+        terms = [(1.0, ((0, ops.hp_sz),))]
+    elif name == "mx":
+        terms = [(1.0 / basis.n_sites, ((s, x),)) for s in range(basis.n_sites)]
+    elif name == "cxx":
         if basis.n_sites < 2:
             raise ValueError("cxx needs at least two sites")
-        return SparseOperator.from_matrix(
-            _embed_csr(basis, 0, x_local) @ _embed_csr(basis, 1, x_local)
-        )
-    raise ValueError(f"unknown observable {name!r}; expected one of {OBSERVABLE_NAMES}")
-
-
-def dump_triplets(op: SparseOperator, path) -> None:
-    """Write the stored entries as 'row col re im' lines for external checks."""
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for i in order:
-            re, im = float(coo.data[i].real), float(coo.data[i].imag)
-            fh.write(f"{coo.row[i]} {coo.col[i]} {re!r} {im!r}\n")
+        terms = [(1.0, ((0, x), (1, x)))]
+    else:
+        raise ValueError(f"unknown observable {name!r}; expected one of {OBSERVABLE_NAMES}")
+    return assemble(basis, terms)

@@ -31,10 +31,6 @@ class UnitConvention:
     def joule_to_energy(self, e_joule: float) -> float:
         return e_joule / PLANCK / 1e6
 
-    def phase(self, nu_mhz: float, t_us: float) -> complex:
-        """Phase factor exp(-i * 2*pi * nu * t) of an eigenstate at nu."""
-        return complex(math.cos(TWO_PI * nu_mhz * t_us), -math.sin(TWO_PI * nu_mhz * t_us))
-
 
 UNITS = UnitConvention()
 

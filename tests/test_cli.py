@@ -119,6 +119,12 @@ def test_validation_error_zero_horizon(tmp_path):
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
 
 
+def test_validation_error_cutoff_override_zero(tmp_path):
+    path = write(tmp_path, "cmp.ini", COMPARE_INI)
+    args = ["run", path, "--out-dir", str(tmp_path / "o"), "--cutoff", "0"]
+    assert run_cli(args) == EXIT_VALIDATION
+
+
 def test_validation_error_circuit_regime(tmp_path):
     ini = """\
 [model]

@@ -12,7 +12,6 @@ from spinbh.operators import (
     build_h_ebh,
     build_h_jja,
     build_h_spin,
-    dump_triplets,
     embed,
     local_ops,
     observable,
@@ -328,14 +327,3 @@ def test_no_stored_near_zero_entries():
     for op in (build_h_spin(spec), build_h_ebh(spec, FockBasis(4, 3))):
         if op.matrix.nnz:
             assert np.min(np.abs(op.matrix.data)) > DROP_THRESHOLD
-
-
-def test_dump_triplets_round_trip(tmp_path):
-    op = build_h_spin(chain_spec(2, 1.0, 0.5))
-    path = tmp_path / "h.triplets"
-    dump_triplets(op, path)
-    rebuilt = np.zeros((4, 4), dtype=complex)
-    for line in path.read_text().splitlines():
-        r, c, re, im = line.split()
-        rebuilt[int(r), int(c)] = float(re) + 1j * float(im)
-    assert np.array_equal(rebuilt, op.dense())

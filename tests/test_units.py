@@ -9,17 +9,6 @@ def test_energy_round_trip_exact(nu):
     assert UNITS.joule_to_energy(UNITS.energy_to_joule(nu)) == nu
 
 
-def test_phase_convention():
-    # nu * t = 1/4 cycle: exp(-i pi / 2) = -i
-    assert np.isclose(UNITS.phase(5.0, 0.05), -1j)
-    assert UNITS.phase(123.4, 0.0) == 1.0
-
-
-def test_phase_matches_numpy_exponential():
-    nu, t = 47.0, 0.013
-    assert np.isclose(UNITS.phase(nu, t), np.exp(-2j * np.pi * nu * t), atol=1e-15)
-
-
 def test_capacitance_conversion_scale():
     # a ~97 fF island charges at ~200 MHz
     c = capacitance_to_mhz(1.0) / 200.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidSpecError
@@ -184,8 +185,8 @@ def validate_config(cfg: ExperimentConfig) -> list[Violation]:
 
     needs_evolution = cfg.kind in ("spin", "boson", "jja", "compare")
     if needs_evolution:
-        if not cfg.t_max > 0:
-            err(f"t_max must be positive, got {cfg.t_max}")
+        if not 0 < cfg.t_max < math.inf:
+            err(f"t_max must be positive and finite, got {cfg.t_max}")
         if cfg.n_steps < 2:
             err(f"n_steps must be >= 2, got {cfg.n_steps}")
         if cfg.krylov_dim < 2:

@@ -1,9 +1,12 @@
 """Unitary time evolution and expectation-value recording.
 
 The propagated phase is exp(-i * 2*pi * H * t) with H in MHz and t in us.
-Two propagators are available: a one-shot spectral decomposition reused for
-every output time (best up to a few thousand basis states), and an adaptive
-short-recurrence Lanczos exponential for larger problems.
+Propagators only propagate: each yields blocks of state columns, one column
+per output time, in grid order.  The dense one diagonalizes once and yields
+512 columns per block (best up to a few thousand basis states); the adaptive
+Lanczos exponential yields one column per block, so memory stays at one
+Krylov basis.  ``evolve`` records every block in one loop, and the public
+``expectation`` and ``leakage`` apply the same column helpers to one column.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import HermiticityError, NumericalError
-from .hilbert import StateVector
+from .hilbert import StateVector, mask_complement
 from .operators import SparseOperator
 from .units import TWO_PI
 
@@ -41,8 +44,8 @@ class EvolutionConfig:
     step_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < np.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
         if self.krylov_dim < 2:
@@ -70,43 +73,43 @@ class Trajectory:
     states: list[np.ndarray] | None = field(default=None, repr=False)
 
 
+def _check_observable(op: SparseOperator, dim: int, name: str) -> None:
+    if op.dim != dim:
+        raise ValueError(f"{name} has dim {op.dim}, expected {dim}")
+    if not op.hermitian:
+        raise HermiticityError(f"{name} is not Hermitian")
+
+
+def _expect_cols(matrix, cols: np.ndarray) -> tuple[np.ndarray, float]:
+    """Real <psi|O|psi> of every column psi, and the largest |imaginary part|."""
+    raw = np.einsum("ij,ij->j", cols.conj(), matrix @ cols)
+    if not np.isfinite(raw).all():
+        raise NumericalError("expectation value is not finite")
+    imag = float(np.max(np.abs(raw.imag)))
+    if not imag < IMAG_TOL:
+        raise NumericalError(f"expectation imaginary part reached {imag:.3e}")
+    return raw.real, imag
+
+
+def _outside_cols(cols: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """Population of every column on the index set ``comp``, clamped to [0, 1].
+
+    Summed over the complement of the mask directly, so a complete mask gives
+    exactly 0 and small leakages are not lost to cancellation against the norm."""
+    return np.clip(np.sum(np.abs(cols[comp]) ** 2, axis=0), 0.0, 1.0)
+
+
 def expectation(op: SparseOperator, psi: StateVector) -> float:
     """Real part of <psi|O|psi>; the imaginary part must stay below 1e-9."""
-    if op.dim != psi.basis.dim:
-        raise ValueError(f"operator dim {op.dim} does not match state dim {psi.basis.dim}")
-    if not op.hermitian:
-        raise HermiticityError("expectation values are defined for Hermitian observables")
-    val = np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes)
-    if abs(val.imag) >= IMAG_TOL:
-        raise NumericalError(f"expectation acquired imaginary part {val.imag:.3e}")
-    return float(val.real)
+    _check_observable(op, psi.basis.dim, "operator")
+    values, _ = _expect_cols(op.matrix, psi.amplitudes[:, None])
+    return float(values[0])
 
 
 def leakage(psi: StateVector, mask) -> float:
-    """Population outside the index set ``mask``, clamped to [0, 1].
-
-    Summed over the complement directly, so a complete mask gives exactly 0
-    and small leakages are not lost to cancellation against the norm."""
-    comp = np.setdiff1d(np.arange(psi.basis.dim), np.asarray(mask, dtype=np.int64))
-    outside = float(np.sum(np.abs(psi.amplitudes[comp]) ** 2))
-    return min(max(outside, 0.0), 1.0)
-
-
-def _record(obs_mats, psi_cols: np.ndarray) -> tuple[list[np.ndarray], float]:
-    """Expectations of each observable over state columns; returns max |imag|."""
-    vals, worst = [], 0.0
-    for mat in obs_mats:
-        raw = np.einsum("ij,ij->j", psi_cols.conj(), mat @ psi_cols)
-        worst = max(worst, float(np.max(np.abs(raw.imag))) if raw.size else 0.0)
-        vals.append(raw.real.copy())
-    return vals, worst
-
-
-def _leak_cols(psi_cols: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    if comp.size == 0:
-        return np.zeros(psi_cols.shape[1])
-    outside = np.sum(np.abs(psi_cols[comp, :]) ** 2, axis=0)
-    return np.clip(outside, 0.0, 1.0)
+    """Population outside the sorted, unique index set ``mask``, clamped to [0, 1]."""
+    comp = mask_complement(psi.basis.dim, mask)
+    return float(_outside_cols(psi.amplitudes[:, None], comp)[0])
 
 
 def _lanczos_step(matvec, v: np.ndarray, dt: float, m: int):
@@ -140,6 +143,8 @@ def _lanczos_step(matvec, v: np.ndarray, dt: float, m: int):
             break
         beta[k] = b
         vecs[k + 1] = w / b
+    if not (np.isfinite(alpha[:k_used]).all() and np.isfinite(beta[: k_used - 1]).all()):
+        raise NumericalError("Lanczos coefficients are not finite")
     evals, evecs = sla.eigh_tridiagonal(alpha[:k_used], beta[: k_used - 1])
     phases = np.exp(-1j * TWO_PI * dt * evals)
     small = evecs @ (phases * evecs[0, :].conj())
@@ -148,29 +153,11 @@ def _lanczos_step(matvec, v: np.ndarray, dt: float, m: int):
     return u, err
 
 
-def _evolve_krylov(h, psi0, times, cfg, obs_mats, comp, retain):
+def _krylov_blocks(h, psi0, times, cfg):
+    """One-column blocks: adaptive Lanczos substeps between grid points."""
     matvec = lambda x: h.matrix @ x
-    cur = psi0.copy()
-    vals = [np.empty(len(times)) for _ in obs_mats]
-    leak = np.empty(len(times)) if comp is not None else None
-    states = [] if retain else None
-    max_imag = 0.0
-    max_norm_dev = 0.0
-
-    def record(idx, vec):
-        nonlocal max_imag, max_norm_dev
-        col = vec[:, None]
-        point_vals, imag = _record(obs_mats, col)
-        max_imag = max(max_imag, imag)
-        for series, pv in zip(vals, point_vals):
-            series[idx] = pv[0]
-        if leak is not None:
-            leak[idx] = _leak_cols(col, comp)[0]
-        max_norm_dev = max(max_norm_dev, abs(np.linalg.norm(vec) - 1.0))
-        if states is not None:
-            states.append(vec.copy())
-
-    record(0, cur)
+    cur = psi0
+    yield cur[:, None]
     for idx in range(1, len(times)):
         span = times[idx] - times[idx - 1]
         remaining = span
@@ -192,33 +179,16 @@ def _evolve_krylov(h, psi0, times, cfg, obs_mats, comp, retain):
             remaining -= dt
             if err < 0.01 * cfg.step_tolerance:
                 step = min(2.0 * step, span)
-        record(idx, cur)
-    return vals, leak, max_imag, max_norm_dev, states
+        yield cur[:, None]
 
 
-def _evolve_dense(h, psi0, times, obs_mats, comp, retain):
+def _dense_blocks(h, psi0, times):
+    """Blocks of up to 512 columns from one spectral decomposition."""
     evals, evecs = sla.eigh(h.dense())
     w0 = evecs.conj().T @ psi0
-    vals = [np.empty(len(times)) for _ in obs_mats]
-    leak = np.empty(len(times)) if comp is not None else None
-    states = [] if retain else None
-    max_imag = 0.0
-    max_norm_dev = 0.0
     for start in range(0, len(times), _GRID_CHUNK):
-        chunk = times[start : start + _GRID_CHUNK]
-        phases = np.exp(-1j * TWO_PI * np.outer(evals, chunk))
-        cols = evecs @ (phases * w0[:, None])
-        chunk_vals, imag = _record(obs_mats, cols)
-        max_imag = max(max_imag, imag)
-        for series, cv in zip(vals, chunk_vals):
-            series[start : start + len(chunk)] = cv
-        if leak is not None:
-            leak[start : start + len(chunk)] = _leak_cols(cols, comp)
-        norms = np.linalg.norm(cols, axis=0)
-        max_norm_dev = max(max_norm_dev, float(np.max(np.abs(norms - 1.0))))
-        if states is not None:
-            states.extend(cols[:, i].copy() for i in range(cols.shape[1]))
-    return vals, leak, max_imag, max_norm_dev, states
+        phases = np.exp(-1j * TWO_PI * np.outer(evals, times[start : start + _GRID_CHUNK]))
+        yield evecs @ (phases * w0[:, None])
 
 
 def evolve(
@@ -234,41 +204,44 @@ def evolve(
     """Evolve psi0 under exp(-i*2*pi*H*t) and record observables on the grid.
 
     Non-Hermitian generators are refused; project them onto an invariant
-    subspace first.  Norm drift beyond 1e-9 or expectation imaginary parts
-    beyond 1e-9 raise NumericalError rather than being silently discarded.
+    subspace first.  Non-finite expectations or norms, norm drift beyond 1e-9
+    and expectation imaginary parts beyond 1e-9 raise NumericalError rather
+    than being silently discarded.
     """
     if not h.hermitian:
         raise HermiticityError("evolution requires a Hermitian Hamiltonian")
     if h.dim != psi0.basis.dim:
         raise ValueError(f"Hamiltonian dim {h.dim} does not match state dim {psi0.basis.dim}")
     for name, op in observables.items():
-        if op.dim != h.dim:
-            raise ValueError(f"observable {name!r} has dim {op.dim}, expected {h.dim}")
-        if not op.hermitian:
-            raise HermiticityError(f"observable {name!r} is not Hermitian")
+        _check_observable(op, h.dim, f"observable {name!r}")
+    comp = None if leakage_mask is None else mask_complement(h.dim, leakage_mask)
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
-    comp = None
-    if leakage_mask is not None:
-        comp = np.setdiff1d(
-            np.arange(h.dim, dtype=np.int64), np.asarray(leakage_mask, dtype=np.int64)
-        )
-    obs_mats = [op.matrix for op in observables.values()]
-    method = cfg.resolve_method(h.dim)
-    if method == "dense_eig":
-        vals, leak, max_imag, max_norm_dev, states = _evolve_dense(
-            h, psi0.amplitudes, times, obs_mats, comp, retain_states
-        )
+    if cfg.resolve_method(h.dim) == "dense_eig":
+        blocks = _dense_blocks(h, psi0.amplitudes, times)
     else:
-        vals, leak, max_imag, max_norm_dev, states = _evolve_krylov(
-            h, psi0.amplitudes, times, cfg, obs_mats, comp, retain_states
-        )
-    if max_imag >= IMAG_TOL:
-        raise NumericalError(f"expectation imaginary part reached {max_imag:.3e}")
-    if max_norm_dev >= NORM_TOL:
-        raise NumericalError(f"norm drifted by {max_norm_dev:.3e}")
+        blocks = _krylov_blocks(h, psi0.amplitudes, times, cfg)
+    values = {name: np.empty(len(times)) for name in observables}
+    leak = None if comp is None else np.empty(len(times))
+    states = [] if retain_states else None
+    max_imag = max_norm_dev = 0.0
+    start = 0
+    for cols in blocks:
+        stop = start + cols.shape[1]
+        for name, op in observables.items():
+            values[name][start:stop], imag = _expect_cols(op.matrix, cols)
+            max_imag = max(max_imag, imag)
+        if leak is not None:
+            leak[start:stop] = _outside_cols(cols, comp)
+        dev = float(np.max(np.abs(np.linalg.norm(cols, axis=0) - 1.0)))
+        if not dev < NORM_TOL:  # NaN fails too
+            raise NumericalError(f"norm drifted by {dev:.3e}")
+        max_norm_dev = max(max_norm_dev, dev)
+        if states is not None:
+            states.extend(cols[:, i].copy() for i in range(cols.shape[1]))
+        start = stop
     return Trajectory(
         times=times,
-        values={name: series for name, series in zip(observables.keys(), vals)},
+        values=values,
         leakage=leak,
         max_imag=max_imag,
         max_norm_deviation=max_norm_dev,

@@ -138,3 +138,11 @@ def physical_mask(basis: FockBasis) -> np.ndarray:
         bits = (m >> np.arange(n)) & 1
         mask[m] = int(np.dot(bits, weights))
     return mask
+
+
+def mask_complement(dim: int, mask) -> np.ndarray:
+    """Indices in [0, dim) outside ``mask``, which must be sorted, unique and in range."""
+    mask = np.asarray(mask, dtype=np.int64)
+    if mask.ndim != 1 or np.any(mask < 0) or np.any(mask >= dim) or np.any(np.diff(mask) <= 0):
+        raise ValueError("mask must be sorted, unique, and within range")
+    return np.setdiff1d(np.arange(dim, dtype=np.int64), mask, assume_unique=True)

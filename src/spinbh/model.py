@@ -151,6 +151,12 @@ def _validate_circuit(spec: CircuitSpec) -> list[Violation]:
     if len(spec.eprime_j) != n + 1 or len(spec.e_coup) != n + 1:
         report.append(Violation("error", "eprime_j and e_coup must have n_sites+1 entries"))
         return report
+    for name in ("e_c", "e_j", "eprime_j", "e_coup"):
+        for i, x in enumerate(getattr(spec, name)):
+            if not math.isfinite(x):
+                report.append(Violation("error", f"{name}[{i}] is not finite"))
+    if report:
+        return report
     for s in range(n):
         if spec.e_c[s] <= 0:
             report.append(Violation("error", f"e_c[{s}] must be positive"))
@@ -173,7 +179,7 @@ def _validate_circuit(spec: CircuitSpec) -> list[Violation]:
             report.append(Violation("error", f"eprime_j[{link}] must be >= 0"))
         if ec < 0:
             report.append(Violation("error", f"e_coup[{link}] must be >= 0"))
-        if interior:
+        if interior and spec.e_c[link - 1] > 0:
             ratio = ec / spec.e_c[link - 1]
             if ratio >= COUPLING_RATIO_LIMIT:
                 report.append(

@@ -77,12 +77,6 @@ class LocalOperatorSet:
     hp_sp: np.ndarray  # a^dag (1 - n)
     hp_sm: np.ndarray  # (1 - n) a
     hp_sz: np.ndarray  # n - 1/2
-    # spin-1/2 matrices, present only for local_dim = 2
-    sx: np.ndarray | None = None
-    sy: np.ndarray | None = None
-    sz: np.ndarray | None = None
-    sp: np.ndarray | None = None
-    sm: np.ndarray | None = None
 
 
 def local_ops(local_dim: int) -> LocalOperatorSet:
@@ -98,12 +92,8 @@ def local_ops(local_dim: int) -> LocalOperatorSet:
     hp_sp = adag @ (ident - n)
     hp_sm = (ident - n) @ a
     hp_sz = n - 0.5 * ident
-    extra = {}
-    if d == 2:
-        extra = {"sp": hp_sp, "sm": hp_sm, "sz": hp_sz,
-                 "sx": 0.5 * (hp_sp + hp_sm), "sy": -0.5j * (hp_sp - hp_sm)}
     return LocalOperatorSet(local_dim=d, a=a, adag=adag, n=n, ident=ident,
-                            hp_sp=hp_sp, hp_sm=hp_sm, hp_sz=hp_sz, **extra)
+                            hp_sp=hp_sp, hp_sm=hp_sm, hp_sz=hp_sz)
 
 
 def _site_offsets(d: int, sites) -> np.ndarray:

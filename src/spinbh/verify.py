@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import Trajectory
+from .hilbert import mask_complement
 from .operators import SparseOperator, hermiticity_deviation
 
 
@@ -55,11 +56,9 @@ def project(op: SparseOperator, mask) -> tuple[SparseOperator, float]:
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("mask must not be empty")
-    if np.any(mask < 0) or np.any(mask >= op.dim) or np.any(np.diff(mask) <= 0):
-        raise ValueError("mask must be sorted, unique, and within range")
+    comp = mask_complement(op.dim, mask)
     csr = op.matrix
     php = csr[mask][:, mask]
-    comp = np.setdiff1d(np.arange(op.dim, dtype=np.int64), mask, assume_unique=True)
     if comp.size:
         qhp = csr[comp][:, mask]
         coupling = float(np.max(np.abs(qhp.data))) if qhp.nnz else 0.0

@@ -30,6 +30,25 @@ precision = 12
 """
 
 
+JJA_INI = """\
+[model]
+n_sites = 2
+e_c = 200.0
+e_j = 12500.0
+eprime_j = 1562.5
+
+[evolution]
+t_max = 0.02
+n_steps = 11
+
+[experiment]
+kind = jja
+observables = sz1
+initial_state = neel
+cutoff = 3
+"""
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -83,6 +102,7 @@ def test_validate_config_catches_bad_values():
     from dataclasses import replace
 
     assert validate_config(replace(cfg, t_max=0.0))
+    assert validate_config(replace(cfg, t_max=math.inf))
     assert validate_config(replace(cfg, cutoff=1))
     assert validate_config(replace(cfg, observables=("sy",)))
     assert validate_config(replace(cfg, n_sites=5))  # domain wall needs even chains
@@ -141,6 +161,25 @@ cutoff = 3
 """
     path = write(tmp_path, "circuit.ini", ini)
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("kind", ["spin", "compare"])
+def test_validation_error_infinite_horizon(tmp_path, kind):
+    bad = COMPARE_INI.replace("t_max = 0.05", "t_max = inf").replace("kind = compare", f"kind = {kind}")
+    path = write(tmp_path, "bad.ini", bad)
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("good, bad", [
+    ("e_c = 200.0", "e_c = nan"),
+    ("e_j = 12500.0", "e_j = inf"),
+    ("eprime_j = 1562.5", "eprime_j = nan"),
+    ("e_c = 200.0", "e_c = 0.0"),
+])
+def test_validation_error_bad_circuit_energy(tmp_path, good, bad):
+    path = write(tmp_path, "jja.ini", JJA_INI.replace(good, bad))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------- compare runs
@@ -239,25 +278,8 @@ initial_state = neel
 
 
 def test_jja_run_with_leakage_column(tmp_path):
-    ini = """\
-[model]
-n_sites = 2
-e_c = 200.0
-e_j = 12500.0
-eprime_j = 1562.5
-
-[evolution]
-t_max = 0.02
-n_steps = 11
-
-[experiment]
-kind = jja
-observables = sz1
-initial_state = neel
-cutoff = 3
-"""
     out = tmp_path / "jja"
-    path = write(tmp_path, "jja.ini", ini)
+    path = write(tmp_path, "jja.ini", JJA_INI)
     assert run_cli(["run", path, "--out-dir", str(out), "--quiet"]) == EXIT_OK
     lines = (out / "sz1_boson.csv").read_text().splitlines()
     assert lines[0] == "time_us,value,leakage"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 import oracles
 from spinbh.dynamics import EvolutionConfig, evolve, expectation, leakage
-from spinbh.errors import HermiticityError
+from spinbh.errors import HermiticityError, NumericalError
 from spinbh.hilbert import FockBasis, basis_state, named_initial_state, physical_mask, product_state
-from spinbh.model import chain_spec
+from spinbh.model import SpinModelSpec, chain_spec
 from spinbh.operators import SparseOperator, build_h_dm, build_h_ebh, build_h_spin, observable
 
 
@@ -69,6 +71,13 @@ def test_leakage_half():
     assert np.isclose(leakage(psi, physical_mask(basis)), 0.5)
 
 
+@pytest.mark.parametrize("mask", [[0, 1, 5], [-1, 0], [1, 0], [0, 0, 1]])
+def test_leakage_rejects_invalid_mask(mask):
+    psi = basis_state(FockBasis(1, 3), [0])
+    with pytest.raises(ValueError):
+        leakage(psi, mask)
+
+
 # ---------------------------------------------------------------- analytic oracles
 
 def larmor_reference(field, times):
@@ -121,6 +130,27 @@ def test_against_brute_force_expm():
     assert np.max(np.abs(traj.values["sz1"] - ref)) < 1e-9
 
 
+@pytest.mark.parametrize("method", ["dense_eig", "krylov"])
+def test_random_ebh_chain_matches_expm_multiply(method):
+    # independent path: scipy's truncated-Taylor action of the exponential
+    rng = np.random.default_rng(7)
+    n = 6  # dim 3**6 = 729
+    edges = [(j, j + 1, rng.uniform(10.0, 60.0)) for j in range(n - 1)] + [(0, 3, 15.0)]
+    spec = SpinModelSpec(n, tuple(edges), tuple(rng.uniform(-30.0, 30.0, n)))
+    basis = FockBasis(n, 3)
+    h = build_h_ebh(spec, basis)
+    psi0 = named_initial_state(basis, "all_up_x", "boson")
+    obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx", "cxx")}
+    traj = evolve(h, psi0, cfg(t_max=0.05, n_steps=41, method=method), obs,
+                  leakage_mask=physical_mask(basis))
+    states = expm_multiply(-2j * np.pi * h.matrix, psi0.amplitudes,
+                           start=0.0, stop=0.05, num=41, endpoint=True)
+    for name, op in obs.items():
+        ref = np.einsum("ti,ti->t", states.conj(), (op.matrix @ states.T).T).real
+        assert np.max(np.abs(traj.values[name] - ref)) < 1e-9
+    assert np.max(traj.leakage) < 1e-20
+
+
 # ---------------------------------------------------------------- invariants
 
 def run_pair(spec, basis, state_name, t_max=0.3, n_steps=151, d=None):
@@ -170,7 +200,7 @@ def test_total_sz_conserved():
     from spinbh.operators import embed, local_ops
 
     total_sz = SparseOperator.from_matrix(
-        sum(embed(basis, s, local_ops(2).sz).matrix for s in range(4))
+        sum(embed(basis, s, local_ops(2).hp_sz).matrix for s in range(4))
     )
     psi0 = named_initial_state(basis, "domain_wall", "spin")
     traj = evolve(build_h_spin(spec), psi0, cfg(n_steps=101), {"tsz": total_sz})
@@ -230,9 +260,30 @@ def test_evolve_rejects_dimension_mismatch():
                cfg(), {})
 
 
+def test_evolve_rejects_invalid_leakage_mask():
+    spec = chain_spec(2, 1.0, 0.0)
+    basis = FockBasis(2, 2)
+    with pytest.raises(ValueError):
+        evolve(build_h_spin(spec), named_initial_state(basis, "neel", "spin"), cfg(), {},
+               leakage_mask=[-1, 0, 1])
+
+
+@pytest.mark.parametrize("method", ["dense_eig", "krylov"])
+def test_non_finite_dynamics_raise(method):
+    # entries of 1e308 overflow the dense phases and the Lanczos norms
+    basis = FockBasis(1, 2)
+    h = SparseOperator.from_matrix(sp.diags([1e308, -1e308]))
+    psi0 = named_initial_state(basis, "all_up_x", "spin")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+        evolve(h, psi0, cfg(t_max=1.0, n_steps=3, method=method),
+               {"mx": observable("mx", "spin", basis)})
+
+
 def test_config_invariants():
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=0.0)
+    with pytest.raises(ValueError):
+        EvolutionConfig(t_max=np.inf)
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, n_steps=1)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from spinbh.errors import InvalidSpecError
@@ -107,6 +109,16 @@ def test_circuit_boundary_links_may_be_zero_but_not_interior():
         e_coup=(0.0, 18.4, 0.0),
     )
     assert any("interior" in v.message for v in validate(circuit))
+
+
+@pytest.mark.parametrize("field", ["e_c", "e_j", "eprime_j", "e_coup"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_circuit_rejects_non_finite_energies(field, value):
+    circuit = chain_circuit(3, 200.0, 12500.0, 1562.5, 18.4, include_boundary=True)
+    energies = list(getattr(circuit, field))
+    energies[1] = value
+    report = validate(replace(circuit, **{field: tuple(energies)}))
+    assert any(v.severity == "error" and f"{field}[1]" in v.message for v in report)
 
 
 def test_inductive_energies_include_both_links():

@@ -27,7 +27,7 @@ def table_circuit(n_sites):
 
 def test_embed_sz_single_site():
     ops = local_ops(2)
-    m = embed(FockBasis(1, 2), 0, ops.sz).dense()
+    m = embed(FockBasis(1, 2), 0, ops.hp_sz).dense()
     assert np.allclose(m, np.diag([-0.5, 0.5]))
 
 

@@ -35,6 +35,15 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _write_table(path, header, columns, precision: int, sep: str = ",") -> None:
+    """One row per entry of the equal-length ``columns`` under an optional
+    ``header``; numbers get ``precision`` significant digits, strings pass through."""
+    cells = [[c if isinstance(c, str) else _fmt(c, precision) for c in col] for col in columns]
+    rows = [sep.join(header)] if header else []
+    rows += map(sep.join, zip(*cells))
+    _write_text(path, "\n".join(rows) + "\n")
+
+
 def emit_plotdata(out_dir, labeled_trajectories, precision: int = 12) -> list[str]:
     """One two-column series file per recorded curve, named <observable>_<sector>.dat.
 
@@ -49,37 +58,9 @@ def emit_plotdata(out_dir, labeled_trajectories, precision: int = 12) -> list[st
     for sector, traj in labeled:
         for obs, series in traj.values.items():
             path = os.path.join(out_dir, f"{obs}_{sector}.dat")
-            lines = [
-                f"{_fmt(t, precision)} {_fmt(v, precision)}"
-                for t, v in zip(traj.times, series)
-            ]
-            _write_text(path, "\n".join(lines) + "\n")
+            _write_table(path, None, [traj.times, series], precision, sep=" ")
             written.append(path)
     return written
-
-
-def _single_run_csv(path, traj, obs: str, precision: int) -> None:
-    rows = ["time_us,value"] if traj.leakage is None else ["time_us,value,leakage"]
-    for i, t in enumerate(traj.times):
-        cells = [_fmt(t, precision), _fmt(traj.values[obs][i], precision)]
-        if traj.leakage is not None:
-            cells.append(_fmt(traj.leakage[i], precision))
-        rows.append(",".join(cells))
-    _write_text(path, "\n".join(rows) + "\n")
-
-
-def _compare_csv(path, spin_traj, boson_traj, obs: str, precision: int) -> None:
-    rows = ["time_us,value_spin,value_boson,abs_diff,leakage"]
-    leak = boson_traj.leakage
-    for i, t in enumerate(spin_traj.times):
-        a = spin_traj.values[obs][i]
-        b = boson_traj.values[obs][i]
-        rows.append(",".join([
-            _fmt(t, precision), _fmt(a, precision), _fmt(b, precision),
-            _fmt(abs(a - b), precision),
-            _fmt(leak[i] if leak is not None else 0.0, precision),
-        ]))
-    _write_text(path, "\n".join(rows) + "\n")
 
 
 def _build_spin_side(cfg):
@@ -176,10 +157,7 @@ def run_experiment(cfg, quiet: bool = False) -> int:
             f"coupling_norm = {report.coupling_norm:.3e} MHz")
         return EXIT_OK
 
-    evo = dynamics.EvolutionConfig(
-        t_max=cfg.t_max, n_steps=cfg.n_steps, method=cfg.method,
-        krylov_dim=cfg.krylov_dim, step_tolerance=cfg.step_tolerance,
-    )
+    evo = dynamics.EvolutionConfig(t_max=cfg.t_max, n_steps=cfg.n_steps, method=cfg.method)
 
     def run_sector(sector: str):
         if sector == "spin":
@@ -201,9 +179,11 @@ def run_experiment(cfg, quiet: bool = False) -> int:
     if cfg.kind in ("spin", "boson", "jja"):
         sector = "spin" if cfg.kind == "spin" else "boson"
         traj = run_sector(sector)
+        leak = [] if traj.leakage is None else [traj.leakage]
+        header = ["time_us", "value", "leakage"][: 2 + len(leak)]
         for obs in cfg.observables:
             path = os.path.join(cfg.out_dir, f"{obs}_{sector}.csv")
-            _single_run_csv(path, traj, obs, cfg.precision)
+            _write_table(path, header, [traj.times, traj.values[obs], *leak], cfg.precision)
             say(f"wrote {path}")
         emit_plotdata(cfg.out_dir, [(sector, traj)], cfg.precision)
         return EXIT_OK
@@ -212,19 +192,22 @@ def run_experiment(cfg, quiet: bool = False) -> int:
     spin_traj = run_sector("spin")
     boson_traj = run_sector("boson")
     distance = verify.compare_trajectories(spin_traj, boson_traj)
+    leak = boson_traj.leakage  # the boson side always records leakage
     for obs in cfg.observables:
         path = os.path.join(cfg.out_dir, f"compare_{obs}.csv")
-        _compare_csv(path, spin_traj, boson_traj, obs, cfg.precision)
+        a, b = spin_traj.values[obs], boson_traj.values[obs]
+        _write_table(path, ["time_us", "value_spin", "value_boson", "abs_diff", "leakage"],
+                     [spin_traj.times, a, b, abs(a - b), leak], cfg.precision)
         say(f"wrote {path}")
     emit_plotdata(cfg.out_dir, [("spin", spin_traj), ("boson", boson_traj)], cfg.precision)
-    rows = ["observable,max_abs_diff,rms_diff,max_leakage"]
-    max_leak = float(boson_traj.leakage.max()) if boson_traj.leakage is not None else 0.0
-    for obs in cfg.observables:
-        rows.append(",".join([
-            obs, _fmt(distance.max_abs[obs], cfg.precision),
-            _fmt(distance.rms[obs], cfg.precision), _fmt(max_leak, cfg.precision),
-        ]))
-    _write_text(os.path.join(cfg.out_dir, "trajectory_distance.csv"), "\n".join(rows) + "\n")
+    names = cfg.observables
+    _write_table(
+        os.path.join(cfg.out_dir, "trajectory_distance.csv"),
+        ["observable", "max_abs_diff", "rms_diff", "max_leakage"],
+        [names, [distance.max_abs[o] for o in names], [distance.rms[o] for o in names],
+         [float(leak.max())] * len(names)],
+        cfg.precision,
+    )
     say(f"max |spin - boson| over all observables: {distance.overall_max:.3e}")
     return EXIT_OK
 

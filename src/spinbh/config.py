@@ -14,15 +14,14 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+from .dynamics import METHODS
 from .errors import InvalidSpecError
+from .hilbert import NAMED_STATES
 from .model import Violation
+from .operators import OBSERVABLE_NAMES, VARIANTS
 
 KINDS = ("spin", "boson", "jja", "compare", "design", "verify")
 ENCODINGS = ("ebh", "jja")
-METHODS = ("dense_eig", "krylov", "auto")
-OBSERVABLES = ("sz1", "mx", "cxx")
-INITIAL_STATES = ("domain_wall", "all_up_x", "neel")
-VARIANTS = ("simplified", "full")
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,6 @@ class ExperimentConfig:
     t_max: float = 0.5
     n_steps: int = 2000
     method: str = "auto"
-    krylov_dim: int = 30
-    step_tolerance: float = 1e-10
     # experiment
     kind: str = "compare"
     observables: tuple[str, ...] = ("sz1",)
@@ -70,8 +67,6 @@ _SECTION_KEYS = {
         "t_max": float,
         "n_steps": int,
         "method": str,
-        "krylov_dim": int,
-        "step_tolerance": float,
     },
     "experiment": {
         "kind": str,
@@ -189,17 +184,13 @@ def validate_config(cfg: ExperimentConfig) -> list[Violation]:
             err(f"t_max must be positive and finite, got {cfg.t_max}")
         if cfg.n_steps < 2:
             err(f"n_steps must be >= 2, got {cfg.n_steps}")
-        if cfg.krylov_dim < 2:
-            err(f"krylov_dim must be >= 2, got {cfg.krylov_dim}")
-        if not cfg.step_tolerance > 0:
-            err(f"step_tolerance must be positive, got {cfg.step_tolerance}")
         if not cfg.observables:
             err("at least one observable is required")
         for name in cfg.observables:
-            if name not in OBSERVABLES:
-                err(f"unknown observable {name!r}; expected one of {OBSERVABLES}")
-        if cfg.initial_state not in INITIAL_STATES:
-            err(f"unknown initial_state {cfg.initial_state!r}; expected one of {INITIAL_STATES}")
+            if name not in OBSERVABLE_NAMES:
+                err(f"unknown observable {name!r}; expected one of {OBSERVABLE_NAMES}")
+        if cfg.initial_state not in NAMED_STATES:
+            err(f"unknown initial_state {cfg.initial_state!r}; expected one of {NAMED_STATES}")
         if cfg.initial_state == "domain_wall" and cfg.n_sites % 2 != 0:
             err("domain_wall needs an even number of sites")
         if "cxx" in cfg.observables and cfg.n_sites < 2:

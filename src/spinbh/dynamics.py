@@ -1,17 +1,19 @@
 """Unitary time evolution and expectation-value recording.
 
 The propagated phase is exp(-i * 2*pi * H * t) with H in MHz and t in us.
-Propagators only propagate: each yields blocks of state columns, one column
-per output time, in grid order.  The dense one diagonalizes once and yields
-512 columns per block (best up to a few thousand basis states); the adaptive
-Lanczos exponential yields one column per block, so memory stays at one
-Krylov basis.  ``evolve`` records every block in one loop, and the public
-``expectation`` and ``leakage`` apply the same column helpers to one column.
+Propagators only propagate: each takes (h, psi0, times) and yields blocks of
+state columns, one column per output time, in grid order.  The dense one
+diagonalizes once and yields 512 columns per block (best up to a few
+thousand basis states); the adaptive Lanczos exponential yields one column
+per block, so memory stays at one Krylov basis of ``KRYLOV_DIM`` vectors,
+and halves a substep until its error estimate is within ``STEP_TOLERANCE``.
+``evolve`` records every block in one loop, and the public ``expectation``
+and ``leakage`` apply the same column helpers to one column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,7 +27,10 @@ DENSE_DIM_LIMIT = 4096
 NORM_TOL = 1e-9
 IMAG_TOL = 1e-9
 MAX_HALVINGS = 60
+KRYLOV_DIM = 30
+STEP_TOLERANCE = 1e-10  # local error bound of one Krylov substep
 _GRID_CHUNK = 512
+METHODS = ("dense_eig", "krylov", "auto")
 
 
 @dataclass(frozen=True)
@@ -34,23 +39,18 @@ class EvolutionConfig:
 
     ``n_steps`` counts grid points on the inclusive linear grid [0, t_max];
     ``method`` is one of dense_eig, krylov, auto (dense up to dim 4096).
-    ``step_tolerance`` bounds the local error of one Krylov substep.
     """
 
     t_max: float
     n_steps: int = 2000
     method: str = "auto"
-    krylov_dim: int = 30
-    step_tolerance: float = 1e-10
 
     def __post_init__(self):
         if not 0 < self.t_max < np.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
-        if self.krylov_dim < 2:
-            raise ValueError(f"krylov_dim must be >= 2, got {self.krylov_dim}")
-        if self.method not in ("dense_eig", "krylov", "auto"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
     def resolve_method(self, dim: int) -> str:
@@ -70,7 +70,6 @@ class Trajectory:
     max_norm_deviation: float = 0.0
     hamiltonian_label: str = ""
     initial_state_label: str = ""
-    states: list[np.ndarray] | None = field(default=None, repr=False)
 
 
 def _check_observable(op: SparseOperator, dim: int, name: str) -> None:
@@ -153,7 +152,7 @@ def _lanczos_step(matvec, v: np.ndarray, dt: float, m: int):
     return u, err
 
 
-def _krylov_blocks(h, psi0, times, cfg):
+def _krylov_blocks(h, psi0, times):
     """One-column blocks: adaptive Lanczos substeps between grid points."""
     matvec = lambda x: h.matrix @ x
     cur = psi0
@@ -165,8 +164,8 @@ def _krylov_blocks(h, psi0, times, cfg):
         halvings = 0
         while remaining > 1e-12 * span:
             dt = min(step, remaining)
-            u, err = _lanczos_step(matvec, cur, dt, cfg.krylov_dim)
-            if err > cfg.step_tolerance:
+            u, err = _lanczos_step(matvec, cur, dt, KRYLOV_DIM)
+            if err > STEP_TOLERANCE:
                 halvings += 1
                 if halvings > MAX_HALVINGS:
                     raise NumericalError(
@@ -177,7 +176,7 @@ def _krylov_blocks(h, psi0, times, cfg):
                 continue
             cur = u
             remaining -= dt
-            if err < 0.01 * cfg.step_tolerance:
+            if err < 0.01 * STEP_TOLERANCE:
                 step = min(2.0 * step, span)
         yield cur[:, None]
 
@@ -199,7 +198,6 @@ def evolve(
     leakage_mask=None,
     hamiltonian_label: str = "",
     initial_state_label: str = "",
-    retain_states: bool = False,
 ) -> Trajectory:
     """Evolve psi0 under exp(-i*2*pi*H*t) and record observables on the grid.
 
@@ -216,16 +214,12 @@ def evolve(
         _check_observable(op, h.dim, f"observable {name!r}")
     comp = None if leakage_mask is None else mask_complement(h.dim, leakage_mask)
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
-    if cfg.resolve_method(h.dim) == "dense_eig":
-        blocks = _dense_blocks(h, psi0.amplitudes, times)
-    else:
-        blocks = _krylov_blocks(h, psi0.amplitudes, times, cfg)
+    blocks = _dense_blocks if cfg.resolve_method(h.dim) == "dense_eig" else _krylov_blocks
     values = {name: np.empty(len(times)) for name in observables}
     leak = None if comp is None else np.empty(len(times))
-    states = [] if retain_states else None
     max_imag = max_norm_dev = 0.0
     start = 0
-    for cols in blocks:
+    for cols in blocks(h, psi0.amplitudes, times):
         stop = start + cols.shape[1]
         for name, op in observables.items():
             values[name][start:stop], imag = _expect_cols(op.matrix, cols)
@@ -236,8 +230,6 @@ def evolve(
         if not dev < NORM_TOL:  # NaN fails too
             raise NumericalError(f"norm drifted by {dev:.3e}")
         max_norm_dev = max(max_norm_dev, dev)
-        if states is not None:
-            states.extend(cols[:, i].copy() for i in range(cols.shape[1]))
         start = stop
     return Trajectory(
         times=times,
@@ -247,5 +239,4 @@ def evolve(
         max_norm_deviation=max_norm_dev,
         hamiltonian_label=hamiltonian_label,
         initial_state_label=initial_state_label,
-        states=states,
     )

@@ -132,12 +132,9 @@ def physical_mask(basis: FockBasis) -> np.ndarray:
     d, n = basis.local_dim, basis.n_sites
     if d == 2:
         return np.arange(basis.dim, dtype=np.int64)
-    weights = d ** np.arange(n, dtype=np.int64)
-    mask = np.empty(2**n, dtype=np.int64)
-    for m in range(2**n):
-        bits = (m >> np.arange(n)) & 1
-        mask[m] = int(np.dot(bits, weights))
-    return mask
+    sites = np.arange(n, dtype=np.int64)
+    bits = (np.arange(2**n, dtype=np.int64)[:, None] >> sites) & 1
+    return bits @ d**sites
 
 
 def mask_complement(dim: int, mask) -> np.ndarray:

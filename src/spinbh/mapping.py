@@ -208,8 +208,12 @@ def circuit_to_spin(circuit: CircuitSpec, warn: bool = True) -> SpinModelSpec:
     """
     n = circuit.n_sites
     if warn and n > 1:
-        resid = constraint_residual(circuit)
-        rel = max(abs(resid[i]) / max(circuit.e_coup[i + 1], 1e-300) for i in range(n - 1))
+        # residual relative to the larger of the set and the exact coupling;
+        # a link where both are zero is exact
+        rel = 0.0
+        for link, resid in enumerate(constraint_residual(circuit), start=1):
+            scale = max(abs(circuit.e_coup[link]), abs(circuit.e_coup[link] - resid))
+            rel = max(rel, abs(resid) / scale if scale > 0.0 else 0.0)
         if rel > RATIO_UNIFORMITY_TOL:
             import warnings
 

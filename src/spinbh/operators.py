@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 DROP_THRESHOLD = 1e-15
 HERMITIAN_TOL = 1e-12
 MAX_SPIN_SITES = 24
+VARIANTS = ("simplified", "full")
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def build_h_jja(params: "JJAParams", basis: FockBasis, variant: str = "simplifie
     At cutoff 2 the anharmonic and pair-hopping terms vanish identically, so
     both variants produce the same matrix.
     """
-    if variant not in ("simplified", "full"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if params.n_sites != basis.n_sites:
         raise InvalidSpecError("params and basis disagree on the number of sites")

@@ -92,9 +92,20 @@ def test_load_json_mirror(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     from spinbh.errors import InvalidSpecError
 
-    path = write(tmp_path, "c.ini", "[model]\nn_sights = 3\n")
-    with pytest.raises(InvalidSpecError):
-        load_config(path)
+    # krylov_dim is no key: the Krylov dimension is the constant dynamics.KRYLOV_DIM
+    for text in ("[model]\nn_sights = 3\n", "[evolution]\nkrylov_dim = 30\n"):
+        path = write(tmp_path, "c.ini", text)
+        with pytest.raises(InvalidSpecError):
+            load_config(path)
+        assert run_cli(["run", path]) == EXIT_USAGE
+
+
+def test_readme_config_block_is_valid(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert validate_config(load_config(write(tmp_path, "readme.ini", block))) == []
 
 
 def test_validate_config_catches_bad_values():

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 import oracles
+from spinbh import dynamics
 from spinbh.dynamics import EvolutionConfig, evolve, expectation, leakage
 from spinbh.errors import HermiticityError, NumericalError
 from spinbh.hilbert import FockBasis, basis_state, named_initial_state, physical_mask, product_state
@@ -207,17 +208,16 @@ def test_total_sz_conserved():
     assert np.max(np.abs(traj.values["tsz"] - traj.values["tsz"][0])) < 1e-10
 
 
-def test_time_reversal_returns_initial_state():
-    spec = chain_spec(4, 3.0, 1.0)
-    basis = FockBasis(4, 2)
-    h = build_h_spin(spec)
-    psi0 = named_initial_state(basis, "neel", "spin")
-    c = cfg(t_max=0.4, n_steps=41, method="dense_eig")
-    forward = evolve(h, psi0, c, {}, retain_states=True)
-    psi_t = type(psi0)(basis, forward.states[-1])
+@pytest.mark.parametrize("blocks", [dynamics._dense_blocks, dynamics._krylov_blocks],
+                         ids=["dense_eig", "krylov"])
+def test_time_reversal_returns_initial_state(blocks):
+    h = build_h_spin(chain_spec(4, 3.0, 1.0))
+    psi0 = named_initial_state(FockBasis(4, 2), "neel", "spin").amplitudes
+    times = np.linspace(0.0, 0.4, 41)
+    psi_t = np.hstack(list(blocks(h, psi0, times)))[:, -1]
     minus_h = SparseOperator.from_matrix(-h.matrix)
-    back = evolve(minus_h, psi_t, c, {}, retain_states=True)
-    assert np.max(np.abs(back.states[-1] - psi0.amplitudes)) < 1e-8
+    back = np.hstack(list(blocks(minus_h, psi_t, times)))[:, -1]
+    assert np.max(np.abs(back - psi0)) < 1e-8
 
 
 def test_boson_total_number_conserved():
@@ -287,8 +287,6 @@ def test_config_invariants():
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, n_steps=1)
     with pytest.raises(ValueError):
-        EvolutionConfig(t_max=1.0, krylov_dim=1)
-    with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, method="magic")
 
 
@@ -297,19 +295,18 @@ def test_auto_method_selection():
     assert EvolutionConfig(t_max=1.0).resolve_method(4097) == "krylov"
 
 
-def test_krylov_gives_up_after_sixty_halvings():
-    from spinbh.errors import NumericalError
-
-    spec = chain_spec(6, 40.0, 4720.0)  # dim 64 > krylov_dim, so err estimates stay finite
+def test_krylov_gives_up_after_sixty_halvings(monkeypatch):
+    monkeypatch.setattr(dynamics, "KRYLOV_DIM", 4)
+    monkeypatch.setattr(dynamics, "STEP_TOLERANCE", 0.0)
+    spec = chain_spec(6, 40.0, 4720.0)  # dim 64 > KRYLOV_DIM, so err estimates stay finite
     basis = FockBasis(6, 2)
     psi0 = named_initial_state(basis, "domain_wall", "spin")
-    impossible = cfg(t_max=0.5, n_steps=3, method="krylov", krylov_dim=4, step_tolerance=0.0)
     with pytest.raises(NumericalError):
-        evolve(build_h_spin(spec), psi0, impossible, {})
+        evolve(build_h_spin(spec), psi0, cfg(t_max=0.5, n_steps=3, method="krylov"), {})
 
 
 def test_krylov_subspace_smaller_than_dimension():
-    # dim 4 < default krylov_dim: happy breakdown must make it exact
+    # dim 4 < KRYLOV_DIM: happy breakdown must make it exact
     spec = chain_spec(2, 7.0, 3.0)
     basis = FockBasis(2, 2)
     psi0 = named_initial_state(basis, "neel", "spin")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,16 @@ def test_circuit_to_spin_edge_field():
 def test_circuit_to_spin_warns_off_constraint():
     with pytest.warns(UserWarning):
         circuit_to_spin(table_circuit(3, e_coup=20.0))
+
+
+def test_circuit_to_spin_zero_coupling_reads_as_full_violation():
+    # e_coup = 0 misses the exact coupling by all of it: relative violation 1
+    with pytest.warns(UserWarning, match="violated by 1 relative"):
+        circuit_to_spin(table_circuit(2, e_coup=0.0))
+    # zero set and zero exact coupling (no link Josephson energy) is exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        circuit_to_spin(chain_circuit(2, E_C, E_J, 0.0, 0.0))
 
 
 def test_coupling_depends_on_capacitances_only_through_charging_energy():

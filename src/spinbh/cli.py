@@ -70,17 +70,19 @@ def _build_spin_side(cfg):
 
 
 def _build_circuit(cfg):
-    from .mapping import exact_coupling
-    from .model import chain_circuit
+    from dataclasses import replace
 
-    e_coup = cfg.e_coup
-    if e_coup is None:
-        e_l = cfg.e_j + 2.0 * cfg.eprime_j
-        e_coup = exact_coupling(cfg.e_c, e_l, cfg.eprime_j)
-    return chain_circuit(
-        cfg.n_sites, cfg.e_c, cfg.e_j, cfg.eprime_j, e_coup,
+    from .mapping import exact_couplings
+    from .model import chain_circuit, has_errors, validate
+
+    circuit = chain_circuit(
+        cfg.n_sites, cfg.e_c, cfg.e_j, cfg.eprime_j, cfg.e_coup or 0.0,
         include_boundary=cfg.include_boundary,
     )
+    # the exact coupling needs the positive inductive energies validation ensures
+    if cfg.e_coup is None and not has_errors(validate(circuit)):
+        circuit = replace(circuit, e_coup=exact_couplings(circuit))
+    return circuit
 
 
 def _report_violations(violations) -> bool:
@@ -137,11 +139,11 @@ def run_experiment(cfg, quiet: bool = False) -> int:
         circuit = _build_circuit(cfg)
         if _report_violations(validate(circuit)):
             return EXIT_VALIDATION
-        spin_spec = mapping.circuit_to_spin(circuit, warn=not quiet)
+        spin_spec = mapping.circuit_to_spin(circuit)
 
     def boson_hamiltonian(basis):
         if circuit is not None:
-            params = mapping.derive_jja_params(circuit, warn=not quiet)
+            params = mapping.derive_jja_params(circuit)
             return operators.build_h_jja(params, basis, variant=cfg.variant)
         return operators.build_h_ebh(spin_spec, basis)
 

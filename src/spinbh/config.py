@@ -173,6 +173,9 @@ def validate_config(cfg: ExperimentConfig) -> list[Violation]:
         err(f"method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.encoding not in ENCODINGS:
         err(f"encoding must be one of {ENCODINGS}, got {cfg.encoding!r}")
+    elif cfg.encoding == "jja" and cfg.kind in ("spin", "boson", "design"):
+        err(f"encoding = jja selects the boson side of compare and verify only; "
+            f"kind = {cfg.kind} ignores it (use kind = jja for a circuit run)")
     if cfg.variant not in VARIANTS:
         err(f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
     if cfg.precision < 1 or cfg.precision > 17:

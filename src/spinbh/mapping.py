@@ -23,6 +23,13 @@ spin model exactly:
 
     E_coup = E'_J (E_C/E_L) (1 - sqrt(E_C / (2 E_L))).
 
+On a homogeneous chain E_L = E_J + 2 E'_J and the bulk field is
+h = sqrt(8 E_C E_L) - E_C - 2J, so a target (J, h) inverts in closed form:
+
+    E_L  = (h + E_C + 2J)^2 / (8 E_C)
+    E_J  = E_L (E_C - J) / E_C
+    E'_J = E_L J / (2 E_C)          (= E_J J / (2 (E_C - J)))
+
 The widely used low-coupling shortcut E_coup = E'_J E_C / E_L is kept only as
 a diagnostic: feeding it back into the hopping formula makes the two leading
 terms cancel (t = 0 instead of -Delta/2), so it cannot be used for design.
@@ -31,7 +38,8 @@ terms cancel (t = 0 instead of -Delta/2), so it cannot be used for design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,8 +49,7 @@ from .units import capacitance_to_mhz
 
 RATIO_UNIFORMITY_TOL = 1e-6
 CAPACITANCE_RATIO_WARN = 0.1
-FIELD_SOLVE_TOL = 1e-9  # MHz, on the residual of the field match
-FIELD_SOLVE_BRACKET = 1e6  # upper bracket for E_J in units of E_C
+FIELD_SOLVE_BRACKET = 1e6  # upper bound of a designed E_J, in units of E_C
 
 
 @dataclass(frozen=True)
@@ -122,23 +129,10 @@ def ratio_uniformity(circuit: CircuitSpec) -> float:
     return (hi - lo) / hi if hi > 0 else 0.0
 
 
-def derive_jja_params(circuit: CircuitSpec, warn: bool = True) -> JJAParams:
-    """Populate every rotating-wave parameter of the array from raw energies.
-
-    Link formulas evaluate E_C/E_L at the left site of each link; when the
-    ratio is not uniform along the chain (checked to 1e-6 relative) the
-    closed forms are only approximate and a warning is emitted.
-    """
+def _array_params(circuit: CircuitSpec) -> JJAParams:
+    """Every rotating-wave parameter of the array, link formulas at the left-site ratio."""
     n = circuit.n_sites
     e_l = circuit.inductive_energies()
-    if warn and n > 1 and ratio_uniformity(circuit) > RATIO_UNIFORMITY_TOL:
-        import warnings
-
-        warnings.warn(
-            f"E_C/E_L varies by {ratio_uniformity(circuit):.3g} along the chain; "
-            "link parameters use the left-site ratio",
-            stacklevel=2,
-        )
     omega = tuple(math.sqrt(8.0 * circuit.e_c[s] * e_l[s]) for s in range(n))
     delta_omega = tuple(-circuit.e_c[s] for s in range(n))
     t, delta = [], []
@@ -154,13 +148,30 @@ def derive_jja_params(circuit: CircuitSpec, warn: bool = True) -> JJAParams:
         n_sites=n,
         omega=omega,
         delta_omega=delta_omega,
-        e_l=tuple(e_l),
+        e_l=e_l,
         t=tuple(t),
         delta=tuple(delta),
         corr_t=corr,
         corr_tp=corr,
         delta_tilde=_edge_halved_average(delta, n),
     )
+
+
+def derive_jja_params(circuit: CircuitSpec) -> JJAParams:
+    """Populate every rotating-wave parameter of the array from raw energies.
+
+    Link formulas evaluate E_C/E_L at the left site of each link; when the
+    ratio is not uniform along the chain (checked to 1e-6 relative) the
+    closed forms are only approximate and a warning is emitted.
+    """
+    spread = ratio_uniformity(circuit)
+    if spread > RATIO_UNIFORMITY_TOL:
+        warnings.warn(
+            f"E_C/E_L varies by {spread:.3g} along the chain; "
+            "link parameters use the left-site ratio",
+            stacklevel=2,
+        )
+    return _array_params(circuit)
 
 
 def exact_coupling(e_c: float, e_l: float, eprime_j: float) -> float:
@@ -183,58 +194,55 @@ def eprime_from_simplified_coupling(e_c: float, e_j: float, e_coup: float) -> fl
     return e_j * ratio / denom
 
 
+def exact_couplings(circuit: CircuitSpec) -> tuple[float, ...]:
+    """Exact coupling energy of every link (N+1 values, zero on the grounded
+    boundary links), each at the E_C/E_L of the link's left site."""
+    e_l = circuit.inductive_energies()
+    interior = (
+        exact_coupling(circuit.e_c[i], e_l[i], circuit.eprime_j[i + 1])
+        for i in range(circuit.n_sites - 1)
+    )
+    return (0.0, *interior, 0.0)
+
+
 def constraint_residual(circuit: CircuitSpec) -> np.ndarray:
     """Per-interior-link residual E_coup - E'_J (E_C/E_L)(1 - sqrt(E_C/2E_L)), MHz.
 
     Zero residual means the circuit realizes the Heisenberg correspondence
     exactly (hopping comes out at -Delta/2)."""
-    e_l = circuit.inductive_energies()
-    out = np.empty(max(circuit.n_sites - 1, 0))
-    for i in range(circuit.n_sites - 1):
-        link = i + 1
-        out[i] = circuit.e_coup[link] - exact_coupling(
-            circuit.e_c[i], e_l[i], circuit.eprime_j[link]
-        )
-    return out
+    return np.subtract(circuit.e_coup, exact_couplings(circuit))[1:-1]
 
 
-def circuit_to_spin(circuit: CircuitSpec, warn: bool = True) -> SpinModelSpec:
+def circuit_to_spin(circuit: CircuitSpec) -> SpinModelSpec:
     """Spin model simulated by the circuit.
 
-    Couplings per interior link: J = 2 E'_J E_C / E_L.  Fields per site:
-    h = sqrt(8 E_C E_L) - E_C - 4 Etilde'_J E_C / E_L, where Etilde'_J
-    averages the adjacent interior-link Josephson energies and is therefore
-    halved at the chain ends; edge fields come out larger than bulk ones.
+    Couplings per interior link: J = Delta = 2 E'_J E_C / E_L.  Fields per
+    site: h = omega - E_C - 4 Etilde'_J E_C / E_L, where Etilde'_J averages
+    the adjacent interior-link Josephson energies and is therefore halved at
+    the chain ends; edge fields come out larger than bulk ones.
     """
     n = circuit.n_sites
-    if warn and n > 1:
-        # residual relative to the larger of the set and the exact coupling;
-        # a link where both are zero is exact
-        rel = 0.0
-        for link, resid in enumerate(constraint_residual(circuit), start=1):
-            scale = max(abs(circuit.e_coup[link]), abs(circuit.e_coup[link] - resid))
-            rel = max(rel, abs(resid) / scale if scale > 0.0 else 0.0)
-        if rel > RATIO_UNIFORMITY_TOL:
-            import warnings
-
-            warnings.warn(
-                f"coupling constraint violated by {rel:.3g} relative; "
-                "the emitted spin model is only approximate",
-                stacklevel=2,
-            )
-    e_l = circuit.inductive_energies()
-    edges = []
-    for i in range(n - 1):
-        link = i + 1
-        edges.append((i, i + 1, 2.0 * circuit.eprime_j[link] * circuit.e_c[i] / e_l[i]))
-    interior_ep = [circuit.eprime_j[i + 1] for i in range(n - 1)]
-    ep_tilde = _edge_halved_average(interior_ep, n)
+    interior = slice(1, n)
+    # residual relative to the larger of the set and the exact coupling;
+    # a link where both are zero is exact
+    rel = 0.0
+    for given, exact in zip(circuit.e_coup[interior], exact_couplings(circuit)[interior]):
+        scale = max(abs(given), abs(exact))
+        rel = max(rel, abs(given - exact) / scale if scale > 0.0 else 0.0)
+    if rel > RATIO_UNIFORMITY_TOL:
+        warnings.warn(
+            f"coupling constraint violated by {rel:.3g} relative; "
+            "the emitted spin model is only approximate",
+            stacklevel=2,
+        )
+    params = _array_params(circuit)
+    edges = tuple((i, i + 1, params.delta[i]) for i in range(n - 1))
+    ep_tilde = _edge_halved_average(circuit.eprime_j[interior], n)
     fields = tuple(
-        math.sqrt(8.0 * circuit.e_c[s] * e_l[s]) - circuit.e_c[s]
-        - 4.0 * ep_tilde[s] * circuit.e_c[s] / e_l[s]
+        params.omega[s] - circuit.e_c[s] - 4.0 * ep_tilde[s] * circuit.e_c[s] / params.e_l[s]
         for s in range(n)
     )
-    return SpinModelSpec(n_sites=n, edges=tuple(edges), fields=fields)
+    return SpinModelSpec(n_sites=n, edges=edges, fields=fields)
 
 
 def homogeneous_parameters(spec: SpinModelSpec) -> tuple[float, float]:
@@ -250,14 +258,6 @@ def homogeneous_parameters(spec: SpinModelSpec) -> tuple[float, float]:
     return coupling, fields.pop()
 
 
-def _bulk_field(e_c: float, e_j: float, coupling: float) -> tuple[float, float]:
-    """Interior-site field and link Josephson energy for a homogeneous design."""
-    eprime = e_j * coupling / (2.0 * (e_c - coupling))
-    e_l = e_j + 2.0 * eprime
-    h = math.sqrt(8.0 * e_c * e_l) - e_c - 4.0 * eprime * e_c / e_l
-    return h, eprime
-
-
 def design_circuit(
     target: SpinModelSpec,
     e_c: float,
@@ -269,10 +269,11 @@ def design_circuit(
 
     The bulk inversion of the coupling formula with E_L = E_J + 2 E'_J gives
     E'_J = E_J J / (2 (E_C - J)), so the design is feasible only for J < E_C.
-    With ``match_field`` the Josephson energy is bisected in
-    [E_C, 1e6 E_C] until the interior-site field matches the target within
-    1e-9 MHz; otherwise ``e_j`` is anchored as given and the field follows.
-    The coupling-capacitance energy is set from the exact constraint.
+    With ``match_field`` the Josephson energy comes from the closed-form
+    inverse E_J = (h + E_C + 2J)^2 (E_C - J) / (8 E_C^2) of the interior-site
+    field, which must lie in [E_C, 1e6 E_C]; otherwise ``e_j`` is anchored as
+    given and the field follows.  Every link's coupling-capacitance energy is
+    set from the exact constraint.
 
     Boundary links carry the interior Josephson energy by default so the
     oscillator frequency (and E_C/E_L) is uniform along the chain; pass
@@ -284,37 +285,18 @@ def design_circuit(
             f"need 0 <= J < E_C for a positive link energy, got J={coupling}, E_C={e_c}"
         )
     if match_field:
+        root = field + e_c + 2.0 * coupling  # sqrt(8 E_C E_L), so it must not be negative
+        e_j = root * root / (8.0 * e_c) * (e_c - coupling) / e_c
         lo, hi = e_c, FIELD_SOLVE_BRACKET * e_c
-        f_lo = _bulk_field(e_c, lo, coupling)[0] - field
-        f_hi = _bulk_field(e_c, hi, coupling)[0] - field
-        if f_lo == 0.0:
-            e_j = lo
-        elif f_hi == 0.0:
-            e_j = hi
-        elif f_lo * f_hi > 0:
+        if not (root >= 0.0 and lo <= e_j <= hi):
             raise InvalidSpecError(
-                f"target field {field} MHz not bracketed by E_J in "
-                f"[{lo}, {hi}] MHz (residuals {f_lo:.3g}, {f_hi:.3g})"
+                f"target field {field} MHz is out of reach with E_J in [{lo}, {hi}] MHz"
             )
-        else:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                f_mid = _bulk_field(e_c, mid, coupling)[0] - field
-                if abs(f_mid) <= FIELD_SOLVE_TOL:
-                    break
-                if (f_lo < 0) == (f_mid < 0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            else:
-                raise InvalidSpecError("field bisection did not converge")
-            e_j = mid
-    _, eprime = _bulk_field(e_c, e_j, coupling)
-    e_l = e_j + 2.0 * eprime
-    e_coup = exact_coupling(e_c, e_l, eprime) if coupling > 0 else 0.0
-    return chain_circuit(
-        target.n_sites, e_c, e_j, eprime, e_coup, include_boundary=include_boundary
+    eprime = e_j * coupling / (2.0 * (e_c - coupling))
+    circuit = chain_circuit(
+        target.n_sites, e_c, e_j, eprime, 0.0, include_boundary=include_boundary
     )
+    return replace(circuit, e_coup=exact_couplings(circuit))
 
 
 def parameter_sheet(circuit: CircuitSpec, precision: int = 12) -> str:
@@ -324,12 +306,12 @@ def parameter_sheet(circuit: CircuitSpec, precision: int = 12) -> str:
     T, delta_omega, Delta) and append the hopping, both coupling-energy
     conventions, and the simulated spin parameters.
     """
-    params = derive_jja_params(circuit, warn=False)
-    spin = circuit_to_spin(circuit, warn=False)
+    params = derive_jja_params(circuit)
+    spin = circuit_to_spin(circuit)
     n = circuit.n_sites
     bulk = n // 2  # interior site/link for n >= 3, best available otherwise
     link = min(max(bulk, 1), n - 1) if n > 1 else 0
-    e_l = circuit.inductive_energies()
+    e_l = params.e_l
 
     def fmt(x: float) -> str:
         return format(x, f".{precision}g")

@@ -59,6 +59,13 @@ def run_cli(args):
     return main(args)
 
 
+def readme_block(language):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 # ---------------------------------------------------------------- config parsing
 
 def test_load_ini_config(tmp_path):
@@ -101,11 +108,15 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_readme_config_block_is_valid(tmp_path):
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        text = fh.read()
-    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    block = readme_block("ini")
     assert validate_config(load_config(write(tmp_path, "readme.ini", block))) == []
+
+
+def test_readme_library_example_matches_circuit_spin_model():
+    namespace = {}
+    exec(compile(readme_block("python"), "README.md", "exec"), namespace)
+    scale = float(np.max(np.abs(namespace["h_circuit_spin"].matrix.data)))
+    assert namespace["report"].residual_max < 1e-9 * scale
 
 
 def test_validate_config_catches_bad_values():
@@ -156,6 +167,18 @@ def test_validation_error_cutoff_override_zero(tmp_path):
     assert run_cli(args) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("kind", ["spin", "boson", "design"])
+def test_validation_error_jja_encoding_outside_compare_and_verify(tmp_path, capsys, kind):
+    ini = COMPARE_INI.replace("h = 4720.0", "h = 4720.0\ne_c = 200.0")
+    valid = ini.replace("kind = compare", f"kind = {kind}")
+    path = write(tmp_path, "ok.ini", valid)
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "ok"), "--quiet"]) == EXIT_OK
+    path = write(tmp_path, "bad.ini", valid.replace("cutoff = 2", "cutoff = 2\nencoding = jja"))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
+    assert "kind = jja" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_validation_error_circuit_regime(tmp_path):
     ini = """\
 [model]
@@ -187,6 +210,8 @@ def test_validation_error_infinite_horizon(tmp_path, kind):
     ("e_j = 12500.0", "e_j = inf"),
     ("eprime_j = 1562.5", "eprime_j = nan"),
     ("e_c = 200.0", "e_c = 0.0"),
+    ("e_c = 200.0", "e_c = -200.0"),
+    ("e_j = 12500.0", "e_j = -20000.0"),
 ])
 def test_validation_error_bad_circuit_energy(tmp_path, good, bad):
     path = write(tmp_path, "jja.ini", JJA_INI.replace(good, bad))
@@ -294,6 +319,26 @@ def test_jja_run_with_leakage_column(tmp_path):
     assert run_cli(["run", path, "--out-dir", str(out), "--quiet"]) == EXIT_OK
     lines = (out / "sz1_boson.csv").read_text().splitlines()
     assert lines[0] == "time_us,value,leakage"
+
+
+def test_circuit_without_boundary_gets_exact_coupling_on_every_link(tmp_path):
+    from spinbh.cli import _build_circuit
+    from spinbh.mapping import constraint_residual, derive_jja_params
+
+    ini = JJA_INI.replace("n_sites = 2", "n_sites = 4\ninclude_boundary = false")
+    path = write(tmp_path, "jja.ini", ini)
+    circuit = _build_circuit(load_config(path))
+    resid = constraint_residual(circuit)
+    assert np.all(np.abs(resid) <= 1e-12 * np.array(circuit.e_coup[1:-1]))
+    with pytest.warns(UserWarning, match="E_C/E_L varies"):
+        params = derive_jja_params(circuit)
+    assert np.allclose(params.t, -0.5 * np.array(params.delta), rtol=1e-12, atol=0.0)
+    # bare ends make E_C/E_L uneven: that warning fires once, and nothing else
+    with pytest.warns(UserWarning) as record:
+        assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
+    assert [str(w.message).split(";")[0] for w in record] == [
+        "E_C/E_L varies by 0.1 along the chain"
+    ]
 
 
 def test_compare_jja_encoding_full_pipeline(tmp_path):

@@ -94,7 +94,7 @@ def test_hopping_vanishes_with_simplified_coupling():
 
 def test_decoupled_josephson_links():
     circuit = chain_circuit(3, E_C, E_J, 1e-300, 18.4)  # effectively zero links
-    params = derive_jja_params(circuit, warn=False)
+    params = derive_jja_params(circuit)
     assert np.allclose(params.delta, 0.0, atol=1e-250)
     expected_t = math.sqrt(2) * 18.4 * math.sqrt(E_J / E_C)
     assert np.allclose(params.t, expected_t, rtol=1e-9)
@@ -181,7 +181,8 @@ def test_coupling_depends_on_capacitances_only_through_charging_energy():
         chain_circuit(3, e_c[0], E_J, EP, e_coup[1], include_boundary=True)
         for e_c, e_coup in ((e_c1, e_coup1), (e_c2, e_coup2))
     ]
-    spins = [circuit_to_spin(c, warn=False) for c in circuits]
+    with pytest.warns(UserWarning, match="coupling constraint violated"):
+        spins = [circuit_to_spin(c) for c in circuits]
     assert np.isclose(spins[0].edges[0][2], spins[1].edges[0][2], rtol=1e-12)
 
 
@@ -193,12 +194,26 @@ def test_design_reproduces_table_link_energy():
     assert np.isclose(circuit.e_coup[1], 18.4, rtol=1e-9)
 
 
-def test_design_matches_field_by_bisection():
+def test_design_matches_field_in_closed_form():
+    # the reference point inverts exactly: E_L = (4720 + 200 + 80)^2 / 1600 = 15625
     circuit = design_circuit(chain_spec(4, 40.0, 4720.0), e_c=E_C)
-    assert np.isclose(circuit.e_j[0], E_J, atol=1e-3)
+    assert circuit.e_j[0] == E_J
+    assert circuit.eprime_j[1] == EP
     spin = circuit_to_spin(circuit)
-    assert np.isclose(spin.fields[1], 4720.0, atol=1e-6)
-    assert np.isclose(spin.edges[0][2], 40.0, rtol=1e-9)
+    assert spin.fields[1] == 4720.0
+    assert spin.edges[0][2] == 40.0
+
+
+def test_design_without_boundary_meets_constraint_on_every_link():
+    # bare ends lower the edge-site E_L, so the edge links need their own coupling
+    circuit = design_circuit(chain_spec(4, 40.0, 4720.0), e_c=E_C, include_boundary=False)
+    resid = constraint_residual(circuit)
+    assert np.all(np.abs(resid) <= 1e-12 * np.array(circuit.e_coup[1:-1]))
+    circuit_to_spin(circuit)  # a constraint warning would fail the test
+    # independent of the constraint formula: the hopping is -Delta/2 on every link
+    with pytest.warns(UserWarning, match="E_C/E_L varies"):
+        params = derive_jja_params(circuit)
+    assert np.allclose(params.t, -0.5 * np.array(params.delta), rtol=1e-12, atol=0.0)
 
 
 def test_design_decoupling_limit():
@@ -227,14 +242,14 @@ def test_design_rejects_unbracketable_field():
 @pytest.mark.parametrize("ratio", [1e-4, 1e-2, 0.2, 0.49])
 def test_design_round_trip(ratio):
     # bulk fields below sqrt(8) E_C - E_C are unreachable with E_J >= E_C,
-    # so pick targets comfortably inside the bisection bracket
+    # so pick targets comfortably inside the E_J range
     coupling = ratio * E_C
     for field in (5.0 * E_C, 30.0 * E_C):
         target = chain_spec(5, coupling, field)
         circuit = design_circuit(target, e_c=E_C)
-        spin = circuit_to_spin(circuit, warn=False)
-        assert np.isclose(spin.edges[1][2], coupling, rtol=1e-6)
-        assert np.isclose(spin.fields[2], field, rtol=1e-6)
+        spin = circuit_to_spin(circuit)
+        assert all(abs(v - coupling) <= 1e-12 * coupling for _, _, v in spin.edges)
+        assert abs(spin.fields[2] - field) <= 1e-9
 
 
 def test_simplified_inverse_formula():

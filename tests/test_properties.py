@@ -1,19 +1,32 @@
 """Property tests: every builder against the dense oracles on random
-inhomogeneous specs, with couplings on arbitrary (also non-adjacent) pairs.
+inhomogeneous specs, with couplings on arbitrary (also non-adjacent) pairs,
+and the circuit designer on random homogeneous targets.
 
 Examples are derandomized so the suite stays deterministic.  The dense
 oracles cost O(dim^3) per term, so (N, cutoff) pairs above dim 256 are not
 drawn; that leaves out only N=5 at cutoff 4.
 """
 
+import math
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from spinbh.errors import InvalidSpecError
 from spinbh.hilbert import FockBasis
-from spinbh.mapping import JJAParams
-from spinbh.model import SpinModelSpec
+from spinbh.mapping import (
+    FIELD_SOLVE_BRACKET,
+    JJAParams,
+    circuit_to_spin,
+    constraint_residual,
+    derive_jja_params,
+    design_circuit,
+)
+from spinbh.model import SpinModelSpec, chain_spec
 from spinbh.operators import DROP_THRESHOLD, build_h_dm, build_h_ebh, build_h_jja, build_h_spin
 
 REL_TOL = 1e-14
@@ -88,3 +101,55 @@ def test_h_jja_matches_oracle_on_random_params(data):
         ref = oracles.dense_h_jja(n, d, p.omega, p.delta_omega, p.t, p.delta,
                                   p.corr_t, p.corr_tp, p.delta_tilde, variant)
         assert_matches(build_h_jja(p, basis, variant), ref)
+
+
+def bulk_field(e_c, coupling, e_j):
+    """Interior-site field of the homogeneous design with Josephson energy e_j."""
+    return math.sqrt(8.0 * e_c * e_j * e_c / (e_c - coupling)) - e_c - 2.0 * coupling
+
+
+@st.composite
+def design_targets(draw):
+    """(E_C, J, reachable h, N, include_boundary).  E_J/E_C stays below 1e4,
+    which keeps h under ~2e5 MHz, where 1e-9 MHz is still far above the
+    double-precision spacing."""
+    e_c = draw(mhz(50.0, 500.0))
+    coupling = draw(mhz(0.0, 0.49 * e_c))
+    field = bulk_field(e_c, coupling, e_c * 10.0 ** draw(st.floats(0.001, 4.0)))
+    return e_c, coupling, field, draw(st.integers(3, 6)), draw(st.booleans())
+
+
+@examples
+@given(design_targets())
+def test_designer_hits_field_coupling_and_constraint(target):
+    e_c, coupling, field, n, include_boundary = target
+    circuit = design_circuit(chain_spec(n, coupling, field), e_c, include_boundary=include_boundary)
+    spin = circuit_to_spin(circuit)  # a constraint warning fails the test
+    assert max(abs(h - field) for h in spin.fields[1:-1]) <= 1e-9
+    # bare grounded ends lower site 0's E_L, which sets the first link's J
+    bulk = spin.edges if include_boundary else spin.edges[1:]
+    assert all(abs(v - coupling) <= 1e-12 * coupling for _, _, v in bulk)
+    resid = constraint_residual(circuit)
+    assert np.all(np.abs(resid) <= 1e-12 * np.array(circuit.e_coup[1:-1]))
+    # independent of the constraint formula: the hopping is -Delta/2 on every link
+    with warnings.catch_warnings():
+        # bare ends make E_C/E_L uneven (unless J is tiny), which is reported
+        warnings.filterwarnings("ignore", "E_C/E_L varies", UserWarning)
+        params = derive_jja_params(circuit)
+    assert np.allclose(params.t, -0.5 * np.array(params.delta), rtol=1e-9, atol=0.0)
+
+
+@examples
+@given(design_targets(), st.sampled_from(["below", "above", "mirrored"]), st.floats(1e-6, 1.0))
+def test_designer_rejects_fields_out_of_reach(target, where, margin):
+    e_c, coupling, field, n, _ = target
+    lowest = bulk_field(e_c, coupling, e_c)
+    highest = bulk_field(e_c, coupling, FIELD_SOLVE_BRACKET * e_c)
+    unreachable = {
+        "below": lowest - margin * abs(lowest),
+        "above": highest * (1.0 + margin),
+        # same (h + E_C + 2J)^2, hence an E_J in range, but a negative root
+        "mirrored": -field - 2.0 * (e_c + 2.0 * coupling),
+    }[where]
+    with pytest.raises(InvalidSpecError):
+        design_circuit(chain_spec(n, coupling, unreachable), e_c)

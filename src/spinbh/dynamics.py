@@ -4,9 +4,13 @@ The propagated phase is exp(-i * 2*pi * H * t) with H in MHz and t in us.
 Propagators only propagate: each takes (h, psi0, times) and yields blocks of
 state columns, one column per output time, in grid order.  The dense one
 diagonalizes once and yields 512 columns per block (best up to a few
-thousand basis states); the adaptive Lanczos exponential yields one column
-per block, so memory stays at one Krylov basis of ``KRYLOV_DIM`` vectors,
-and halves a substep until its error estimate is within ``STEP_TOLERANCE``.
+thousand basis states).  The Lanczos one works in windows: one basis of
+``KRYLOV_DIM`` vectors, built at the last accepted time, serves every
+following grid point whose error bound (Expokit's a-posteriori bound,
+evaluated for many times at once) is within ``STEP_TOLERANCE``.  A block
+never holds more than ``KRYLOV_DIM`` columns, so memory stays at two
+basis-sized arrays.  When not even the next grid point fits, the window
+halves a substep inside that interval until one fits.
 ``evolve`` records every block in one loop, and the public ``expectation``
 and ``leakage`` apply the same column helpers to one column.
 """
@@ -28,7 +32,7 @@ NORM_TOL = 1e-9
 IMAG_TOL = 1e-9
 MAX_HALVINGS = 60
 KRYLOV_DIM = 30
-STEP_TOLERANCE = 1e-10  # local error bound of one Krylov substep
+STEP_TOLERANCE = 1e-10  # error bound of a Krylov window at each time it serves
 _GRID_CHUNK = 512
 METHODS = ("dense_eig", "krylov", "auto")
 
@@ -111,12 +115,16 @@ def leakage(psi: StateVector, mask) -> float:
     return float(_outside_cols(psi.amplitudes[:, None], comp)[0])
 
 
-def _lanczos_step(matvec, v: np.ndarray, dt: float, m: int):
-    """One Krylov propagation of v by exp(-i*2*pi*dt*H).
+def _lanczos(matvec, v: np.ndarray, m: int):
+    """Krylov basis of v of at most m vectors, and the propagator it gives.
 
-    Returns (u, err_estimate).  Short Lanczos recurrence with full
-    reorthogonalization; the error estimate is the weight the small
-    exponential puts on the last basis vector times the next off-diagonal.
+    Returns (vecs, propagate).  ``vecs`` holds the orthonormal basis as rows.
+    ``propagate(dts)`` returns the basis coefficients of exp(-i*2*pi*H*dt) v,
+    one column per dt, from the exponential of the projected tridiagonal T,
+    and each column's error bound: the weight it puts on the last basis
+    vector times the next off-diagonal (0 when the space is invariant, which
+    makes every propagation exact), 2*pi*dt and |v|.  Short Lanczos recurrence
+    with full reorthogonalization.
     """
     nrm = np.linalg.norm(v)
     dim = v.shape[0]
@@ -131,8 +139,9 @@ def _lanczos_step(matvec, v: np.ndarray, dt: float, m: int):
         w = matvec(vecs[k])
         alpha[k] = np.vdot(vecs[k], w).real
         # full reorthogonalization keeps the basis numerically orthonormal
-        w -= vecs[: k + 1].T @ (vecs[: k + 1].conj() @ w)
-        w -= vecs[: k + 1].T @ (vecs[: k + 1].conj() @ w)
+        # (conj(V) w = conj(V conj(w)) spares a copy of the basis)
+        w -= vecs[: k + 1].T @ (vecs[: k + 1] @ w.conj()).conj()
+        w -= vecs[: k + 1].T @ (vecs[: k + 1] @ w.conj()).conj()
         b = np.linalg.norm(w)
         if k + 1 == m:
             beta_next = b
@@ -145,40 +154,55 @@ def _lanczos_step(matvec, v: np.ndarray, dt: float, m: int):
     if not (np.isfinite(alpha[:k_used]).all() and np.isfinite(beta[: k_used - 1]).all()):
         raise NumericalError("Lanczos coefficients are not finite")
     evals, evecs = sla.eigh_tridiagonal(alpha[:k_used], beta[: k_used - 1])
-    phases = np.exp(-1j * TWO_PI * dt * evals)
-    small = evecs @ (phases * evecs[0, :].conj())
-    u = nrm * (vecs[:k_used].T @ small)
-    err = beta_next * abs(small[-1]) * abs(TWO_PI * dt) * nrm
-    return u, err
+
+    def propagate(dts: np.ndarray):
+        phases = np.exp(-1j * TWO_PI * np.outer(evals, dts))
+        coeffs = nrm * (evecs @ (phases * evecs[0, :, None]))
+        return coeffs, beta_next * np.abs(coeffs[-1]) * np.abs(TWO_PI * dts)
+
+    return vecs[:k_used], propagate
 
 
 def _krylov_blocks(h, psi0, times):
-    """One-column blocks: adaptive Lanczos substeps between grid points."""
+    """Blocks of up to ``KRYLOV_DIM`` columns from Lanczos windows.
+
+    A window is one basis, built at the last accepted time t0.  It serves the
+    longest run of following grid points whose error bound is within
+    ``STEP_TOLERANCE``, ``KRYLOV_DIM`` columns per block, and the next window
+    starts at the last of them.  A window that cannot reach even the next
+    grid point takes the longest substep (interval / 2**k, k <=
+    ``MAX_HALVINGS``) that fits and moves t0 there without yielding.
+    """
     matvec = lambda x: h.matrix @ x
-    cur = psi0
+    cur, t0, idx = psi0, times[0], 1
     yield cur[:, None]
-    for idx in range(1, len(times)):
-        span = times[idx] - times[idx - 1]
-        remaining = span
-        step = span
-        halvings = 0
-        while remaining > 1e-12 * span:
-            dt = min(step, remaining)
-            u, err = _lanczos_step(matvec, cur, dt, KRYLOV_DIM)
-            if err > STEP_TOLERANCE:
-                halvings += 1
-                if halvings > MAX_HALVINGS:
-                    raise NumericalError(
-                        f"Krylov step at t={times[idx - 1]:.6g} failed after "
-                        f"{MAX_HALVINGS} halvings (err={err:.3e})"
-                    )
-                step = dt / 2.0
-                continue
-            cur = u
-            remaining -= dt
-            if err < 0.01 * STEP_TOLERANCE:
-                step = min(2.0 * step, span)
-        yield cur[:, None]
+    while idx < len(times):
+        vecs, propagate = _lanczos(matvec, cur, KRYLOV_DIM)
+        first = idx
+        while idx < len(times):
+            targets = times[idx : idx + KRYLOV_DIM]
+            coeffs, err = propagate(targets - t0)
+            fits = err <= STEP_TOLERANCE  # NaN never fits
+            n = len(fits) if fits.all() else int(np.argmin(fits))
+            if n:
+                cols = vecs.T @ coeffs[:, :n]
+                yield cols
+                cur, idx = cols[:, -1], idx + n
+            if n < len(fits):
+                break
+        if idx > first:
+            cur, t0 = cur.copy(), times[idx - 1]  # a view would pin the whole block
+            continue
+        dts = (times[idx] - t0) * 0.5 ** np.arange(1, MAX_HALVINGS + 1)
+        coeffs, err = propagate(dts)
+        fits = err <= STEP_TOLERANCE
+        if not fits.any():
+            raise NumericalError(
+                f"Krylov step at t={t0:.6g} failed after {MAX_HALVINGS} halvings "
+                f"(err={err[-1]:.3e})"
+            )
+        k = int(np.argmax(fits))
+        cur, t0 = vecs.T @ coeffs[:, k], t0 + dts[k]
 
 
 def _dense_blocks(h, psi0, times):

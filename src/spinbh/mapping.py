@@ -272,8 +272,8 @@ def design_circuit(
     With ``match_field`` the Josephson energy comes from the closed-form
     inverse E_J = (h + E_C + 2J)^2 (E_C - J) / (8 E_C^2) of the interior-site
     field, which must lie in [E_C, 1e6 E_C]; otherwise ``e_j`` is anchored as
-    given and the field follows.  Every link's coupling-capacitance energy is
-    set from the exact constraint.
+    given (it must be positive) and the field follows.  Every link's
+    coupling-capacitance energy is set from the exact constraint.
 
     Boundary links carry the interior Josephson energy by default so the
     oscillator frequency (and E_C/E_L) is uniform along the chain; pass
@@ -292,6 +292,8 @@ def design_circuit(
             raise InvalidSpecError(
                 f"target field {field} MHz is out of reach with E_J in [{lo}, {hi}] MHz"
             )
+    elif not e_j > 0.0:  # NaN fails too
+        raise InvalidSpecError(f"anchored E_J must be positive, got {e_j} MHz")
     eprime = e_j * coupling / (2.0 * (e_c - coupling))
     circuit = chain_circuit(
         target.n_sites, e_c, e_j, eprime, 0.0, include_boundary=include_boundary

@@ -48,6 +48,18 @@ initial_state = neel
 cutoff = 3
 """
 
+DESIGN_INI = """\
+[model]
+n_sites = 4
+J = 40.0
+e_c = 200.0
+e_j = 12500.0
+
+[experiment]
+kind = design
+match_field = false
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -212,6 +224,11 @@ def test_validation_error_infinite_horizon(tmp_path, kind):
     ("e_c = 200.0", "e_c = 0.0"),
     ("e_c = 200.0", "e_c = -200.0"),
     ("e_j = 12500.0", "e_j = -20000.0"),
+    # the whole config swapped for a design anchored at a negative or zero E_J
+    pytest.param(JJA_INI, DESIGN_INI.replace("e_j = 12500.0", "e_j = -100.0"),
+                 id="design-e_j = -100.0"),
+    pytest.param(JJA_INI, DESIGN_INI.replace("e_j = 12500.0", "e_j = 0.0"),
+                 id="design-e_j = 0.0"),
 ])
 def test_validation_error_bad_circuit_energy(tmp_path, good, bad):
     path = write(tmp_path, "jja.ini", JJA_INI.replace(good, bad))

@@ -131,6 +131,29 @@ def test_against_brute_force_expm():
     assert np.max(np.abs(traj.values["sz1"] - ref)) < 1e-9
 
 
+def expm_multiply_series(h, psi0, obs, t_max, n_steps):
+    """Expectations on the linear grid from scipy's truncated-Taylor action."""
+    states = expm_multiply(-2j * np.pi * h.matrix, psi0.amplitudes,
+                           start=0.0, stop=t_max, num=n_steps, endpoint=True)
+    return {name: np.einsum("ti,ti->t", states.conj(), (op.matrix @ states.T).T).real
+            for name, op in obs.items()}
+
+
+class CountingMatrix:
+    """Sparse-matrix stand-in that counts H @ v products, one per vector."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.matvecs = 0
+
+    def __matmul__(self, other):
+        self.matvecs += 1 if other.ndim == 1 else other.shape[1]
+        return self.matrix @ other
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
+
+
 @pytest.mark.parametrize("method", ["dense_eig", "krylov"])
 def test_random_ebh_chain_matches_expm_multiply(method):
     # independent path: scipy's truncated-Taylor action of the exponential
@@ -144,12 +167,28 @@ def test_random_ebh_chain_matches_expm_multiply(method):
     obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx", "cxx")}
     traj = evolve(h, psi0, cfg(t_max=0.05, n_steps=41, method=method), obs,
                   leakage_mask=physical_mask(basis))
-    states = expm_multiply(-2j * np.pi * h.matrix, psi0.amplitudes,
-                           start=0.0, stop=0.05, num=41, endpoint=True)
-    for name, op in obs.items():
-        ref = np.einsum("ti,ti->t", states.conj(), (op.matrix @ states.T).T).real
-        assert np.max(np.abs(traj.values[name] - ref)) < 1e-9
+    ref = expm_multiply_series(h, psi0, obs, 0.05, 41)
+    for name in obs:
+        assert np.max(np.abs(traj.values[name] - ref[name])) < 1e-9
     assert np.max(traj.leakage) < 1e-20
+
+
+def test_cutoff3_chain_of_ten_matches_expm_multiply_from_one_window():
+    # dim 3**10 = 59049 on the fig2 grid spacing (0.5 us / 1999): all nine
+    # intervals lie within reach of one or two Lanczos bases
+    n_steps = 10
+    t_max = (n_steps - 1) * 0.5 / 1999
+    basis = FockBasis(10, 3)
+    h = build_h_ebh(chain_spec(10, 40.0, 4720.0), basis)
+    psi0 = named_initial_state(basis, "domain_wall", "boson")
+    obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx", "cxx")}
+    counted = CountingMatrix(h.matrix)
+    traj = evolve(SparseOperator(matrix=counted, hermitian=True), psi0,
+                  cfg(t_max, n_steps, "krylov"), obs)
+    ref = expm_multiply_series(h, psi0, obs, t_max, n_steps)
+    for name in obs:
+        assert np.max(np.abs(traj.values[name] - ref[name])) < 1e-9
+    assert counted.matvecs <= 2 * dynamics.KRYLOV_DIM
 
 
 # ---------------------------------------------------------------- invariants
@@ -303,6 +342,37 @@ def test_krylov_gives_up_after_sixty_halvings(monkeypatch):
     psi0 = named_initial_state(basis, "domain_wall", "spin")
     with pytest.raises(NumericalError):
         evolve(build_h_spin(spec), psi0, cfg(t_max=0.5, n_steps=3, method="krylov"), {})
+
+
+def test_krylov_windows_restart_and_halve_within_the_column_cap(monkeypatch):
+    monkeypatch.setattr(dynamics, "KRYLOV_DIM", 6)
+    rng = np.random.default_rng(11)
+    n = 6  # dim 64
+    spec = SpinModelSpec(n, tuple((j, j + 1, rng.uniform(10.0, 60.0)) for j in range(n - 1)),
+                         tuple(rng.uniform(-30.0, 30.0, n)))
+    h = build_h_spin(spec)
+    psi0 = named_initial_state(FockBasis(n, 2), "all_up_x", "spin").amplitudes
+    # 40 short intervals take two windows; the last, long one takes halved substeps
+    times = np.append(np.linspace(0.0, 4e-4, 41), 2e-3)
+    events = []  # "basis" per Lanczos basis, the column count per block
+    lanczos = dynamics._lanczos
+
+    def spy(*args):
+        events.append("basis")
+        return lanczos(*args)
+
+    monkeypatch.setattr(dynamics, "_lanczos", spy)
+    blocks = []
+    for cols in dynamics._krylov_blocks(h, psi0, times):
+        events.append(cols.shape[1])
+        blocks.append(cols)
+    assert all(cols.shape[1] <= 6 for cols in blocks)
+    follows = list(zip(events, events[1:]))
+    assert sum(a == "basis" and b != "basis" for a, b in follows) >= 2  # windows restart
+    assert any("basis" not in pair for pair in follows)  # a basis serves two blocks
+    assert ("basis", "basis") in follows  # a window that reaches no grid point
+    dense = np.hstack(list(dynamics._dense_blocks(h, psi0, times)))
+    assert np.max(np.abs(np.hstack(blocks) - dense)) < 1e-8
 
 
 def test_krylov_subspace_smaller_than_dimension():

@@ -17,10 +17,6 @@ _EXPORTS = {
     "chain_circuit": "model",
     "validate": "model",
     "has_errors": "model",
-    # units
-    "UnitConvention": "units",
-    "UNITS": "units",
-    "capacitance_to_mhz": "units",
     # hilbert
     "FockBasis": "hilbert",
     "StateVector": "hilbert",
@@ -40,7 +36,6 @@ _EXPORTS = {
     "observable": "operators",
     # mapping
     "JJAParams": "mapping",
-    "capacitive_energies": "mapping",
     "derive_jja_params": "mapping",
     "constraint_residual": "mapping",
     "exact_coupling": "mapping",

@@ -63,12 +63,6 @@ def emit_plotdata(out_dir, labeled_trajectories, precision: int = 12) -> list[st
     return written
 
 
-def _build_spin_side(cfg):
-    from .model import chain_spec
-
-    return chain_spec(cfg.n_sites, cfg.coupling, cfg.fieldstrength)
-
-
 def _build_circuit(cfg):
     from dataclasses import replace
 
@@ -98,7 +92,7 @@ def run_experiment(cfg, quiet: bool = False) -> int:
     from . import dynamics, mapping, operators, verify
     from .config import model_source, validate_config
     from .hilbert import FockBasis, named_initial_state, physical_mask
-    from .model import validate
+    from .model import chain_spec, validate
 
     violations = validate_config(cfg)
     if _report_violations(violations):
@@ -110,8 +104,6 @@ def run_experiment(cfg, quiet: bool = False) -> int:
             print(msg)
 
     if cfg.kind == "design":
-        from .model import chain_spec
-
         target = chain_spec(cfg.n_sites, cfg.coupling, cfg.fieldstrength or 0.0)
         circuit = mapping.design_circuit(
             target,
@@ -132,7 +124,7 @@ def run_experiment(cfg, quiet: bool = False) -> int:
     spin_spec = circuit = None
     source = model_source(cfg)
     if source == "spin":
-        spin_spec = _build_spin_side(cfg)
+        spin_spec = chain_spec(cfg.n_sites, cfg.coupling, cfg.fieldstrength)
         if _report_violations(validate(spin_spec)):
             return EXIT_VALIDATION
     elif source == "circuit":
@@ -260,18 +252,12 @@ def main(argv=None) -> int:
             cfg = preset_config(args.preset)
         else:
             cfg = load_config(args.config)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, configparser.Error, InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:  # a ValueError subclass, so it must come first
         print(f"error: {args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)
-        return EXIT_USAGE
-    except configparser.Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {args.config}: {exc}", file=sys.stderr)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 from .dynamics import METHODS
 from .errors import InvalidSpecError
-from .hilbert import NAMED_STATES
+from .hilbert import MAX_DIM, NAMED_STATES
 from .model import Violation
-from .operators import OBSERVABLE_NAMES, VARIANTS
+from .operators import MAX_SPIN_SITES, OBSERVABLE_NAMES, VARIANTS
 
 KINDS = ("spin", "boson", "jja", "compare", "design", "verify")
 ENCODINGS = ("ebh", "jja")
@@ -93,6 +93,16 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _number(key: str, raw, kind: type):
+    """``raw`` as an int or float.  Strings parse; JSON null, bools, lists and
+    objects, and a non-integral number for an int key are errors naming ``key``."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        raise ValueError(f"{key} must be a number, got {raw!r}")
+    if kind is int and isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"{key} must be an integer, got {raw!r}")
+    return kind(raw)
+
+
 def _coerce(section: str, key: str, raw) -> tuple[str, object]:
     spec = _SECTION_KEYS[section].get(key)
     if spec is None:
@@ -110,10 +120,8 @@ def _coerce(section: str, key: str, raw) -> tuple[str, object]:
         return attr, str(raw).strip()
     if spec is bool:
         return attr, raw if isinstance(raw, bool) else _parse_bool(raw)
-    if spec is int:
-        return attr, int(raw)
-    if spec is float:
-        return attr, float(raw)
+    if spec in (int, float):
+        return attr, _number(key, raw, spec)
     return attr, str(raw).strip().lower()
 
 
@@ -169,6 +177,13 @@ def validate_config(cfg: ExperimentConfig) -> list[Violation]:
         err(f"n_sites must be >= 1, got {cfg.n_sites}")
     if cfg.cutoff < 2:
         err(f"cutoff must be >= 2, got {cfg.cutoff}")
+    # a boson basis has cutoff**n_sites states; 2**64 > MAX_DIM, so capping
+    # the exponent at 64 keeps the verdict and the check cheap
+    elif cfg.kind in ("boson", "jja", "compare", "verify") and (
+            cfg.cutoff ** min(cfg.n_sites, 64) > MAX_DIM):
+        err(f"basis dimension {cfg.cutoff}**{cfg.n_sites} exceeds {MAX_DIM}")
+    if cfg.kind in ("spin", "compare", "verify") and cfg.n_sites > MAX_SPIN_SITES:
+        err(f"n_sites = {cfg.n_sites} exceeds the {MAX_SPIN_SITES}-site limit of the spin side")
     if cfg.method not in METHODS:
         err(f"method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.encoding not in ENCODINGS:

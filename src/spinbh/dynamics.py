@@ -1,6 +1,7 @@
 """Unitary time evolution and expectation-value recording.
 
-The propagated phase is exp(-i * 2*pi * H * t) with H in MHz and t in us.
+Energies are ordinary frequencies nu = E/(2*pi*hbar) in MHz and times are in
+us, so MHz * us = 1 and the propagated phase is exp(-i * 2*pi * nu * t).
 Propagators only propagate: each takes (h, psi0, times) and yields blocks of
 state columns, one column per output time, in grid order.  The dense one
 diagonalizes once and yields 512 columns per block (best up to a few
@@ -25,8 +26,8 @@ import scipy.linalg as sla
 from .errors import HermiticityError, NumericalError
 from .hilbert import StateVector, mask_complement
 from .operators import SparseOperator
-from .units import TWO_PI
 
+TWO_PI = 2.0 * np.pi
 DENSE_DIM_LIMIT = 4096
 NORM_TOL = 1e-9
 IMAG_TOL = 1e-9

@@ -44,11 +44,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidSpecError
-from .model import CircuitSpec, SpinModelSpec, Violation, chain_circuit
-from .units import capacitance_to_mhz
+from .model import CircuitSpec, SpinModelSpec, chain_circuit
 
 RATIO_UNIFORMITY_TOL = 1e-6
-CAPACITANCE_RATIO_WARN = 0.1
 FIELD_SOLVE_BRACKET = 1e6  # upper bound of a designed E_J, in units of E_C
 
 
@@ -81,44 +79,6 @@ def _edge_halved_average(link_values, n_sites: int) -> tuple[float, ...]:
         right = link_values[s] if s < n_sites - 1 else 0.0
         out.append(0.5 * (left + right))
     return tuple(out)
-
-
-def capacitive_energies(capacitances, coupling_capacitances):
-    """Charging and coupling energies (MHz) from capacitances in fF.
-
-    ``capacitances`` has one entry per site, ``coupling_capacitances`` one per
-    link (N+1 values, grounded ends included).  Returns (e_c, e_coup) with
-    e_coup per link, zero on the boundary links.
-    """
-    c = [float(x) for x in capacitances]
-    cp = [float(x) for x in coupling_capacitances]
-    n = len(c)
-    if len(cp) != n + 1:
-        raise ValueError(f"expected {n + 1} coupling capacitances, got {len(cp)}")
-    if any(x <= 0 for x in c) or any(x < 0 for x in cp):
-        raise ZeroDivisionError("capacitances must be positive (couplings nonnegative)")
-    csum = [c[s] + cp[s] + cp[s + 1] for s in range(n)]
-    e_c = tuple(capacitance_to_mhz(csum[s]) for s in range(n))
-    e_coup = [0.0] * (n + 1)
-    for link in range(1, n):
-        e_coup[link] = e_c[link - 1] * cp[link] / csum[link]
-    return e_c, tuple(e_coup)
-
-
-def capacitance_regime_report(capacitances, coupling_capacitances) -> list[Violation]:
-    """Warn where a coupling capacitance is not small against its site capacitance."""
-    report = []
-    c = [float(x) for x in capacitances]
-    cp = [float(x) for x in coupling_capacitances]
-    for link in range(1, len(c)):
-        ratio = cp[link] / min(c[link - 1], c[link])
-        if ratio > CAPACITANCE_RATIO_WARN:
-            report.append(
-                Violation("warning",
-                          f"link {link}: C'/C = {ratio:.3g} exceeds {CAPACITANCE_RATIO_WARN}; "
-                          "low-coupling expansion degrades")
-            )
-    return report
 
 
 def ratio_uniformity(circuit: CircuitSpec) -> float:

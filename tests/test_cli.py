@@ -235,6 +235,39 @@ def test_validation_error_bad_circuit_energy(tmp_path, good, bad):
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
 
 
+SPIN_KEYS = {"j": 40.0, "h": 4720.0}
+CIRCUIT_KEYS = {"e_c": 200.0, "e_j": 12500.0, "eprime_j": 1562.5}
+
+
+@pytest.mark.parametrize("kind, n_sites, cutoff, message", [
+    ("verify", 20, 3, "3**20 exceeds"),
+    ("boson", 20, 3, "3**20 exceeds"),
+    ("jja", 20, 3, "3**20 exceeds"),
+    ("spin", 40, 2, "24-site limit"),
+])
+def test_validation_error_oversized_basis(tmp_path, capsys, kind, n_sites, cutoff, message):
+    model = {"n_sites": n_sites, **(CIRCUIT_KEYS if kind == "jja" else SPIN_KEYS)}
+    data = {"model": model, "experiment": {"kind": kind, "cutoff": cutoff}}
+    path = write(tmp_path, "big.json", json.dumps(data))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("j", None), ("n_sites", [2]), ("n_sites", 2.7), ("j", True),
+])
+def test_usage_error_json_value_of_wrong_type(tmp_path, capsys, key, value):
+    data = {
+        "model": {"n_sites": 2, **SPIN_KEYS, key: value},
+        "evolution": {"t_max": 0.01, "n_steps": 3},
+        "experiment": {"kind": "spin", "initial_state": "neel"},
+    }
+    path = write(tmp_path, "typed.json", json.dumps(data))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_USAGE
+    assert f"error: {path}: {key} must be" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- compare runs
 
 @pytest.fixture()

@@ -6,8 +6,6 @@ import pytest
 
 from spinbh.errors import InvalidSpecError
 from spinbh.mapping import (
-    capacitive_energies,
-    capacitance_regime_report,
     circuit_to_spin,
     constraint_residual,
     derive_jja_params,
@@ -19,7 +17,6 @@ from spinbh.mapping import (
     simplified_coupling,
 )
 from spinbh.model import chain_circuit, chain_spec
-from spinbh.units import capacitance_to_mhz
 
 E_C, E_J, EP = 200.0, 12500.0, 1562.5
 E_L = E_J + 2 * EP  # 15625
@@ -29,42 +26,6 @@ def table_circuit(n_sites, e_coup=None, include_boundary=True):
     if e_coup is None:
         e_coup = exact_coupling(E_C, E_L, EP)
     return chain_circuit(n_sites, E_C, E_J, EP, e_coup, include_boundary=include_boundary)
-
-
-# ------------------------------------------------------- capacitive energies
-
-def test_capacitive_energies_decoupled_limit():
-    e_c, e_coup = capacitive_energies([80.0, 80.0], [0.0, 0.0, 0.0])
-    assert np.allclose(e_c, capacitance_to_mhz(80.0))
-    assert np.allclose(e_coup, 0.0)
-
-
-def test_capacitive_energies_homogeneous_interior():
-    c, cp = 90.0, 2.0
-    e_c, _ = capacitive_energies([c, c, c], [cp, cp, cp, cp])
-    assert np.isclose(e_c[1], capacitance_to_mhz(c + 2 * cp))
-
-
-def test_capacitive_energies_small_coupling_ratio():
-    # choose C so that E_C ~ 200 MHz with C'/C = 0.01
-    ratio = 0.01
-    c = capacitance_to_mhz(1.0) / 200.0 / (1 + 2 * ratio)
-    cp = ratio * c
-    e_c, e_coup = capacitive_energies([c, c, c], [cp, cp, cp, cp])
-    assert np.isclose(e_c[0], 200.0, rtol=1e-12)
-    assert np.isclose(e_coup[1] / e_c[0], ratio / (1 + 2 * ratio), rtol=1e-12)
-    assert abs(e_coup[1] / e_c[0] - ratio) < 0.05 * ratio
-
-
-def test_capacitive_energies_reject_zero():
-    with pytest.raises(ZeroDivisionError):
-        capacitive_energies([0.0, 80.0], [1.0, 1.0, 1.0])
-
-
-def test_capacitance_regime_warning():
-    report = capacitance_regime_report([80.0, 80.0], [0.0, 20.0, 0.0])
-    assert report and report[0].severity == "warning"
-    assert capacitance_regime_report([80.0, 80.0], [0.0, 2.0, 0.0]) == []
 
 
 # ------------------------------------------------------- derive_jja_params
@@ -165,25 +126,6 @@ def test_circuit_to_spin_zero_coupling_reads_as_full_violation():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         circuit_to_spin(chain_circuit(2, E_C, E_J, 0.0, 0.0))
-
-
-def test_coupling_depends_on_capacitances_only_through_charging_energy():
-    # same E_C from two different C / C' splits: J must not change
-    c1, cp1 = 90.0, 1.0
-    csum = c1 + 2 * cp1
-    cp2 = 3.0
-    c2 = csum - 2 * cp2
-    e_c1, e_coup1 = capacitive_energies([c1] * 3, [cp1] * 4)
-    e_c2, e_coup2 = capacitive_energies([c2] * 3, [cp2] * 4)
-    assert np.isclose(e_c1[0], e_c2[0], rtol=1e-12)
-    assert not np.isclose(e_coup1[1], e_coup2[1], rtol=1e-3)
-    circuits = [
-        chain_circuit(3, e_c[0], E_J, EP, e_coup[1], include_boundary=True)
-        for e_c, e_coup in ((e_c1, e_coup1), (e_c2, e_coup2))
-    ]
-    with pytest.warns(UserWarning, match="coupling constraint violated"):
-        spins = [circuit_to_spin(c) for c in circuits]
-    assert np.isclose(spins[0].edges[0][2], spins[1].edges[0][2], rtol=1e-12)
 
 
 # ------------------------------------------------------- design

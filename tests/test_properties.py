@@ -1,23 +1,31 @@
 """Property tests: every builder against the dense oracles on random
 inhomogeneous specs, with couplings on arbitrary (also non-adjacent) pairs,
-and the circuit designer on random homogeneous targets.
+the circuit designer on random homogeneous targets, and the command line on
+random, often broken, experiment configs.
 
 Examples are derandomized so the suite stays deterministic.  The dense
 oracles cost O(dim^3) per term, so (N, cutoff) pairs above dim 256 are not
 drawn; that leaves out only N=5 at cutoff 4.
 """
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from spinbh.cli import main
+from spinbh.config import ENCODINGS, KINDS
 from spinbh.errors import InvalidSpecError
-from spinbh.hilbert import FockBasis
+from spinbh.hilbert import NAMED_STATES, FockBasis
 from spinbh.mapping import (
     FIELD_SOLVE_BRACKET,
     JJAParams,
@@ -27,7 +35,14 @@ from spinbh.mapping import (
     design_circuit,
 )
 from spinbh.model import SpinModelSpec, chain_spec
-from spinbh.operators import DROP_THRESHOLD, build_h_dm, build_h_ebh, build_h_jja, build_h_spin
+from spinbh.operators import (
+    DROP_THRESHOLD,
+    OBSERVABLE_NAMES,
+    build_h_dm,
+    build_h_ebh,
+    build_h_jja,
+    build_h_spin,
+)
 
 REL_TOL = 1e-14
 MAX_ORACLE_DIM = 256
@@ -153,3 +168,77 @@ def test_designer_rejects_fields_out_of_reach(target, where, margin):
     }[where]
     with pytest.raises(InvalidSpecError):
         design_circuit(chain_spec(n, coupling, unreachable), e_c)
+
+
+# ------------------------------------------------------- command line
+
+ENERGIES = {"j": 40.0, "h": 4720.0, "e_c": 200.0, "e_j": 12500.0, "eprime_j": 1562.5}
+
+
+@st.composite
+def config_dicts(draw):
+    """Sections for config.from_mapping: every kind and encoding, N 2-6 and
+    cutoff 2-3 (dim <= 729, far below DENSE_DIM_LIMIT), and up to two
+    energies missing, zero, negative, NaN or infinite."""
+    broken = draw(st.sets(st.sampled_from(sorted(ENERGIES)), max_size=2))
+    model = {"n_sites": draw(st.integers(2, 6)), "include_boundary": draw(st.booleans())}
+    for key, value in ENERGIES.items():
+        if key in broken:
+            value = draw(st.sampled_from((None, 0.0, -value, math.nan, math.inf)))
+        if value is not None:
+            model[key] = value
+    e_coup = draw(st.sampled_from((None, 18.4, 0.0, math.nan, 150.0)))  # None: exact value
+    if e_coup is not None:
+        model["e_coup"] = e_coup
+    data = {
+        "model": model,
+        "evolution": {"t_max": draw(st.floats(1e-4, 0.02)), "n_steps": draw(st.integers(2, 5))},
+        "experiment": {
+            "kind": draw(st.sampled_from(KINDS)),
+            "encoding": draw(st.sampled_from(ENCODINGS)),
+            "cutoff": draw(st.integers(2, 3)),
+            "observables": draw(st.lists(st.sampled_from(OBSERVABLE_NAMES),
+                                         min_size=1, unique=True)),
+            "initial_state": draw(st.sampled_from(NAMED_STATES)),
+            "match_field": draw(st.booleans()),
+        },
+    }
+    typo = draw(st.integers(0, 8))  # now and then an unknown key or section
+    if typo == 0:
+        model["n_sights"] = 1
+    elif typo == 1:
+        data["plots"] = {"style": 1}
+    return data
+
+
+def expected_outputs(experiment):
+    kind, names = experiment["kind"], experiment["observables"]
+    if kind == "design":
+        return {"parameter_sheet.csv"}
+    if kind == "verify":
+        return {"equivalence_report.txt"}
+    if kind == "compare":
+        return {f"compare_{o}.csv" for o in names} | {"trajectory_distance.csv"}
+    return {f"{o}_{'spin' if kind == 'spin' else 'boson'}.csv" for o in names}
+
+
+@settings(examples, max_examples=100)
+@given(config_dicts())
+@example({"model": {"n_sites": 20, **ENERGIES}, "experiment": {"kind": "verify", "cutoff": 3}})
+@example({"model": {"n_sites": 2, "j": None, "h": 4720.0}, "experiment": {"kind": "spin"}})
+@example({"model": {"n_sites": 2, **ENERGIES}, "evolution": {"t_max": 0.01, "n_steps": 3},
+          "experiment": {"kind": "jja", "cutoff": 3, "observables": ["sz1"]}})
+def test_every_config_ends_in_a_documented_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("ignore")  # the command line reports, never raises, warnings
+            code = main(["run", path, "--out-dir", out, "--quiet"])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert expected_outputs(data["experiment"]) <= set(os.listdir(out))
+        elif code in (1, 2):
+            assert stderr.getvalue()

@@ -4,16 +4,21 @@ Energies are ordinary frequencies nu = E/(2*pi*hbar) in MHz and times are in
 us, so MHz * us = 1 and the propagated phase is exp(-i * 2*pi * nu * t).
 Propagators only propagate: each takes (h, psi0, times) and yields blocks of
 state columns, one column per output time, in grid order.  The dense one
-diagonalizes once and yields 512 columns per block (best up to a few
-thousand basis states).  The Lanczos one works in windows: one basis of
+splits H into the connected blocks of its sparsity pattern (the symmetry
+sectors, such as fixed particle number, found without naming them),
+diagonalizes only the blocks the initial state touches, and yields
+full-length columns 512 at a time (fewer past 4096 states, so a column
+block stays within 32 MB; best up to a few thousand states per H block).
+The Lanczos one works in windows: one basis of
 ``KRYLOV_DIM`` vectors, built at the last accepted time, serves every
 following grid point whose error bound (Expokit's a-posteriori bound,
 evaluated for many times at once) is within ``STEP_TOLERANCE``.  A block
 never holds more than ``KRYLOV_DIM`` columns, so memory stays at two
 basis-sized arrays.  When not even the next grid point fits, the window
 halves a substep inside that interval until one fits.
-``evolve`` records every block in one loop, and the public ``expectation``
-and ``leakage`` apply the same column helpers to one column.
+``evolve`` records every block in one loop on the full-space columns, so
+observables that couple blocks keep their cross-block coherences; the public
+``expectation`` and ``leakage`` apply the same column helpers to one column.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import HermiticityError, NumericalError
 from .hilbert import StateVector, mask_complement
@@ -35,6 +41,8 @@ MAX_HALVINGS = 60
 KRYLOV_DIM = 30
 STEP_TOLERANCE = 1e-10  # error bound of a Krylov window at each time it serves
 _GRID_CHUNK = 512
+# entries of one dense chunk: 512 columns up to DENSE_DIM_LIMIT, fewer beyond
+_CHUNK_ENTRIES = _GRID_CHUNK * DENSE_DIM_LIMIT
 METHODS = ("dense_eig", "krylov", "auto")
 
 
@@ -84,9 +92,10 @@ def _check_observable(op: SparseOperator, dim: int, name: str) -> None:
         raise HermiticityError(f"{name} is not Hermitian")
 
 
-def _expect_cols(matrix, cols: np.ndarray) -> tuple[np.ndarray, float]:
-    """Real <psi|O|psi> of every column psi, and the largest |imaginary part|."""
-    raw = np.einsum("ij,ij->j", cols.conj(), matrix @ cols)
+def _expect_cols(matrix, cols: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray, float]:
+    """Real <psi|O|psi> of every column psi, and the largest |imaginary part|;
+    ``bras`` is ``cols.conj()``, taken once per block by the caller."""
+    raw = np.einsum("ij,ij->j", bras, matrix @ cols)
     if not np.isfinite(raw).all():
         raise NumericalError("expectation value is not finite")
     imag = float(np.max(np.abs(raw.imag)))
@@ -106,7 +115,8 @@ def _outside_cols(cols: np.ndarray, comp: np.ndarray) -> np.ndarray:
 def expectation(op: SparseOperator, psi: StateVector) -> float:
     """Real part of <psi|O|psi>; the imaginary part must stay below 1e-9."""
     _check_observable(op, psi.basis.dim, "operator")
-    values, _ = _expect_cols(op.matrix, psi.amplitudes[:, None])
+    col = psi.amplitudes[:, None]
+    values, _ = _expect_cols(op.matrix, col, col.conj())
     return float(values[0])
 
 
@@ -207,12 +217,32 @@ def _krylov_blocks(h, psi0, times):
 
 
 def _dense_blocks(h, psi0, times):
-    """Blocks of up to 512 columns from one spectral decomposition."""
-    evals, evecs = sla.eigh(h.dense())
-    w0 = evecs.conj().T @ psi0
-    for start in range(0, len(times), _GRID_CHUNK):
-        phases = np.exp(-1j * TWO_PI * np.outer(evals, times[start : start + _GRID_CHUNK]))
-        yield evecs @ (phases * w0[:, None])
+    """Column blocks of up to 512 columns (and ``_CHUNK_ENTRIES`` entries) from
+    the spectral decomposition of every connected block of H that psi0 touches.
+
+    The blocks are the weakly connected components of H's sparsity pattern,
+    so any conserved quantity splits H without being named.  A block where
+    psi0 is exactly zero stays zero for all times and is never diagonalized;
+    each column is rebuilt block by block into zeros of the full length.
+    """
+    from scipy.sparse.csgraph import connected_components  # kept out of the import time
+
+    csr = h.matrix.tocsr()  # sliceable even when h.matrix only forwards attributes
+    # the pattern, not the values: a complex-to-real cast would drop imaginary hoppings
+    pattern = sp.csr_matrix((np.ones(len(csr.indices)), csr.indices, csr.indptr), shape=csr.shape)
+    _, labels = connected_components(pattern, directed=False)
+    blocks = []
+    for label in np.unique(labels[psi0 != 0]):
+        idx = np.flatnonzero(labels == label)
+        evals, evecs = sla.eigh(csr[idx][:, idx].toarray())
+        blocks.append((idx, evals, evecs, evecs.conj().T @ psi0[idx]))
+    step = min(_GRID_CHUNK, max(1, _CHUNK_ENTRIES // h.dim))
+    for start in range(0, len(times), step):
+        chunk = times[start : start + step]
+        cols = np.zeros((h.dim, len(chunk)), dtype=complex)
+        for idx, evals, evecs, w0 in blocks:
+            cols[idx] = evecs @ (np.exp(-1j * TWO_PI * np.outer(evals, chunk)) * w0[:, None])
+        yield cols
 
 
 def evolve(
@@ -246,12 +276,14 @@ def evolve(
     start = 0
     for cols in blocks(h, psi0.amplitudes, times):
         stop = start + cols.shape[1]
+        bras = cols.conj()
         for name, op in observables.items():
-            values[name][start:stop], imag = _expect_cols(op.matrix, cols)
+            values[name][start:stop], imag = _expect_cols(op.matrix, cols, bras)
             max_imag = max(max_imag, imag)
         if leak is not None:
             leak[start:stop] = _outside_cols(cols, comp)
-        dev = float(np.max(np.abs(np.linalg.norm(cols, axis=0) - 1.0)))
+        norms = np.sqrt(np.einsum("ij,ij->j", bras, cols).real)
+        dev = float(np.max(np.abs(norms - 1.0)))
         if not dev < NORM_TOL:  # NaN fails too
             raise NumericalError(f"norm drifted by {dev:.3e}")
         max_norm_dev = max(max_norm_dev, dev)

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 import oracles
@@ -384,3 +388,169 @@ def test_krylov_subspace_smaller_than_dimension():
     a = evolve(build_h_spin(spec), psi0, cfg(n_steps=31, method="krylov"), obs)
     b = evolve(build_h_spin(spec), psi0, cfg(n_steps=31, method="dense_eig"), obs)
     assert np.max(np.abs(a.values["sz1"] - b.values["sz1"])) < 1e-10
+
+
+# ---------------------------------------------------------------- dense blocks
+
+def full_eigh_columns(h_dense, psi0, times):
+    """State columns from one eigendecomposition of the whole matrix."""
+    evals, evecs = np.linalg.eigh(h_dense)
+    phases = np.exp(-2j * np.pi * np.outer(evals, times))
+    return evecs @ (phases * (evecs.conj().T @ psi0)[:, None])
+
+
+def dense_columns(h, psi0, times):
+    return np.hstack(list(dynamics._dense_blocks(h, psi0, times)))
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Shapes of the matrices the dense propagator diagonalizes, in call order."""
+    shapes = []
+    eigh = dynamics.sla.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.sla, "eigh", spy)
+    return shapes
+
+
+def chain_and_oracle(n, d, edges, fields):
+    """The package's Hamiltonian of a chain and the oracle's dense matrix of it."""
+    spec = SpinModelSpec(n, tuple(edges), tuple(fields))
+    if d == 2:
+        return build_h_spin(spec), oracles.dense_h_spin(n, edges, fields)
+    return build_h_ebh(spec, FockBasis(n, d)), oracles.dense_h_ebh(n, d, edges, fields)
+
+
+def random_sparse_state(rng, dim, support):
+    amp = np.zeros(dim, dtype=complex)
+    idx = rng.choice(dim, size=min(support, dim), replace=False)
+    amp[idx] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+    return amp / np.linalg.norm(amp)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(n=st.integers(2, 6), d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+       long_range=st.booleans(), state=st.sampled_from(["random", "neel", "all_up_x"]))
+def test_dense_blocks_match_full_eigh_on_random_chains(n, d, seed, long_range, state):
+    assume(d**n <= 243)
+    rng = np.random.default_rng(seed)
+    edges = [(j, j + 1, rng.uniform(-60.0, 60.0)) for j in range(n - 1)]
+    if long_range and n > 2:
+        edges.append((0, n - 1, rng.uniform(-60.0, 60.0)))
+    fields = rng.uniform(-30.0, 30.0, n)
+    basis = FockBasis(n, d)
+    h, ref_h = chain_and_oracle(n, d, edges, fields)
+    if state == "random":
+        psi0 = random_sparse_state(rng, basis.dim, int(rng.integers(1, 6)))
+    else:
+        psi0 = named_initial_state(basis, state, "boson").amplitudes
+    times = np.linspace(0.0, 0.05, 7)
+    cols = dense_columns(h, psi0, times)
+    assert np.max(np.abs(cols - full_eigh_columns(ref_h, psi0, times))) < 1e-9
+
+
+def test_dense_blocks_on_a_chain_cut_by_a_zero_link(eigh_shapes):
+    # n=6 with link (2, 3) at zero: the halves conserve their own particle
+    # numbers, so H splits into (3+1) * (3+1) blocks of size C(3, a) * C(3, b)
+    n = 6
+    edges = [(j, j + 1, 0.0 if j == 2 else 10.0 + 7.0 * j) for j in range(n - 1)]
+    fields = [3.0, -1.0, 4.0, -1.5, 5.0, -9.0]
+    h, ref_h = chain_and_oracle(n, 2, edges, fields)
+    basis = FockBasis(n, 2)
+    times = np.linspace(0.0, 0.1, 11)
+    psi0 = named_initial_state(basis, "all_up_x", "spin").amplitudes
+    cols = dense_columns(h, psi0, times)
+    assert np.max(np.abs(cols - full_eigh_columns(ref_h, psi0, times))) < 1e-9
+    sizes = sorted(shape[0] for shape in eigh_shapes)
+    assert sizes == sorted(math.comb(3, a) * math.comb(3, b) for a in range(4) for b in range(4))
+    # domain_wall: left half full, right half empty, so one 1-state block
+    eigh_shapes.clear()
+    psi0 = named_initial_state(basis, "domain_wall", "spin").amplitudes
+    cols = dense_columns(h, psi0, times)
+    assert eigh_shapes == [(1, 1)]
+    assert np.allclose(np.abs(cols), np.abs(psi0)[:, None], atol=1e-14)
+
+
+def test_dense_blocks_of_a_diagonal_hamiltonian(eigh_shapes):
+    # J = 0: every basis state is its own block and only picks up a phase
+    n = 4
+    fields = (5.0, -3.0, 2.0, 7.5)
+    h = build_h_spin(SpinModelSpec(n, tuple((j, j + 1, 0.0) for j in range(n - 1)), fields))
+    psi0 = named_initial_state(FockBasis(n, 2), "all_up_x", "spin").amplitudes
+    times = np.linspace(0.0, 0.2, 9)
+    cols = dense_columns(h, psi0, times)
+    energies = h.matrix.diagonal().real
+    ref = psi0[:, None] * np.exp(-2j * np.pi * np.outer(energies, times))
+    assert np.max(np.abs(cols - ref)) < 1e-13
+    assert eigh_shapes == [(1, 1)] * 2**n
+
+
+def test_dense_blocks_keep_purely_imaginary_hoppings(eigh_shapes):
+    # states 0-1-2 are joined only by imaginary entries and state 3 stands alone;
+    # blocks found from the real parts of the values would isolate state 0
+    m = np.zeros((4, 4), dtype=complex)
+    m[1, 0], m[2, 1] = 3.0j, -2.0j
+    m += m.conj().T
+    m[3, 3] = 1.0
+    h = SparseOperator.from_matrix(m)
+    assert h.hermitian
+    psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    times = np.linspace(0.0, 0.3, 13)
+    cols = dense_columns(h, psi0, times)
+    assert np.max(np.abs(cols - full_eigh_columns(m, psi0, times))) < 1e-12
+    assert np.max(np.abs(cols[1])) > 0.5
+    assert eigh_shapes == [(3, 3)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dense_blocks_keep_cross_sector_coherences(d):
+    # all_up_x spans every particle-number sector; mx couples N to N +- 1 and
+    # cxx couples N to N +- 2, so both need the coherences between blocks
+    rng = np.random.default_rng(31 + d)
+    n = 5
+    edges = [(j, j + 1, rng.uniform(10.0, 60.0)) for j in range(n - 1)]
+    fields = rng.uniform(-30.0, 30.0, n)
+    basis = FockBasis(n, d)
+    sector = "spin" if d == 2 else "boson"
+    h, ref_h = chain_and_oracle(n, d, edges, fields)
+    psi0 = named_initial_state(basis, "all_up_x", sector)
+    obs = {name: observable(name, sector, basis) for name in ("mx", "cxx")}
+    traj = evolve(h, psi0, cfg(t_max=0.05, n_steps=9, method="dense_eig"), obs)
+    for name, op in obs.items():
+        ref = oracles.brute_force_expectation_series(ref_h, psi0.amplitudes, op.dense(),
+                                                     traj.times)
+        assert np.max(np.abs(traj.values[name] - ref)) < 1e-9
+        assert np.max(np.abs(traj.values[name])) > 0.1
+
+
+def test_fig2_sz_diagonalizes_one_half_filling_block_per_side(eigh_shapes, tmp_path):
+    from spinbh.cli import main
+
+    assert main(["--preset", "fig2_sz", "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert eigh_shapes == [(252, 252)] * 2  # spin side, then the cutoff-2 boson side
+
+
+def test_forced_dense_cutoff3_chain_of_ten_matches_krylov():
+    # dim 3**10 = 59049 is past DENSE_DIM_LIMIT, but domain_wall touches only the
+    # 252 hard-core states at half filling, which H never leaves
+    n_steps = 10
+    t_max = (n_steps - 1) * 0.5 / 1999
+    basis = FockBasis(10, 3)
+    h = build_h_ebh(chain_spec(10, 40.0, 4720.0), basis)
+    psi0 = named_initial_state(basis, "domain_wall", "boson")
+    obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx", "cxx")}
+    runs = {method: evolve(h, psi0, cfg(t_max, n_steps, method), obs,
+                           leakage_mask=physical_mask(basis))
+            for method in ("dense_eig", "krylov")}
+    for name in obs:
+        diff = runs["dense_eig"].values[name] - runs["krylov"].values[name]
+        assert np.max(np.abs(diff)) < 1e-8
+    assert np.all(runs["dense_eig"].leakage == 0.0)
+    # full-length chunks shrink past DENSE_DIM_LIMIT, so memory stays bounded
+    times = np.linspace(0.0, t_max, 80)
+    widths = [cols.shape[1] for cols in dynamics._dense_blocks(h, psi0.amplitudes, times)]
+    assert sum(widths) == 80 and max(widths) * basis.dim <= dynamics._CHUNK_ENTRIES

@@ -104,12 +104,21 @@ def _expect_cols(matrix, cols: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray
     return raw.real, imag
 
 
-def _outside_cols(cols: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    """Population of every column on the index set ``comp``, clamped to [0, 1].
+def _outside_weights(dim: int, mask) -> np.ndarray:
+    """1 on every index in [0, dim) outside the sorted, unique ``mask``, else 0."""
+    return np.bincount(mask_complement(dim, mask), minlength=dim).astype(float)
+
+
+def _outside_cols(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Population of every column where ``weights`` is 1, clamped to [0, 1].
 
     Summed over the complement of the mask directly, so a complete mask gives
-    exactly 0 and small leakages are not lost to cancellation against the norm."""
-    return np.clip(np.sum(np.abs(cols[comp]) ** 2, axis=0), 0.0, 1.0)
+    exactly 0 and small leakages are not lost to cancellation against the norm;
+    the 0/1 weights spare a copy of the complement's rows."""
+    if not weights.any():  # a complete mask (every state at d=2): nothing to sum
+        return np.zeros(cols.shape[1])
+    amp = np.abs(cols)
+    return np.clip(np.einsum("i,ij,ij->j", weights, amp, amp), 0.0, 1.0)
 
 
 def expectation(op: SparseOperator, psi: StateVector) -> float:
@@ -122,8 +131,8 @@ def expectation(op: SparseOperator, psi: StateVector) -> float:
 
 def leakage(psi: StateVector, mask) -> float:
     """Population outside the sorted, unique index set ``mask``, clamped to [0, 1]."""
-    comp = mask_complement(psi.basis.dim, mask)
-    return float(_outside_cols(psi.amplitudes[:, None], comp)[0])
+    weights = _outside_weights(psi.basis.dim, mask)
+    return float(_outside_cols(psi.amplitudes[:, None], weights)[0])
 
 
 def _lanczos(matvec, v: np.ndarray, m: int):
@@ -267,11 +276,11 @@ def evolve(
         raise ValueError(f"Hamiltonian dim {h.dim} does not match state dim {psi0.basis.dim}")
     for name, op in observables.items():
         _check_observable(op, h.dim, f"observable {name!r}")
-    comp = None if leakage_mask is None else mask_complement(h.dim, leakage_mask)
+    outside = None if leakage_mask is None else _outside_weights(h.dim, leakage_mask)
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
     blocks = _dense_blocks if cfg.resolve_method(h.dim) == "dense_eig" else _krylov_blocks
     values = {name: np.empty(len(times)) for name in observables}
-    leak = None if comp is None else np.empty(len(times))
+    leak = None if outside is None else np.empty(len(times))
     max_imag = max_norm_dev = 0.0
     start = 0
     for cols in blocks(h, psi0.amplitudes, times):
@@ -281,7 +290,7 @@ def evolve(
             values[name][start:stop], imag = _expect_cols(op.matrix, cols, bras)
             max_imag = max(max_imag, imag)
         if leak is not None:
-            leak[start:stop] = _outside_cols(cols, comp)
+            leak[start:stop] = _outside_cols(cols, outside)
         norms = np.sqrt(np.einsum("ij,ij->j", bras, cols).real)
         dev = float(np.max(np.abs(norms - 1.0)))
         if not dev < NORM_TOL:  # NaN fails too

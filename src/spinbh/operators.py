@@ -11,6 +11,11 @@ scatters each distinct support into the full space once by index
 arithmetic: block entry (r, c) lands at (rest + offset[r], rest + offset[c])
 for every full index ``rest`` that is empty on the support, where ``offset``
 places the block digits at the support sites (first site least significant).
+
+``hardcore_touching=True`` (for ``verify``) keeps only the entries whose row
+or column is hard-core (every occupation <= 1): ``rest`` ranges over {0, 1}
+and a block entry stays when its row or column digits do.  Each kept entry
+equals the full build's bit for bit; only the Q H Q block is left out.
 """
 
 from __future__ import annotations
@@ -97,17 +102,18 @@ def local_ops(local_dim: int) -> LocalOperatorSet:
                             hp_sp=hp_sp, hp_sm=hp_sm, hp_sz=hp_sz)
 
 
-def _site_offsets(d: int, sites) -> np.ndarray:
-    """Full-space index of every joint occupation of ``sites`` (others empty),
-    the first site varying fastest."""
+def _site_offsets(d: int, sites, levels: int | None = None) -> np.ndarray:
+    """Full-space index of every joint occupation below ``levels`` (default d)
+    of ``sites`` (others empty), the first site varying fastest."""
     offsets = np.zeros(1, dtype=np.int64)
     for site in sites:
-        offsets = (offsets + d**site * np.arange(d, dtype=np.int64)[:, None]).ravel()
+        offsets = (offsets + d**site * np.arange(levels or d, dtype=np.int64)[:, None]).ravel()
     return offsets
 
 
-def assemble(basis: FockBasis, terms) -> SparseOperator:
-    """Sum of ``coeff * factor_1 @ factor_2 @ ...`` over ``terms``."""
+def assemble(basis: FockBasis, terms, *, hardcore_touching: bool = False) -> SparseOperator:
+    """Sum of ``coeff * factor_1 @ factor_2 @ ...`` over ``terms``; with
+    ``hardcore_touching`` only its entries in a hard-core row or column."""
     d, n_sites = basis.local_dim, basis.n_sites
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     for coeff, factors in terms:
@@ -125,10 +131,15 @@ def assemble(basis: FockBasis, terms) -> SparseOperator:
         blocks[support] = coeff * block + blocks.get(support, 0.0)
     # One sparse addition per support keeps the peak near the final nnz.
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    levels = 2 if hardcore_touching else d
     for support, block in blocks.items():
-        rest = _site_offsets(d, [s for s in range(n_sites) if s not in support])[:, None]
+        rest = _site_offsets(d, [s for s in range(n_sites) if s not in support], levels)[:, None]
         offsets = _site_offsets(d, support)
         r, c = np.nonzero(block)
+        if hardcore_touching:
+            hard = np.isin(np.arange(len(block)), _site_offsets(d, range(len(support)), 2))
+            keep = hard[r] | hard[c]
+            r, c = r[keep], c[keep]
         data = np.broadcast_to(block[r, c], (rest.size, r.size)).ravel()
         rows, cols = (rest + offsets[r]).ravel(), (rest + offsets[c]).ravel()
         total = total + sp.csr_matrix((data, (rows, cols)), shape=total.shape)
@@ -170,7 +181,8 @@ def build_h_spin(spec: SpinModelSpec) -> SparseOperator:
     return assemble(FockBasis(spec.n_sites, 2), _dm_terms(spec, local_ops(2)))
 
 
-def build_h_ebh(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
+def build_h_ebh(spec: SpinModelSpec, basis: FockBasis, *,
+                hardcore_touching: bool = False) -> SparseOperator:
     """Bosonic image of the spin model: extended Bose-Hubbard Hamiltonian with
     occupation-dependent hopping,
 
@@ -190,7 +202,8 @@ def build_h_ebh(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
             (0.5 * coupling, ((j, ops.adag), (k, ops.n), (k, ops.a))),
         ])
         terms.append((-coupling, ((j, ops.hp_sz), (k, ops.hp_sz))))
-    return assemble(basis, terms + _field_terms(spec, ops.hp_sz))
+    return assemble(basis, terms + _field_terms(spec, ops.hp_sz),
+                    hardcore_touching=hardcore_touching)
 
 
 def build_h_dm(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
@@ -203,7 +216,8 @@ def build_h_dm(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
     return assemble(basis, _dm_terms(spec, local_ops(basis.local_dim)))
 
 
-def build_h_jja(params: "JJAParams", basis: FockBasis, variant: str = "simplified") -> SparseOperator:
+def build_h_jja(params: "JJAParams", basis: FockBasis, variant: str = "simplified", *,
+                hardcore_touching: bool = False) -> SparseOperator:
     """Rotating-wave Hamiltonian of the Josephson-junction array.
 
     Per site: (omega + delta_omega - delta_tilde) n, and for the full variant
@@ -237,7 +251,7 @@ def build_h_jja(params: "JJAParams", basis: FockBasis, variant: str = "simplifie
         if full:
             hopping.append((-params.delta[j] / 4.0, ((k, a), (k, a), (j, ad), (j, ad))))
         terms += _plus_adjoints(hopping)
-    return assemble(basis, terms)
+    return assemble(basis, terms, hardcore_touching=hardcore_touching)
 
 
 OBSERVABLE_NAMES = ("sz1", "mx", "cxx")

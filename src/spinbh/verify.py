@@ -4,7 +4,9 @@ a spin Hamiltonian, leakage-block norms, and trajectory-distance reports.
 Encoded Hamiltonians may differ from the spin model by a multiple of the
 identity (constant terms are dropped at different stages of different
 constructions), so matrix comparisons first fit a scalar offset by trace
-matching, which is the least-squares optimal choice.
+matching, which is the least-squares optimal choice.  The comparison reads
+only P H P and Q H P, so it takes a ``hardcore_touching`` build (see
+``operators``), over whose entries ``hermiticity_boson`` is then measured.
 """
 
 from __future__ import annotations

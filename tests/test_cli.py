@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from spinbh import operators
 from spinbh.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from spinbh.config import load_config, preset_config, validate_config
+from spinbh.hilbert import physical_mask
 
 COMPARE_INI = """\
 [model]
@@ -482,6 +484,49 @@ cutoff = 4
     assert float(entries["coupling_norm"]) < 1e-12
     assert abs(float(entries["offset_mhz"])) < 1e-12
     assert int(entries["local_dim"]) == 4
+
+
+def verify_ini(model, n_sites, cutoff):
+    """Verify config of the paper chain (``model`` ebh) or circuit (a JJA variant)."""
+    if model == "ebh":
+        energies, encoding = "J = 40.0\nh = 4720.0", "encoding = ebh"
+    else:
+        energies = "e_c = 200.0\ne_j = 12500.0\neprime_j = 1562.5"
+        encoding = f"encoding = jja\nvariant = {model}"
+    return (f"[model]\nn_sites = {n_sites}\n{energies}\n\n"
+            f"[experiment]\nkind = verify\ncutoff = {cutoff}\n{encoding}\n")
+
+
+@pytest.mark.parametrize("model", ["ebh", "simplified", "full"])
+def test_verify_builds_no_entry_between_two_states_outside_the_hard_core_set(
+        tmp_path, monkeypatch, model):
+    built = []
+    for name in ("build_h_ebh", "build_h_jja"):
+        def spy(*args, _build=getattr(operators, name), **kwargs):
+            built.append((args[1], _build(*args, **kwargs)))
+            return built[-1][1]
+        monkeypatch.setattr(operators, name, spy)
+    path = write(tmp_path, "verify.ini", verify_ini(model, 4, 4))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+    [(basis, h)] = built
+    in_p = np.zeros(basis.dim, dtype=bool)
+    in_p[physical_mask(basis)] = True
+    entries = h.matrix.tocoo()
+    assert entries.nnz and np.all(in_p[entries.row] | in_p[entries.col])
+
+
+@pytest.mark.parametrize("model, bound", [("ebh", 1e-12), ("full", 1e-9)])
+def test_verify_chain_of_twelve_at_cutoff_three(tmp_path, model, bound):
+    """Criterion 4 and 6 bounds, relative to the spin Hamiltonian's scale."""
+    out = tmp_path / "ver"
+    path = write(tmp_path, "verify.ini", verify_ini(model, 12, 3))
+    assert run_cli(["run", path, "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    entries = dict(line.split(" = ")
+                   for line in (out / "equivalence_report.txt").read_text().splitlines())
+    assert (entries["n_sites"], entries["local_dim"], entries["physical_dim"]) == ("12", "3", "4096")
+    scale = 12 * (4720.0 / 2 + 40.0 / 4) if model == "ebh" else 12 * (5000.0 / 2 + 40.0)
+    for key in ("residual_max", "coupling_norm", "hermiticity_boson", "hermiticity_spin"):
+        assert float(entries[key]) < bound * scale
 
 
 def test_design_preset_matches_table(tmp_path):

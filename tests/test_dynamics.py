@@ -76,6 +76,19 @@ def test_leakage_half():
     assert np.isclose(leakage(psi, physical_mask(basis)), 0.5)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_leakage_is_the_population_outside_a_random_mask(seed):
+    rng = np.random.default_rng(seed)
+    basis = FockBasis(5, 3)
+    amp = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    amp[rng.random(basis.dim) < 0.5] *= 1e-4  # leave small and large populations
+    psi = type(named_initial_state(basis, "neel", "boson"))(basis, amp / np.linalg.norm(amp))
+    inside = rng.random(basis.dim) < 0.3
+    outside = np.sum(np.abs(psi.amplitudes[~inside]) ** 2)
+    assert abs(leakage(psi, np.flatnonzero(inside)) - outside) <= 1e-14
+    assert leakage(psi, np.arange(basis.dim)) == 0.0
+
+
 @pytest.mark.parametrize("mask", [[0, 1, 5], [-1, 0], [1, 0], [0, 0, 1]])
 def test_leakage_rejects_invalid_mask(mask):
     psi = basis_state(FockBasis(1, 3), [0])

@@ -1,7 +1,8 @@
 """Property tests: every builder against the dense oracles on random
 inhomogeneous specs, with couplings on arbitrary (also non-adjacent) pairs,
-the circuit designer on random homogeneous targets, and the command line on
-random, often broken, experiment configs.
+the hard-core-touching builds against the full builds on random chains and
+circuits, the circuit designer on random homogeneous targets, and the
+command line on random, often broken, experiment configs.
 
 Examples are derandomized so the suite stays deterministic.  The dense
 oracles cost O(dim^3) per term, so (N, cutoff) pairs above dim 256 are not
@@ -25,7 +26,7 @@ import oracles
 from spinbh.cli import main
 from spinbh.config import ENCODINGS, KINDS
 from spinbh.errors import InvalidSpecError
-from spinbh.hilbert import NAMED_STATES, FockBasis
+from spinbh.hilbert import NAMED_STATES, FockBasis, physical_mask
 from spinbh.mapping import (
     FIELD_SOLVE_BRACKET,
     JJAParams,
@@ -34,7 +35,7 @@ from spinbh.mapping import (
     derive_jja_params,
     design_circuit,
 )
-from spinbh.model import SpinModelSpec, chain_spec
+from spinbh.model import SpinModelSpec, chain_circuit, chain_spec
 from spinbh.operators import (
     DROP_THRESHOLD,
     OBSERVABLE_NAMES,
@@ -42,7 +43,9 @@ from spinbh.operators import (
     build_h_ebh,
     build_h_jja,
     build_h_spin,
+    hermiticity_deviation,
 )
+from spinbh.verify import project
 
 REL_TOL = 1e-14
 MAX_ORACLE_DIM = 256
@@ -116,6 +119,59 @@ def test_h_jja_matches_oracle_on_random_params(data):
         ref = oracles.dense_h_jja(n, d, p.omega, p.delta_omega, p.t, p.delta,
                                   p.corr_t, p.corr_tp, p.delta_tilde, variant)
         assert_matches(build_h_jja(p, basis, variant), ref)
+
+
+# ------------------------------------------------ hard-core-touching builds
+
+@st.composite
+def ebh_chains(draw, n):
+    """Chain with per-link J (zero allowed), per-site h and an optional
+    non-adjacent edge."""
+    coupling = mhz(-100.0, 100.0) | st.just(0.0)
+    edges = [(j, j + 1, draw(coupling)) for j in range(n - 1)]
+    if n > 2 and draw(st.booleans()):
+        j = draw(st.integers(0, n - 3))
+        edges.append((j, draw(st.integers(j + 2, n - 1)), draw(coupling)))
+    return SpinModelSpec(n, tuple(sorted(edges)), draw(per(n, mhz(-5000.0, 5000.0))))
+
+
+@st.composite
+def hardcore_cases(draw):
+    """(encoding, spec or JJA params, cutoff): N 2-8 at cutoff 3 or 4."""
+    n, d = draw(st.integers(2, 8)), draw(st.sampled_from([3, 4]))
+    if draw(st.booleans()):
+        return "ebh", draw(ebh_chains(n)), d
+    return draw(st.sampled_from(["simplified", "full"])), draw(jja_params(n)), d
+
+
+PAPER_CIRCUIT_11 = derive_jja_params(chain_circuit(11, 200.0, 12500.0, 1562.5, 20.0,
+                                                   include_boundary=True))
+
+
+@examples
+@given(hardcore_cases())
+@example(("ebh", chain_spec(11, 40.0, 4720.0), 3))
+@example(("full", PAPER_CIRCUIT_11, 3))
+def test_hardcore_touching_build_keeps_every_entry_verify_reads(case):
+    encoding, model, d = case
+    basis = FockBasis(model.n_sites, d)
+    if encoding == "ebh":
+        build = lambda **kw: build_h_ebh(model, basis, **kw)
+    else:
+        build = lambda **kw: build_h_jja(model, basis, encoding, **kw)
+    full, part = build(), build(hardcore_touching=True)
+    mask = physical_mask(basis)
+    in_p = np.zeros(basis.dim, dtype=bool)
+    in_p[mask] = True
+    f, p = full.matrix.tocoo(), part.matrix.tocoo()
+    touching = in_p[f.row] | in_p[f.col]
+    for got, want in ((p.row, f.row), (p.col, f.col), (p.data, f.data)):
+        assert np.array_equal(got, want[touching])
+    (php_full, coupling_full), (php_part, coupling_part) = project(full, mask), project(part, mask)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(php_part.matrix, attr), getattr(php_full.matrix, attr))
+    assert coupling_part == coupling_full
+    assert hermiticity_deviation(part.matrix) <= hermiticity_deviation(full.matrix)
 
 
 def bulk_field(e_c, coupling, e_j):

@@ -14,11 +14,11 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .dynamics import METHODS
+from .dynamics import MAX_GRID_POINTS, METHODS
 from .errors import InvalidSpecError
 from .hilbert import MAX_DIM, NAMED_STATES
 from .model import Violation
-from .operators import MAX_SPIN_SITES, OBSERVABLE_NAMES, VARIANTS
+from .operators import MAX_CUTOFF, MAX_SPIN_SITES, OBSERVABLE_NAMES, VARIANTS
 
 KINDS = ("spin", "boson", "jja", "compare", "design", "verify")
 ENCODINGS = ("ebh", "jja")
@@ -177,11 +177,13 @@ def validate_config(cfg: ExperimentConfig) -> list[Violation]:
         err(f"n_sites must be >= 1, got {cfg.n_sites}")
     if cfg.cutoff < 2:
         err(f"cutoff must be >= 2, got {cfg.cutoff}")
-    # a boson basis has cutoff**n_sites states; 2**64 > MAX_DIM, so capping
-    # the exponent at 64 keeps the verdict and the check cheap
-    elif cfg.kind in ("boson", "jja", "compare", "verify") and (
-            cfg.cutoff ** min(cfg.n_sites, 64) > MAX_DIM):
-        err(f"basis dimension {cfg.cutoff}**{cfg.n_sites} exceeds {MAX_DIM}")
+    elif cfg.kind in ("boson", "jja", "compare", "verify"):
+        # a boson basis has cutoff**n_sites states; 2**64 > MAX_DIM, so capping
+        # the exponent at 64 keeps the verdict and the check cheap
+        if cfg.cutoff > MAX_CUTOFF:
+            err(f"cutoff = {cfg.cutoff} exceeds the limit of {MAX_CUTOFF} levels per site")
+        elif cfg.cutoff ** min(cfg.n_sites, 64) > MAX_DIM:
+            err(f"basis dimension {cfg.cutoff}**{cfg.n_sites} exceeds {MAX_DIM}")
     if cfg.kind in ("spin", "compare", "verify") and cfg.n_sites > MAX_SPIN_SITES:
         err(f"n_sites = {cfg.n_sites} exceeds the {MAX_SPIN_SITES}-site limit of the spin side")
     if cfg.method not in METHODS:
@@ -200,8 +202,8 @@ def validate_config(cfg: ExperimentConfig) -> list[Violation]:
     if needs_evolution:
         if not 0 < cfg.t_max < math.inf:
             err(f"t_max must be positive and finite, got {cfg.t_max}")
-        if cfg.n_steps < 2:
-            err(f"n_steps must be >= 2, got {cfg.n_steps}")
+        if not 2 <= cfg.n_steps <= MAX_GRID_POINTS:
+            err(f"n_steps must be in [2, {MAX_GRID_POINTS}], got {cfg.n_steps}")
         if not cfg.observables:
             err("at least one observable is required")
         for name in cfg.observables:

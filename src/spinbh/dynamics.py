@@ -17,8 +17,9 @@ never holds more than ``KRYLOV_DIM`` columns, so memory stays at two
 basis-sized arrays.  When not even the next grid point fits, the window
 halves a substep inside that interval until one fits.
 ``evolve`` records every block in one loop on the full-space columns, so
-observables that couple blocks keep their cross-block coherences; the public
-``expectation`` and ``leakage`` apply the same column helpers to one column.
+observables that couple blocks keep their cross-block coherences; leakage is
+one more of them, <Q> of the diagonal projector Q off the mask.  The public
+``expectation`` and ``leakage`` apply the same column helper to one column.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import HermiticityError, NumericalError
-from .hilbert import StateVector, mask_complement
+from .hilbert import StateVector, outside
 from .operators import SparseOperator
 
 TWO_PI = 2.0 * np.pi
@@ -40,6 +41,7 @@ IMAG_TOL = 1e-9
 MAX_HALVINGS = 60
 KRYLOV_DIM = 30
 STEP_TOLERANCE = 1e-10  # error bound of a Krylov window at each time it serves
+MAX_GRID_POINTS = 10**6  # per recorded series 8 MB, and one output row each
 _GRID_CHUNK = 512
 # entries of one dense chunk: 512 columns up to DENSE_DIM_LIMIT, fewer beyond
 _CHUNK_ENTRIES = _GRID_CHUNK * DENSE_DIM_LIMIT
@@ -50,7 +52,7 @@ METHODS = ("dense_eig", "krylov", "auto")
 class EvolutionConfig:
     """Output grid and propagator choice.
 
-    ``n_steps`` counts grid points on the inclusive linear grid [0, t_max];
+    ``n_steps`` counts grid points (at most ``MAX_GRID_POINTS``) on the inclusive grid [0, t_max];
     ``method`` is one of dense_eig, krylov, auto (dense up to dim 4096).
     """
 
@@ -61,8 +63,8 @@ class EvolutionConfig:
     def __post_init__(self):
         if not 0 < self.t_max < np.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.n_steps < 2:
-            raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
+        if not 2 <= self.n_steps <= MAX_GRID_POINTS:
+            raise ValueError(f"n_steps must be in [2, {MAX_GRID_POINTS}], got {self.n_steps}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -104,23 +106,6 @@ def _expect_cols(matrix, cols: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray
     return raw.real, imag
 
 
-def _outside_weights(dim: int, mask) -> np.ndarray:
-    """1 on every index in [0, dim) outside the sorted, unique ``mask``, else 0."""
-    return np.bincount(mask_complement(dim, mask), minlength=dim).astype(float)
-
-
-def _outside_cols(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Population of every column where ``weights`` is 1, clamped to [0, 1].
-
-    Summed over the complement of the mask directly, so a complete mask gives
-    exactly 0 and small leakages are not lost to cancellation against the norm;
-    the 0/1 weights spare a copy of the complement's rows."""
-    if not weights.any():  # a complete mask (every state at d=2): nothing to sum
-        return np.zeros(cols.shape[1])
-    amp = np.abs(cols)
-    return np.clip(np.einsum("i,ij,ij->j", weights, amp, amp), 0.0, 1.0)
-
-
 def expectation(op: SparseOperator, psi: StateVector) -> float:
     """Real part of <psi|O|psi>; the imaginary part must stay below 1e-9."""
     _check_observable(op, psi.basis.dim, "operator")
@@ -130,9 +115,11 @@ def expectation(op: SparseOperator, psi: StateVector) -> float:
 
 
 def leakage(psi: StateVector, mask) -> float:
-    """Population outside the sorted, unique index set ``mask``, clamped to [0, 1]."""
-    weights = _outside_weights(psi.basis.dim, mask)
-    return float(_outside_cols(psi.amplitudes[:, None], weights)[0])
+    """Population outside the sorted, unique index set ``mask``, <psi|Q|psi>: a
+    sum of |psi_q|^2 over the rows Q stores, so it needs no clamp to [0, 1]. It
+    is never negative, exactly 0 for a complete mask (Q stores no row), and
+    above 1 only by the norm drift, which ``evolve`` keeps below 1e-9."""
+    return expectation(SparseOperator.from_matrix(sp.diags(outside(psi.basis.dim, mask))), psi)
 
 
 def _lanczos(matvec, v: np.ndarray, m: int):
@@ -263,7 +250,8 @@ def evolve(
     hamiltonian_label: str = "",
     initial_state_label: str = "",
 ) -> Trajectory:
-    """Evolve psi0 under exp(-i*2*pi*H*t) and record observables on the grid.
+    """Evolve psi0 under exp(-i*2*pi*H*t) and record observables on the grid;
+    with ``leakage_mask``, also <Q> off the mask as ``Trajectory.leakage``.
 
     Non-Hermitian generators are refused; project them onto an invariant
     subspace first.  Non-finite expectations or norms, norm drift beyond 1e-9
@@ -276,21 +264,20 @@ def evolve(
         raise ValueError(f"Hamiltonian dim {h.dim} does not match state dim {psi0.basis.dim}")
     for name, op in observables.items():
         _check_observable(op, h.dim, f"observable {name!r}")
-    outside = None if leakage_mask is None else _outside_weights(h.dim, leakage_mask)
+    recorded = dict(observables)
+    if leakage_mask is not None:  # Q under a key that names no observable
+        recorded[None] = SparseOperator.from_matrix(sp.diags(outside(h.dim, leakage_mask)))
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
     blocks = _dense_blocks if cfg.resolve_method(h.dim) == "dense_eig" else _krylov_blocks
-    values = {name: np.empty(len(times)) for name in observables}
-    leak = None if outside is None else np.empty(len(times))
+    values = {name: np.empty(len(times)) for name in recorded}
     max_imag = max_norm_dev = 0.0
     start = 0
     for cols in blocks(h, psi0.amplitudes, times):
         stop = start + cols.shape[1]
         bras = cols.conj()
-        for name, op in observables.items():
+        for name, op in recorded.items():
             values[name][start:stop], imag = _expect_cols(op.matrix, cols, bras)
             max_imag = max(max_imag, imag)
-        if leak is not None:
-            leak[start:stop] = _outside_cols(cols, outside)
         norms = np.sqrt(np.einsum("ij,ij->j", bras, cols).real)
         dev = float(np.max(np.abs(norms - 1.0)))
         if not dev < NORM_TOL:  # NaN fails too
@@ -299,8 +286,8 @@ def evolve(
         start = stop
     return Trajectory(
         times=times,
+        leakage=values.pop(None, None),
         values=values,
-        leakage=leak,
         max_imag=max_imag,
         max_norm_deviation=max_norm_dev,
         hamiltonian_label=hamiltonian_label,

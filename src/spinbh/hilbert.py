@@ -126,20 +126,26 @@ def named_initial_state(basis: FockBasis, name: str, sector: str = "boson") -> S
     raise ValueError(f"unknown initial state {name!r}; expected one of {NAMED_STATES}")
 
 
+def site_offsets(d: int, sites, levels: int | None = None) -> np.ndarray:
+    """Full-space index of every joint occupation below ``levels`` (default d)
+    of ``sites`` (others empty), the first site varying fastest."""
+    offsets = np.zeros(1, dtype=np.int64)
+    for site in sites:
+        offsets = (offsets + d**site * np.arange(levels or d, dtype=np.int64)[:, None]).ravel()
+    return offsets
+
+
 def physical_mask(basis: FockBasis) -> np.ndarray:
     """Indices of all hard-core states (every occupation <= 1), in an order
     matching the d=2 bit convention so entry m corresponds to spin index m."""
-    d, n = basis.local_dim, basis.n_sites
-    if d == 2:
-        return np.arange(basis.dim, dtype=np.int64)
-    sites = np.arange(n, dtype=np.int64)
-    bits = (np.arange(2**n, dtype=np.int64)[:, None] >> sites) & 1
-    return bits @ d**sites
+    return site_offsets(basis.local_dim, range(basis.n_sites), 2)
 
 
-def mask_complement(dim: int, mask) -> np.ndarray:
-    """Indices in [0, dim) outside ``mask``, which must be sorted, unique and in range."""
+def outside(dim: int, mask) -> np.ndarray:
+    """1.0 at every index in [0, dim) outside the sorted, unique ``mask``, else 0.0."""
     mask = np.asarray(mask, dtype=np.int64)
     if mask.ndim != 1 or np.any(mask < 0) or np.any(mask >= dim) or np.any(np.diff(mask) <= 0):
         raise ValueError("mask must be sorted, unique, and within range")
-    return np.setdiff1d(np.arange(dim, dtype=np.int64), mask, assume_unique=True)
+    indicator = np.ones(dim)
+    indicator[mask] = 0.0
+    return indicator

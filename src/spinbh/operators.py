@@ -5,12 +5,14 @@ site-local d x d factors.  Factors apply right to left, exactly as
 composition of linear maps; several may sit on one site, and no
 normal-ordering rewrites are performed.
 
-``assemble`` multiplies each term's factors into a small dense block on the
-term's sorted site support, sums the blocks that share a support, and
-scatters each distinct support into the full space once by index
-arithmetic: block entry (r, c) lands at (rest + offset[r], rest + offset[c])
-for every full index ``rest`` that is empty on the support, where ``offset``
-places the block digits at the support sites (first site least significant).
+``assemble`` multiplies each term's factors site by site (factors on
+different sites commute), takes the Kronecker product of the per-site
+products as a small dense block on the term's sorted site support, sums the
+blocks that share a support, and scatters each distinct support into the
+full space once by index arithmetic: block entry (r, c) lands at
+(rest + offset[r], rest + offset[c]) for every full index ``rest`` that is
+empty on the support, where ``offset`` places the block digits at the
+support sites (first site least significant).
 
 ``hardcore_touching=True`` (for ``verify``) keeps only the entries whose row
 or column is hard-core (every occupation <= 1): ``rest`` ranges over {0, 1}
@@ -27,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidSpecError
-from .hilbert import FockBasis
+from .hilbert import FockBasis, site_offsets
 from .model import SpinModelSpec
 
 if TYPE_CHECKING:
@@ -36,6 +38,7 @@ if TYPE_CHECKING:
 DROP_THRESHOLD = 1e-15
 HERMITIAN_TOL = 1e-12
 MAX_SPIN_SITES = 24
+MAX_CUTOFF = 64  # a pair term's dense d**4 block stays within 268 MB
 VARIANTS = ("simplified", "full")
 
 
@@ -87,8 +90,8 @@ class LocalOperatorSet:
 
 def local_ops(local_dim: int) -> LocalOperatorSet:
     d = local_dim
-    if d < 2:
-        raise ValueError("local dimension must be >= 2")
+    if not 2 <= d <= MAX_CUTOFF:
+        raise ValueError(f"local dimension must be in [2, {MAX_CUTOFF}], got {d}")
     a = np.zeros((d, d), dtype=complex)
     for k in range(1, d):
         a[k - 1, k] = np.sqrt(k)
@@ -102,42 +105,34 @@ def local_ops(local_dim: int) -> LocalOperatorSet:
                             hp_sp=hp_sp, hp_sm=hp_sm, hp_sz=hp_sz)
 
 
-def _site_offsets(d: int, sites, levels: int | None = None) -> np.ndarray:
-    """Full-space index of every joint occupation below ``levels`` (default d)
-    of ``sites`` (others empty), the first site varying fastest."""
-    offsets = np.zeros(1, dtype=np.int64)
-    for site in sites:
-        offsets = (offsets + d**site * np.arange(levels or d, dtype=np.int64)[:, None]).ravel()
-    return offsets
-
-
 def assemble(basis: FockBasis, terms, *, hardcore_touching: bool = False) -> SparseOperator:
     """Sum of ``coeff * factor_1 @ factor_2 @ ...`` over ``terms``; with
     ``hardcore_touching`` only its entries in a hard-core row or column."""
     d, n_sites = basis.local_dim, basis.n_sites
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     for coeff, factors in terms:
-        support = tuple(sorted({site for site, _ in factors}))
-        block = np.eye(d ** len(support), dtype=complex)
+        per_site: dict[int, np.ndarray] = {}  # factors on different sites commute
         for site, local in factors:
             local = np.asarray(local, dtype=complex)
             if local.shape != (d, d):
                 raise ValueError(f"local operator must be {d}x{d}, got {local.shape}")
             if not 0 <= site < n_sites:
                 raise ValueError(f"site {site} outside [0, {n_sites})")
-            pos = support.index(site)
-            high, low = np.eye(d ** (len(support) - pos - 1)), np.eye(d**pos)
-            block = block @ np.kron(high, np.kron(local, low))
+            per_site[site] = per_site[site] @ local if site in per_site else local
+        support = tuple(sorted(per_site))
+        block = np.ones((1, 1), dtype=complex)
+        for site in support:  # the first site ends up least significant
+            block = np.kron(per_site[site], block)
         blocks[support] = coeff * block + blocks.get(support, 0.0)
     # One sparse addition per support keeps the peak near the final nnz.
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     levels = 2 if hardcore_touching else d
     for support, block in blocks.items():
-        rest = _site_offsets(d, [s for s in range(n_sites) if s not in support], levels)[:, None]
-        offsets = _site_offsets(d, support)
+        rest = site_offsets(d, [s for s in range(n_sites) if s not in support], levels)[:, None]
+        offsets = site_offsets(d, support)
         r, c = np.nonzero(block)
         if hardcore_touching:
-            hard = np.isin(np.arange(len(block)), _site_offsets(d, range(len(support)), 2))
+            hard = np.isin(np.arange(len(block)), site_offsets(d, range(len(support)), 2))
             keep = hard[r] | hard[c]
             r, c = r[keep], c[keep]
         data = np.broadcast_to(block[r, c], (rest.size, r.size)).ravel()

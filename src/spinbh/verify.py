@@ -5,7 +5,8 @@ Encoded Hamiltonians may differ from the spin model by a multiple of the
 identity (constant terms are dropped at different stages of different
 constructions), so matrix comparisons first fit a scalar offset by trace
 matching, which is the least-squares optimal choice.  The comparison reads
-only P H P and Q H P, so it takes a ``hardcore_touching`` build (see
+only P H P and Q H P (stored entries whose row ``hilbert.outside`` marks and
+whose column it does not), so it takes a ``hardcore_touching`` build (see
 ``operators``), over whose entries ``hermiticity_boson`` is then measured.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import Trajectory
-from .hilbert import mask_complement
+from .hilbert import outside
 from .operators import SparseOperator, hermiticity_deviation
 
 
@@ -58,15 +59,12 @@ def project(op: SparseOperator, mask) -> tuple[SparseOperator, float]:
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("mask must not be empty")
-    comp = mask_complement(op.dim, mask)
+    out = outside(op.dim, mask)
     csr = op.matrix
-    php = csr[mask][:, mask]
-    if comp.size:
-        qhp = csr[comp][:, mask]
-        coupling = float(np.max(np.abs(qhp.data))) if qhp.nnz else 0.0
-    else:
-        coupling = 0.0
-    return SparseOperator.from_matrix(php), coupling
+    # a stored entry is in Q H P when its row is outside the mask (1) and its column inside (0)
+    in_qhp = np.repeat(out, np.diff(csr.indptr)) > out[csr.indices]
+    coupling = float(np.max(np.abs(csr.data[in_qhp]), initial=0.0))
+    return SparseOperator.from_matrix(csr[mask][:, mask]), coupling
 
 
 def compare_projected(h_boson: SparseOperator, h_spin: SparseOperator, mask) -> EquivalenceReport:

@@ -256,6 +256,23 @@ def test_validation_error_oversized_basis(tmp_path, capsys, kind, n_sites, cutof
     assert not (tmp_path / "o").exists()
 
 
+# both pass every other check; unchecked, numpy raises MemoryError for the
+# grid and ValueError ("array is too big") for the local operators
+@pytest.mark.parametrize("data, message", [
+    pytest.param({"model": {"n_sites": 2, **SPIN_KEYS}, "evolution": {"n_steps": 10**15},
+                  "experiment": {"kind": "spin"}}, "n_steps must be in [2, 1000000]",
+                 id="grid"),
+    pytest.param({"model": {"n_sites": 1, **SPIN_KEYS},
+                  "experiment": {"kind": "boson", "cutoff": 10**9, "initial_state": "neel"}},
+                 "limit of 64 levels", id="cutoff"),
+])
+def test_validation_error_grid_or_cutoff_beyond_the_limit(tmp_path, capsys, data, message):
+    path = write(tmp_path, "big.json", json.dumps(data))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("j", None), ("n_sites", [2]), ("n_sites", 2.7), ("j", True),
 ])

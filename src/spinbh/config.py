@@ -23,6 +23,13 @@ from .operators import MAX_CUTOFF, MAX_SPIN_SITES, OBSERVABLE_NAMES, VARIANTS
 KINDS = ("spin", "boson", "jja", "compare", "design", "verify")
 ENCODINGS = ("ebh", "jja")
 
+# Peak memory a run may plan for, estimated before anything is built.  Measured
+# peaks: about 1.5 KB per state for an evolving run; for a verify about 30 B per
+# boson state plus about 1 KB per spin state (the spin and hard-core builds).
+MAX_RUN_BYTES = 4 * 2**30
+BYTES_PER_STATE = 2048
+VERIFY_BYTES_PER_BOSON_STATE = 64
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -232,7 +239,24 @@ def validate_config(cfg: ExperimentConfig) -> list[Violation]:
             err("design requires model key e_c")
         if cfg.match_field and cfg.fieldstrength is None and cfg.e_j is None:
             err("design needs either a target field h or an anchored e_j")
+    # the size checks above passed, so no power formed here is large
+    if not report and cfg.kind != "design":
+        need = _run_bytes(cfg)
+        if need > MAX_RUN_BYTES:
+            err(f"estimated peak memory {need / 2**30:.3g} GiB exceeds the "
+                f"budget of {MAX_RUN_BYTES // 2**30} GiB")
     return report
+
+
+def _run_bytes(cfg: ExperimentConfig) -> int:
+    """Bytes per state times states, for the side of the run that needs more."""
+    spin = BYTES_PER_STATE * 2**cfg.n_sites
+    if cfg.kind == "spin":
+        return spin
+    boson_states = cfg.cutoff**cfg.n_sites
+    if cfg.kind == "verify":
+        return max(spin, VERIFY_BYTES_PER_BOSON_STATE * boson_states)
+    return BYTES_PER_STATE * boson_states  # boson, jja and compare: cutoff >= 2
 
 
 PRESETS: dict[str, dict] = {

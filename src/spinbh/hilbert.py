@@ -47,15 +47,6 @@ class FockBasis:
             idx = idx * self.local_dim + n
         return idx
 
-    def occupations_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside [0, {self.dim})")
-        occ = []
-        for _ in range(self.n_sites):
-            index, n = divmod(index, self.local_dim)
-            occ.append(n)
-        return tuple(occ)
-
 
 @dataclass
 class StateVector:
@@ -69,9 +60,6 @@ class StateVector:
         if amp.shape != (self.basis.dim,):
             raise ValueError(f"amplitude length {amp.shape} does not match dim {self.basis.dim}")
         self.amplitudes = amp
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def basis_state(basis: FockBasis, occupations) -> StateVector:

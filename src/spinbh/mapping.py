@@ -261,8 +261,8 @@ def design_circuit(
     return replace(circuit, e_coup=exact_couplings(circuit))
 
 
-def parameter_sheet(circuit: CircuitSpec, precision: int = 12) -> str:
-    """One-row CSV sheet of the design, bulk values first, edge field last.
+def parameter_sheet(circuit: CircuitSpec) -> dict[str, float]:
+    """The design as ``{column: value}``, bulk values first, edge field last.
 
     Columns mirror the usual tabulation (E_C, E_J, E_L, E_coup, E'_J, omega,
     T, delta_omega, Delta) and append the hopping, both coupling-energy
@@ -274,11 +274,7 @@ def parameter_sheet(circuit: CircuitSpec, precision: int = 12) -> str:
     bulk = n // 2  # interior site/link for n >= 3, best available otherwise
     link = min(max(bulk, 1), n - 1) if n > 1 else 0
     e_l = params.e_l
-
-    def fmt(x: float) -> str:
-        return format(x, f".{precision}g")
-
-    header = [
+    columns = [
         "E_C_MHz", "E_J_MHz", "E_L_MHz", "E_coup_MHz", "Eprime_J_MHz",
         "omega_MHz", "T_MHz", "delta_omega_MHz", "Delta_MHz",
         "t_MHz", "Tprime_MHz", "E_coup_simplified_MHz",
@@ -299,4 +295,4 @@ def parameter_sheet(circuit: CircuitSpec, precision: int = 12) -> str:
         values = [circuit.e_c[0], circuit.e_j[0], e_l[0], 0.0, circuit.eprime_j[0],
                   params.omega[0], 0.0, params.delta_omega[0], 0.0, 0.0, 0.0, 0.0,
                   0.0, spin.fields[0], spin.fields[0]]
-    return ",".join(header) + "\n" + ",".join(fmt(v) for v in values) + "\n"
+    return dict(zip(columns, values))

@@ -8,6 +8,8 @@ matching, which is the least-squares optimal choice.  The comparison reads
 only P H P and Q H P (stored entries whose row ``hilbert.outside`` marks and
 whose column it does not), so it takes a ``hardcore_touching`` build (see
 ``operators``), over whose entries ``hermiticity_boson`` is then measured.
+
+Results are returned as values; rendering them as text is the command line's job.
 """
 
 from __future__ import annotations
@@ -24,33 +26,18 @@ from .operators import SparseOperator, hermiticity_deviation
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Result of comparing a projected boson Hamiltonian with a spin one."""
+    """Result of comparing a projected boson Hamiltonian with a spin one; the
+    fields are in the order the command line writes them."""
 
+    n_sites: int
+    local_dim: int
+    physical_dim: int
     offset_mhz: float
     residual_max: float
     residual_frobenius: float
     coupling_norm: float  # largest |<q|H_boson|p>| out of the projected subspace
     hermiticity_boson: float
     hermiticity_spin: float
-    n_sites: int
-    local_dim: int
-    physical_dim: int
-
-    def lines(self, precision: int = 12) -> list[str]:
-        def fmt(x):
-            return format(x, f".{precision}g")
-
-        return [
-            f"n_sites = {self.n_sites}",
-            f"local_dim = {self.local_dim}",
-            f"physical_dim = {self.physical_dim}",
-            f"offset_mhz = {fmt(self.offset_mhz)}",
-            f"residual_max = {fmt(self.residual_max)}",
-            f"residual_frobenius = {fmt(self.residual_frobenius)}",
-            f"coupling_norm = {fmt(self.coupling_norm)}",
-            f"hermiticity_boson = {fmt(self.hermiticity_boson)}",
-            f"hermiticity_spin = {fmt(self.hermiticity_spin)}",
-        ]
 
 
 def project(op: SparseOperator, mask) -> tuple[SparseOperator, float]:

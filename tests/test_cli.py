@@ -273,6 +273,18 @@ def test_validation_error_grid_or_cutoff_beyond_the_limit(tmp_path, capsys, data
     assert not (tmp_path / "o").exists()
 
 
+# both pass the basis-size checks, yet the initial state alone would be 17-19 GB
+@pytest.mark.parametrize("n_sites, cutoff", [(5, 64), (19, 3)])
+def test_validation_error_run_beyond_the_memory_budget(tmp_path, capsys, n_sites, cutoff):
+    data = {"model": {"n_sites": n_sites, **SPIN_KEYS},
+            "experiment": {"kind": "boson", "cutoff": cutoff, "initial_state": "neel"}}
+    path = write(tmp_path, "big.json", json.dumps(data))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "estimated peak memory" in err and "budget of 4 GiB" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("j", None), ("n_sites", [2]), ("n_sites", 2.7), ("j", True),
 ])
@@ -579,3 +591,76 @@ def test_emit_plotdata_empty_warns(tmp_path, capsys):
     written = emit_plotdata(str(tmp_path), [])
     assert written == []
     assert "warning" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- output format
+
+def test_write_table_streams_rows(tmp_path):
+    import tracemalloc
+
+    from spinbh.cli import _write_table
+
+    columns = np.random.default_rng(0).standard_normal((5, 200_000))
+    tracemalloc.start()
+    try:
+        _write_table(tmp_path / "t.csv", ["a", "b", "c", "d", "e"], zip(*columns), 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 200_001
+
+
+@pytest.mark.parametrize("precision", [1, 5, 17])
+def test_write_table_formats_floats_only(tmp_path, precision):
+    from spinbh.cli import _write_table
+
+    row = ["sz1", 7, 0.1, np.float64(-2.5e-7), -0.0, math.nan, math.inf]
+    _write_table(tmp_path / "t.csv", None, [row], precision)
+    spec = f".{precision}g"
+    expected = ["sz1", "7", *(format(x, spec) for x in row[2:])]
+    assert (tmp_path / "t.csv").read_text() == ",".join(expected) + "\n"
+
+
+def test_write_table_round_trips_floats_at_precision_17(tmp_path):
+    from spinbh.cli import _write_table
+
+    rng = np.random.default_rng(1)
+    values = rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000)
+    values = np.append(values, [1 / 3, 5e-324, np.finfo(float).max, -0.0])
+    _write_table(tmp_path / "t.dat", None, zip(values), 17)
+    parsed = np.array([float(x) for x in (tmp_path / "t.dat").read_text().split()])
+    assert np.array_equal(parsed, values) and np.array_equal(np.signbit(parsed), np.signbit(values))
+
+
+def test_verify_report_at_precision_one(tmp_path):
+    out = tmp_path / "ver"
+    path = write(tmp_path, "verify.ini", verify_ini("full", 4, 3) + "\n[output]\nprecision = 1\n")
+    assert run_cli(["run", path, "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    entries = dict(line.split(" = ")
+                   for line in (out / "equivalence_report.txt").read_text().splitlines())
+    assert (entries["n_sites"], entries["local_dim"], entries["physical_dim"]) == ("4", "3", "16")
+    floats = [v for k, v in entries.items() if k not in ("n_sites", "local_dim", "physical_dim")]
+    assert any(float(v) != 0.0 for v in floats)
+    for v in floats:
+        assert v == format(float(v), ".1g") and len(v.lstrip("-").split("e")[0]) == 1
+
+
+def test_output_files_keep_their_key_and_column_order(tmp_path):
+    out = tmp_path / "ver"
+    path = write(tmp_path, "verify.ini", verify_ini("ebh", 4, 3))
+    assert run_cli(["run", path, "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    keys = [line.split(" = ")[0]
+            for line in (out / "equivalence_report.txt").read_text().splitlines()]
+    assert keys == ["n_sites", "local_dim", "physical_dim", "offset_mhz", "residual_max",
+                    "residual_frobenius", "coupling_norm", "hermiticity_boson",
+                    "hermiticity_spin"]
+    assert run_cli(["--preset", "table1_design", "--out-dir", str(tmp_path / "d"),
+                    "--quiet"]) == EXIT_OK
+    header = (tmp_path / "d" / "parameter_sheet.csv").read_text().splitlines()[0]
+    assert header.split(",") == [
+        "E_C_MHz", "E_J_MHz", "E_L_MHz", "E_coup_MHz", "Eprime_J_MHz",
+        "omega_MHz", "T_MHz", "delta_omega_MHz", "Delta_MHz",
+        "t_MHz", "Tprime_MHz", "E_coup_simplified_MHz",
+        "J_MHz", "h_bulk_MHz", "h_edge_MHz",
+    ]

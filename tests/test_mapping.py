@@ -203,20 +203,18 @@ def test_simplified_inverse_formula():
 # ------------------------------------------------------- sheet
 
 def test_parameter_sheet_table_row():
-    sheet = parameter_sheet(table_circuit(10))
-    header, row = sheet.strip().split("\n")
-    cells = dict(zip(header.split(","), row.split(",")))
-    assert float(cells["E_C_MHz"]) == 200.0
-    assert float(cells["E_J_MHz"]) == 12500.0
-    assert float(cells["E_L_MHz"]) == 15625.0
-    assert float(cells["Eprime_J_MHz"]) == 1562.5
-    assert float(cells["omega_MHz"]) == 5000.0
-    assert float(cells["T_MHz"]) == 20.0
-    assert float(cells["delta_omega_MHz"]) == -200.0
-    assert float(cells["Delta_MHz"]) == 40.0
-    assert np.isclose(float(cells["E_coup_MHz"]), 18.4, rtol=1e-9)
-    assert np.isclose(float(cells["E_coup_simplified_MHz"]), 20.0, rtol=1e-12)
-    assert np.isclose(float(cells["t_MHz"]), -20.0, rtol=1e-9)
-    assert np.isclose(float(cells["J_MHz"]), 40.0, rtol=1e-12)
-    assert np.isclose(float(cells["h_bulk_MHz"]), 4720.0, rtol=1e-12)
-    assert np.isclose(float(cells["h_edge_MHz"]), 4760.0, rtol=1e-12)
+    cells = parameter_sheet(table_circuit(10))
+    assert cells["E_C_MHz"] == 200.0
+    assert cells["E_J_MHz"] == 12500.0
+    assert cells["E_L_MHz"] == 15625.0
+    assert cells["Eprime_J_MHz"] == 1562.5
+    assert cells["omega_MHz"] == 5000.0
+    assert cells["T_MHz"] == 20.0
+    assert cells["delta_omega_MHz"] == -200.0
+    assert cells["Delta_MHz"] == 40.0
+    assert np.isclose(cells["E_coup_MHz"], 18.4, rtol=1e-9)
+    assert np.isclose(cells["E_coup_simplified_MHz"], 20.0, rtol=1e-12)
+    assert np.isclose(cells["t_MHz"], -20.0, rtol=1e-9)
+    assert np.isclose(cells["J_MHz"], 40.0, rtol=1e-12)
+    assert np.isclose(cells["h_bulk_MHz"], 4720.0, rtol=1e-12)
+    assert np.isclose(cells["h_edge_MHz"], 4760.0, rtol=1e-12)

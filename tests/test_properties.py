@@ -320,6 +320,10 @@ def expected_outputs(experiment):
           "experiment": {"kind": "spin"}})
 @example({"model": {"n_sites": 1, "j": 40.0, "h": 4720.0},
           "experiment": {"kind": "boson", "cutoff": 10**9, "initial_state": "neel"}})
+@example({"model": {"n_sites": 5, "j": 40.0, "h": 4720.0},
+          "experiment": {"kind": "boson", "cutoff": 64, "initial_state": "neel"}})
+@example({"model": {"n_sites": 19, "j": 40.0, "h": 4720.0},
+          "experiment": {"kind": "boson", "cutoff": 3, "initial_state": "neel"}})
 def test_every_config_ends_in_a_documented_exit_code(data):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -136,13 +138,13 @@ def test_compare_projected_rejects_dim_mismatch():
                           physical_mask(basis))
 
 
-def test_report_lines_render():
+def test_report_fields():
     spec = chain_spec(2, 1.0, 0.5)
     basis = FockBasis(2, 3)
     report = compare_projected(build_h_ebh(spec, basis), build_h_spin(spec),
                                physical_mask(basis))
-    text = "\n".join(report.lines())
-    assert "residual_max" in text and "coupling_norm" in text
+    names = [f.name for f in fields(report)]
+    assert "residual_max" in names and "coupling_norm" in names
 
 
 # ---------------------------------------------------------------- trajectories

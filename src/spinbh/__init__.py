@@ -19,7 +19,6 @@ _EXPORTS = {
     "has_errors": "model",
     # hilbert
     "FockBasis": "hilbert",
-    "StateVector": "hilbert",
     "basis_state": "hilbert",
     "product_state": "hilbert",
     "named_initial_state": "hilbert",
@@ -48,8 +47,6 @@ _EXPORTS = {
     "EvolutionConfig": "dynamics",
     "Trajectory": "dynamics",
     "evolve": "dynamics",
-    "expectation": "dynamics",
-    "leakage": "dynamics",
     # verify
     "EquivalenceReport": "verify",
     "TrajectoryDistance": "verify",

@@ -141,7 +141,8 @@ def run_experiment(cfg, quiet: bool = False) -> int:
         h_spin = operators.build_h_spin(spin_spec)
         report = verify.compare_projected(h_boson, h_spin, physical_mask(basis))
         path = os.path.join(cfg.out_dir, "equivalence_report.txt")
-        _write_table(path, None, asdict(report).items(), cfg.precision, sep=" = ")
+        rows = [("n_sites", cfg.n_sites), ("local_dim", cfg.cutoff), *asdict(report).items()]
+        _write_table(path, None, rows, cfg.precision, sep=" = ")
         say(f"wrote {path}")
         say(f"residual_max = {report.residual_max:.3e} MHz, "
             f"coupling_norm = {report.coupling_norm:.3e} MHz")

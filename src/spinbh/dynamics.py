@@ -18,8 +18,8 @@ basis-sized arrays.  When not even the next grid point fits, the window
 halves a substep inside that interval until one fits.
 ``evolve`` records every block in one loop on the full-space columns, so
 observables that couple blocks keep their cross-block coherences; leakage is
-one more of them, <Q> of the diagonal projector Q off the mask.  The public
-``expectation`` and ``leakage`` apply the same column helper to one column.
+one more of them, <Q> of the diagonal projector Q off the mask, unless Q
+stores no entry and the leakage is exactly zero.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import HermiticityError, NumericalError
-from .hilbert import StateVector, outside
+from .hilbert import outside
 from .operators import SparseOperator
 
 TWO_PI = 2.0 * np.pi
@@ -104,22 +104,6 @@ def _expect_cols(matrix, cols: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray
     if not imag < IMAG_TOL:
         raise NumericalError(f"expectation imaginary part reached {imag:.3e}")
     return raw.real, imag
-
-
-def expectation(op: SparseOperator, psi: StateVector) -> float:
-    """Real part of <psi|O|psi>; the imaginary part must stay below 1e-9."""
-    _check_observable(op, psi.basis.dim, "operator")
-    col = psi.amplitudes[:, None]
-    values, _ = _expect_cols(op.matrix, col, col.conj())
-    return float(values[0])
-
-
-def leakage(psi: StateVector, mask) -> float:
-    """Population outside the sorted, unique index set ``mask``, <psi|Q|psi>: a
-    sum of |psi_q|^2 over the rows Q stores, so it needs no clamp to [0, 1]. It
-    is never negative, exactly 0 for a complete mask (Q stores no row), and
-    above 1 only by the norm drift, which ``evolve`` keeps below 1e-9."""
-    return expectation(SparseOperator.from_matrix(sp.diags(outside(psi.basis.dim, mask))), psi)
 
 
 def _lanczos(matvec, v: np.ndarray, m: int):
@@ -243,15 +227,16 @@ def _dense_blocks(h, psi0, times):
 
 def evolve(
     h: SparseOperator,
-    psi0: StateVector,
+    psi0: np.ndarray,
     cfg: EvolutionConfig,
     observables: dict[str, SparseOperator],
     leakage_mask=None,
     hamiltonian_label: str = "",
     initial_state_label: str = "",
 ) -> Trajectory:
-    """Evolve psi0 under exp(-i*2*pi*H*t) and record observables on the grid;
-    with ``leakage_mask``, also <Q> off the mask as ``Trajectory.leakage``.
+    """Evolve psi0, a complex array of length ``h.dim``, under exp(-i*2*pi*H*t)
+    and record observables on the grid; with ``leakage_mask``, also <Q> off
+    the mask as ``Trajectory.leakage``.
 
     Non-Hermitian generators are refused; project them onto an invariant
     subspace first.  Non-finite expectations or norms, norm drift beyond 1e-9
@@ -260,19 +245,25 @@ def evolve(
     """
     if not h.hermitian:
         raise HermiticityError("evolution requires a Hermitian Hamiltonian")
-    if h.dim != psi0.basis.dim:
-        raise ValueError(f"Hamiltonian dim {h.dim} does not match state dim {psi0.basis.dim}")
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (h.dim,):
+        raise ValueError(f"state shape {psi0.shape} does not match Hamiltonian dim {h.dim}")
     for name, op in observables.items():
         _check_observable(op, h.dim, f"observable {name!r}")
-    recorded = dict(observables)
-    if leakage_mask is not None:  # Q under a key that names no observable
-        recorded[None] = SparseOperator.from_matrix(sp.diags(outside(h.dim, leakage_mask)))
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
+    recorded = dict(observables)
+    leak = None
+    if leakage_mask is not None:
+        q = outside(h.dim, leakage_mask)
+        if q.any():  # Q under a key that names no observable
+            recorded[None] = SparseOperator.from_matrix(sp.diags(q))
+        else:  # a complete mask: nothing can leave it
+            leak = np.zeros(len(times))
     blocks = _dense_blocks if cfg.resolve_method(h.dim) == "dense_eig" else _krylov_blocks
     values = {name: np.empty(len(times)) for name in recorded}
     max_imag = max_norm_dev = 0.0
     start = 0
-    for cols in blocks(h, psi0.amplitudes, times):
+    for cols in blocks(h, psi0, times):
         stop = start + cols.shape[1]
         bras = cols.conj()
         for name, op in recorded.items():
@@ -286,7 +277,7 @@ def evolve(
         start = stop
     return Trajectory(
         times=times,
-        leakage=values.pop(None, None),
+        leakage=values.pop(None, leak),
         values=values,
         max_imag=max_imag,
         max_norm_deviation=max_norm_dev,

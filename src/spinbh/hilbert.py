@@ -2,12 +2,13 @@
 
 Site 0 is the least significant digit: a Fock state with occupations
 (n_0, ..., n_{N-1}) sits at index sum_j n_j * d**j.  For local dimension 2
-this is the usual spin bit convention with occupation 1 = spin up.
+this is the usual spin bit convention with occupation 1 = spin up.  A state
+is its complex amplitude array of length d**N, indexed the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,27 +49,13 @@ class FockBasis:
         return idx
 
 
-@dataclass
-class StateVector:
-    """Dense complex amplitudes over a FockBasis; unit norm by construction."""
-
-    basis: FockBasis
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.basis.dim,):
-            raise ValueError(f"amplitude length {amp.shape} does not match dim {self.basis.dim}")
-        self.amplitudes = amp
-
-
-def basis_state(basis: FockBasis, occupations) -> StateVector:
+def basis_state(basis: FockBasis, occupations) -> np.ndarray:
     amp = np.zeros(basis.dim, dtype=complex)
     amp[basis.index_of(occupations)] = 1.0
-    return StateVector(basis, amp)
+    return amp
 
 
-def product_state(basis: FockBasis, local_kets) -> StateVector:
+def product_state(basis: FockBasis, local_kets) -> np.ndarray:
     """Normalized tensor product of one length-d ket per site."""
     kets = [np.asarray(k, dtype=complex) for k in local_kets]
     if len(kets) != basis.n_sites:
@@ -82,13 +69,13 @@ def product_state(basis: FockBasis, local_kets) -> StateVector:
     for k in kets:  # site 0 first keeps it the fastest-varying index
         amp = np.kron(k, amp)
     amp /= np.linalg.norm(amp)
-    return StateVector(basis, amp)
+    return amp
 
 
 NAMED_STATES = ("domain_wall", "all_up_x", "neel")
 
 
-def named_initial_state(basis: FockBasis, name: str, sector: str = "boson") -> StateVector:
+def named_initial_state(basis: FockBasis, name: str, sector: str = "boson") -> np.ndarray:
     """Benchmark product states.
 
     domain_wall  first half occupied / spin up, second half empty / down

@@ -9,7 +9,9 @@ only P H P and Q H P (stored entries whose row ``hilbert.outside`` marks and
 whose column it does not), so it takes a ``hardcore_touching`` build (see
 ``operators``), over whose entries ``hermiticity_boson`` is then measured.
 
-Results are returned as values; rendering them as text is the command line's job.
+Results are returned as values; rendering them as text is the command line's
+job.  A report holds only what the comparison measures: the chain length and
+local dimension belong to the caller, who built the bases.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ from .operators import SparseOperator, hermiticity_deviation
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Result of comparing a projected boson Hamiltonian with a spin one; the
-    fields are in the order the command line writes them."""
+    command line writes the fields in this order, after the run's N and d."""
 
-    n_sites: int
-    local_dim: int
     physical_dim: int
     offset_mhz: float
     residual_max: float
@@ -70,18 +70,14 @@ def compare_projected(h_boson: SparseOperator, h_spin: SparseOperator, mask) -> 
         residual_frob = float(np.sqrt(np.sum(np.abs(resid.data) ** 2)))
     else:
         residual_max = residual_frob = 0.0
-    basis_sites = int(round(np.log2(dim)))
-    local_dim = int(round(h_boson.dim ** (1.0 / basis_sites))) if basis_sites else 2
     return EquivalenceReport(
+        physical_dim=dim,
         offset_mhz=offset,
         residual_max=residual_max,
         residual_frobenius=residual_frob,
         coupling_norm=coupling,
         hermiticity_boson=hermiticity_deviation(h_boson.matrix),
         hermiticity_spin=hermiticity_deviation(h_spin.matrix),
-        n_sites=basis_sites,
-        local_dim=local_dim,
-        physical_dim=dim,
     )
 
 

@@ -454,27 +454,25 @@ cutoff = 3
         assert max(leaks) < 1e-12
 
 
-def test_verify_kind_jja(tmp_path):
-    ini = """\
-[model]
-n_sites = 3
-e_c = 200.0
-e_j = 12500.0
-eprime_j = 1562.5
-
-[experiment]
-kind = verify
-encoding = jja
-cutoff = 3
-"""
+@pytest.mark.parametrize("model, n_sites, cutoff", [("jja", 3, 3), ("ebh", 1, 4)],
+                         ids=["jja", "ebh"])
+def test_verify_report_head(tmp_path, model, n_sites, cutoff):
+    # the report's first rows are the run's N and d, then the projected dimension
+    if model == "jja":
+        ini = (f"[model]\nn_sites = {n_sites}\ne_c = 200.0\ne_j = 12500.0\n"
+               f"eprime_j = 1562.5\n\n[experiment]\nkind = verify\nencoding = jja\n"
+               f"cutoff = {cutoff}\n")
+    else:
+        ini = verify_ini(model, n_sites, cutoff)
     out = tmp_path / "ver"
     path = write(tmp_path, "verify.ini", ini)
     assert run_cli(["run", path, "--out-dir", str(out)]) == EXIT_OK
-    text = (out / "equivalence_report.txt").read_text()
-    entries = dict(line.split(" = ") for line in text.splitlines())
+    lines = (out / "equivalence_report.txt").read_text().splitlines()
+    assert lines[:3] == [f"n_sites = {n_sites}", f"local_dim = {cutoff}",
+                         f"physical_dim = {2**n_sites}"]
+    entries = dict(line.split(" = ") for line in lines)
     assert float(entries["residual_max"]) < 1e-9
     assert float(entries["coupling_norm"]) < 1e-9
-    assert int(entries["physical_dim"]) == 8
 
 
 def test_method_override_changes_propagator_not_results(tmp_path):

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import oracles
 from spinbh import dynamics
-from spinbh.dynamics import EvolutionConfig, evolve, expectation, leakage
+from spinbh.dynamics import EvolutionConfig, evolve
 from spinbh.errors import HermiticityError, NumericalError
 from spinbh.hilbert import FockBasis, basis_state, named_initial_state, physical_mask, product_state
 from spinbh.mapping import derive_jja_params
@@ -29,60 +29,89 @@ def cfg(t_max=0.5, n_steps=200, method="auto", **kw):
     return EvolutionConfig(t_max=t_max, n_steps=n_steps, method=method, **kw)
 
 
-# ---------------------------------------------------------------- expectation
+# ---------------------------------------------------------------- values at t = 0
+
+def values_at_zero(psi, observables, leakage_mask=None):
+    """Recorded values at t = 0, under H = 0 so that every time holds psi."""
+    h = SparseOperator.from_matrix(sp.csr_matrix((len(psi), len(psi)), dtype=complex))
+    traj = evolve(h, psi, cfg(n_steps=2, method="krylov"), observables,
+                  leakage_mask=leakage_mask)
+    return {name: series[0] for name, series in traj.values.items()}, traj.leakage
+
 
 def test_expectation_number_offset():
     basis = FockBasis(1, 2)
-    psi = basis_state(basis, [1])
-    assert expectation(observable("sz1", "boson", basis), psi) == 0.5
+    values, _ = values_at_zero(basis_state(basis, [1]), {"sz1": observable("sz1", "boson", basis)})
+    assert values["sz1"] == 0.5
 
 
 def test_expectation_quadrature_plus_state():
     basis = FockBasis(1, 2)
-    psi = product_state(basis, [(1.0, 1.0)])
-    assert np.isclose(expectation(observable("mx", "boson", basis), psi), 0.5)
+    values, _ = values_at_zero(product_state(basis, [(1.0, 1.0)]),
+                               {"mx": observable("mx", "boson", basis)})
+    assert np.isclose(values["mx"], 0.5)
 
 
 def test_expectation_off_diagonal_on_basis_state():
     basis = FockBasis(2, 2)
-    psi = basis_state(basis, [1, 0])
-    assert expectation(observable("cxx", "boson", basis), psi) == 0.0
+    values, _ = values_at_zero(basis_state(basis, [1, 0]),
+                               {"cxx": observable("cxx", "boson", basis)})
+    assert values["cxx"] == 0.0
 
 
 def test_expectation_rejects_non_hermitian():
-    spec = chain_spec(2, 1.0, 0.0)
-    op = build_h_dm(spec, FockBasis(2, 3))
-    psi = basis_state(FockBasis(2, 3), [1, 0])
+    # the Dyson-Maleev generator is not Hermitian, so it cannot be an observable
+    basis = FockBasis(2, 3)
+    dm = build_h_dm(chain_spec(2, 1.0, 0.0), basis)
     with pytest.raises(HermiticityError):
-        expectation(op, psi)
+        values_at_zero(basis_state(basis, [1, 0]), {"dm": dm})
 
 
 def test_expectation_rejects_dim_mismatch():
     with pytest.raises(ValueError):
-        expectation(observable("sz1", "boson", FockBasis(2, 2)),
-                    basis_state(FockBasis(3, 2), [0, 0, 0]))
+        values_at_zero(basis_state(FockBasis(3, 2), [0, 0, 0]),
+                       {"sz1": observable("sz1", "boson", FockBasis(2, 2))})
 
 
 # ---------------------------------------------------------------- leakage
 
-def test_leakage_two_level_basis_is_zero():
-    basis = FockBasis(2, 2)
-    psi = named_initial_state(basis, "neel", "boson")
-    assert leakage(psi, physical_mask(basis)) == 0.0
+def test_leakage_two_level_basis_is_zero(monkeypatch):
+    # at cutoff 2 the hard-core mask is every state, so Q stores no entry and
+    # is never recorded: one column product per observable and block
+    calls = []
+    expect_cols = dynamics._expect_cols
+
+    def spy(*args):
+        calls.append(args[1].shape[1])
+        return expect_cols(*args)
+
+    monkeypatch.setattr(dynamics, "_expect_cols", spy)
+    basis = FockBasis(4, 2)
+    obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx")}
+    for method in ("dense_eig", "krylov"):
+        calls.clear()
+        traj = evolve(build_h_ebh(chain_spec(4, 40.0, 4720.0), basis),
+                      named_initial_state(basis, "all_up_x", "boson"),
+                      cfg(t_max=0.01, n_steps=600, method=method), obs,
+                      leakage_mask=physical_mask(basis))
+        assert sum(calls) == len(obs) * len(traj.times)
+        assert len(calls) % len(obs) == 0 and len(calls) > len(obs)  # several blocks
+        assert traj.leakage.shape == traj.times.shape
+        assert np.all(traj.leakage == 0.0) and not np.signbit(traj.leakage).any()
 
 
 def test_leakage_fully_outside():
     basis = FockBasis(1, 3)
-    psi = basis_state(basis, [2])
-    assert leakage(psi, physical_mask(basis)) == 1.0
+    _, leak = values_at_zero(basis_state(basis, [2]), {}, physical_mask(basis))
+    assert leak[0] == 1.0
 
 
 def test_leakage_half():
     basis = FockBasis(1, 3)
     amp = np.zeros(3, dtype=complex)
     amp[1] = amp[2] = 1 / np.sqrt(2)
-    psi = type(named_initial_state(basis, "neel", "boson"))(basis, amp)
-    assert np.isclose(leakage(psi, physical_mask(basis)), 0.5)
+    _, leak = values_at_zero(amp, {}, physical_mask(basis))
+    assert np.isclose(leak[0], 0.5)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -91,18 +120,19 @@ def test_leakage_is_the_population_outside_a_random_mask(seed):
     basis = FockBasis(5, 3)
     amp = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     amp[rng.random(basis.dim) < 0.5] *= 1e-4  # leave small and large populations
-    psi = type(named_initial_state(basis, "neel", "boson"))(basis, amp / np.linalg.norm(amp))
+    psi = amp / np.linalg.norm(amp)
     inside = rng.random(basis.dim) < 0.3
-    outside = np.sum(np.abs(psi.amplitudes[~inside]) ** 2)
-    assert abs(leakage(psi, np.flatnonzero(inside)) - outside) <= 1e-14
-    assert leakage(psi, np.arange(basis.dim)) == 0.0
+    outside = np.sum(np.abs(psi[~inside]) ** 2)
+    _, leak = values_at_zero(psi, {}, np.flatnonzero(inside))
+    assert abs(leak[0] - outside) <= 1e-14
+    _, leak = values_at_zero(psi, {}, np.arange(basis.dim))
+    assert np.all(leak == 0.0)
 
 
 @pytest.mark.parametrize("mask", [[0, 1, 5], [-1, 0], [1, 0], [0, 0, 1], [[0, 1]]])
 def test_leakage_rejects_invalid_mask(mask):
-    psi = basis_state(FockBasis(1, 3), [0])
     with pytest.raises(ValueError):
-        leakage(psi, mask)
+        values_at_zero(basis_state(FockBasis(1, 3), [0]), {}, mask)
 
 
 # ---------------------------------------------------------------- analytic oracles
@@ -140,7 +170,7 @@ def test_time_zero_matches_static_expectation():
     psi0 = named_initial_state(basis, "all_up_x", "spin")
     obs = observable("mx", "spin", basis)
     traj = evolve(build_h_spin(spec), psi0, cfg(n_steps=5), {"mx": obs})
-    assert np.isclose(traj.values["mx"][0], expectation(obs, psi0), atol=1e-14)
+    assert np.isclose(traj.values["mx"][0], np.vdot(psi0, obs.matrix @ psi0).real, atol=1e-14)
 
 
 def test_against_brute_force_expm():
@@ -152,14 +182,14 @@ def test_against_brute_force_expm():
     c = cfg(t_max=0.2, n_steps=21)
     traj = evolve(h, psi0, c, {"sz1": obs})
     ref = oracles.brute_force_expectation_series(
-        h.dense(), psi0.amplitudes, obs.dense(), traj.times
+        h.dense(), psi0, obs.dense(), traj.times
     )
     assert np.max(np.abs(traj.values["sz1"] - ref)) < 1e-9
 
 
 def expm_multiply_series(h, psi0, obs, t_max, n_steps):
     """Expectations on the linear grid from scipy's truncated-Taylor action."""
-    states = expm_multiply(-2j * np.pi * h.matrix, psi0.amplitudes,
+    states = expm_multiply(-2j * np.pi * h.matrix, psi0,
                            start=0.0, stop=t_max, num=n_steps, endpoint=True)
     return {name: np.einsum("ti,ti->t", states.conj(), (op.matrix @ states.T).T).real
             for name, op in obs.items()}
@@ -218,7 +248,7 @@ def test_leakage_series_matches_expm_population_outside_the_hard_core_states(sta
                             p.delta_tilde, "full")
     off = np.ones(basis.dim, dtype=bool)
     off[oracles.dense_physical_mask(n, d)] = False
-    ref = [np.sum(np.abs(sla.expm(-2j * np.pi * h * t) @ psi0.amplitudes)[off] ** 2)
+    ref = [np.sum(np.abs(sla.expm(-2j * np.pi * h * t) @ psi0)[off] ** 2)
            for t in traj.times]
     assert np.max(np.abs(traj.leakage - ref)) <= 1e-10
     assert np.max(traj.leakage) > 1e-3
@@ -302,7 +332,7 @@ def test_total_sz_conserved():
                          ids=["dense_eig", "krylov"])
 def test_time_reversal_returns_initial_state(blocks):
     h = build_h_spin(chain_spec(4, 3.0, 1.0))
-    psi0 = named_initial_state(FockBasis(4, 2), "neel", "spin").amplitudes
+    psi0 = named_initial_state(FockBasis(4, 2), "neel", "spin")
     times = np.linspace(0.0, 0.4, 41)
     psi_t = np.hstack(list(blocks(h, psi0, times)))[:, -1]
     minus_h = SparseOperator.from_matrix(-h.matrix)
@@ -348,6 +378,26 @@ def test_evolve_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         evolve(build_h_spin(spec), named_initial_state(FockBasis(3, 2), "neel", "spin"),
                cfg(), {})
+
+
+def test_evolve_accepts_the_array_named_initial_state_returns():
+    spec = chain_spec(2, 1.0, 0.0)
+    basis = FockBasis(2, 2)
+    psi0 = named_initial_state(basis, "all_up_x", "spin")
+    obs = {"mx": observable("mx", "spin", basis)}
+    traj = evolve(build_h_spin(spec), psi0, cfg(n_steps=3), obs)
+    assert traj.values["mx"][0] == pytest.approx(0.5, abs=1e-14)
+    from_list = evolve(build_h_spin(spec), psi0.tolist(), cfg(n_steps=3), obs)
+    assert np.array_equal(from_list.values["mx"], traj.values["mx"])
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (1, 4), (2, 2)], ids=["column", "row", "square"])
+def test_evolve_rejects_a_state_that_is_not_one_dimensional(shape):
+    spec = chain_spec(2, 1.0, 0.0)
+    psi0 = np.zeros(shape, dtype=complex)
+    psi0.flat[0] = 1.0
+    with pytest.raises(ValueError, match="shape"):
+        evolve(build_h_spin(spec), psi0, cfg(), {})
 
 
 def test_evolve_rejects_invalid_leakage_mask():
@@ -404,7 +454,7 @@ def test_krylov_windows_restart_and_halve_within_the_column_cap(monkeypatch):
     spec = SpinModelSpec(n, tuple((j, j + 1, rng.uniform(10.0, 60.0)) for j in range(n - 1)),
                          tuple(rng.uniform(-30.0, 30.0, n)))
     h = build_h_spin(spec)
-    psi0 = named_initial_state(FockBasis(n, 2), "all_up_x", "spin").amplitudes
+    psi0 = named_initial_state(FockBasis(n, 2), "all_up_x", "spin")
     # 40 short intervals take two windows; the last, long one takes halved substeps
     times = np.append(np.linspace(0.0, 4e-4, 41), 2e-3)
     events = []  # "basis" per Lanczos basis, the column count per block
@@ -496,7 +546,7 @@ def test_dense_blocks_match_full_eigh_on_random_chains(n, d, seed, long_range, s
     if state == "random":
         psi0 = random_sparse_state(rng, basis.dim, int(rng.integers(1, 6)))
     else:
-        psi0 = named_initial_state(basis, state, "boson").amplitudes
+        psi0 = named_initial_state(basis, state, "boson")
     times = np.linspace(0.0, 0.05, 7)
     cols = dense_columns(h, psi0, times)
     assert np.max(np.abs(cols - full_eigh_columns(ref_h, psi0, times))) < 1e-9
@@ -511,14 +561,14 @@ def test_dense_blocks_on_a_chain_cut_by_a_zero_link(eigh_shapes):
     h, ref_h = chain_and_oracle(n, 2, edges, fields)
     basis = FockBasis(n, 2)
     times = np.linspace(0.0, 0.1, 11)
-    psi0 = named_initial_state(basis, "all_up_x", "spin").amplitudes
+    psi0 = named_initial_state(basis, "all_up_x", "spin")
     cols = dense_columns(h, psi0, times)
     assert np.max(np.abs(cols - full_eigh_columns(ref_h, psi0, times))) < 1e-9
     sizes = sorted(shape[0] for shape in eigh_shapes)
     assert sizes == sorted(math.comb(3, a) * math.comb(3, b) for a in range(4) for b in range(4))
     # domain_wall: left half full, right half empty, so one 1-state block
     eigh_shapes.clear()
-    psi0 = named_initial_state(basis, "domain_wall", "spin").amplitudes
+    psi0 = named_initial_state(basis, "domain_wall", "spin")
     cols = dense_columns(h, psi0, times)
     assert eigh_shapes == [(1, 1)]
     assert np.allclose(np.abs(cols), np.abs(psi0)[:, None], atol=1e-14)
@@ -529,7 +579,7 @@ def test_dense_blocks_of_a_diagonal_hamiltonian(eigh_shapes):
     n = 4
     fields = (5.0, -3.0, 2.0, 7.5)
     h = build_h_spin(SpinModelSpec(n, tuple((j, j + 1, 0.0) for j in range(n - 1)), fields))
-    psi0 = named_initial_state(FockBasis(n, 2), "all_up_x", "spin").amplitudes
+    psi0 = named_initial_state(FockBasis(n, 2), "all_up_x", "spin")
     times = np.linspace(0.0, 0.2, 9)
     cols = dense_columns(h, psi0, times)
     energies = h.matrix.diagonal().real
@@ -570,7 +620,7 @@ def test_dense_blocks_keep_cross_sector_coherences(d):
     obs = {name: observable(name, sector, basis) for name in ("mx", "cxx")}
     traj = evolve(h, psi0, cfg(t_max=0.05, n_steps=9, method="dense_eig"), obs)
     for name, op in obs.items():
-        ref = oracles.brute_force_expectation_series(ref_h, psi0.amplitudes, op.dense(),
+        ref = oracles.brute_force_expectation_series(ref_h, psi0, op.dense(),
                                                      traj.times)
         assert np.max(np.abs(traj.values[name] - ref)) < 1e-9
         assert np.max(np.abs(traj.values[name])) > 0.1
@@ -601,5 +651,5 @@ def test_forced_dense_cutoff3_chain_of_ten_matches_krylov():
     assert np.all(runs["dense_eig"].leakage == 0.0)
     # full-length chunks shrink past DENSE_DIM_LIMIT, so memory stays bounded
     times = np.linspace(0.0, t_max, 80)
-    widths = [cols.shape[1] for cols in dynamics._dense_blocks(h, psi0.amplitudes, times)]
+    widths = [cols.shape[1] for cols in dynamics._dense_blocks(h, psi0, times)]
     assert sum(widths) == 80 and max(widths) * basis.dim <= dynamics._CHUNK_ENTRIES

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinbh.hilbert import (
+    NAMED_STATES,
     FockBasis,
     basis_state,
     named_initial_state,
@@ -45,7 +46,7 @@ def test_basis_rejects_overflow():
 
 def test_product_state_single_site():
     psi = product_state(FockBasis(1, 2), [(1.0, 1.0)])
-    assert np.allclose(psi.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    assert np.allclose(psi, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_product_state_two_sites_basis_vector():
@@ -53,7 +54,7 @@ def test_product_state_two_sites_basis_vector():
     psi = product_state(basis, [(1.0, 0.0), (0.0, 1.0)])
     expected = np.zeros(4)
     expected[basis.index_of([0, 1])] = 1.0
-    assert np.allclose(psi.amplitudes, expected)
+    assert np.allclose(psi, expected)
 
 
 def test_product_state_embedded_superposition():
@@ -61,7 +62,7 @@ def test_product_state_embedded_superposition():
     psi = product_state(basis, [(1.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
     expected = np.zeros(9)
     expected[0] = expected[1] = 1 / np.sqrt(2)
-    assert np.allclose(psi.amplitudes, expected)
+    assert np.allclose(psi, expected)
 
 
 def test_product_state_rejects_zero_ket():
@@ -72,7 +73,7 @@ def test_product_state_rejects_zero_ket():
 def test_domain_wall_two_sites():
     basis = FockBasis(2, 2)
     psi = named_initial_state(basis, "domain_wall", "boson")
-    assert psi.amplitudes[basis.index_of([1, 0])] == 1.0
+    assert psi[basis.index_of([1, 0])] == 1.0
 
 
 def test_domain_wall_needs_even_chain():
@@ -84,12 +85,12 @@ def test_neel_spin_two_sites():
     basis = FockBasis(2, 2)
     psi = named_initial_state(basis, "neel", "spin")
     # up at site 0, down at site 1 <-> occupations (1, 0)
-    assert psi.amplitudes[basis.index_of([1, 0])] == 1.0
+    assert psi[basis.index_of([1, 0])] == 1.0
 
 
 def test_all_up_x_embeds_at_higher_cutoff():
     psi = named_initial_state(FockBasis(1, 3), "all_up_x", "boson")
-    assert np.allclose(psi.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2), 0.0])
+    assert np.allclose(psi, [1 / np.sqrt(2), 1 / np.sqrt(2), 0.0])
 
 
 def test_spin_sector_requires_two_levels():
@@ -101,7 +102,7 @@ def test_spin_sector_requires_two_levels():
 @pytest.mark.parametrize("d", [2, 3])
 def test_named_states_unit_norm(name, d):
     psi = named_initial_state(FockBasis(4, d), name, "boson")
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["domain_wall", "all_up_x", "neel"])
@@ -111,8 +112,8 @@ def test_boson_and_spin_variants_agree_through_mask(name):
     mask = physical_mask(boson_basis)
     spin_psi = named_initial_state(spin_basis, name, "spin")
     boson_psi = named_initial_state(boson_basis, name, "boson")
-    assert np.allclose(boson_psi.amplitudes[mask], spin_psi.amplitudes)
-    assert np.allclose(np.delete(boson_psi.amplitudes, mask), 0.0)
+    assert np.allclose(boson_psi[mask], spin_psi)
+    assert np.allclose(np.delete(boson_psi, mask), 0.0)
 
 
 def test_physical_mask_identity_for_two_levels():
@@ -139,10 +140,20 @@ def test_physical_mask_size_and_content(n_sites, d):
 def test_basis_state_sets_single_amplitude():
     basis = FockBasis(3, 2)
     psi = basis_state(basis, [0, 1, 1])
-    assert psi.amplitudes[basis.index_of([0, 1, 1])] == 1.0
-    assert np.linalg.norm(psi.amplitudes) == 1.0
+    assert psi[basis.index_of([0, 1, 1])] == 1.0
+    assert np.linalg.norm(psi) == 1.0
 
 
 def test_outside_is_the_indicator_of_the_complement():
     assert outside(5, [1, 3]).tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
     assert not outside(4, physical_mask(FockBasis(2, 2))).any()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_states_are_complex_amplitude_arrays(d):
+    basis = FockBasis(4, d)
+    kets = [np.eye(d)[1]] * 4
+    states = [named_initial_state(basis, name, "boson") for name in NAMED_STATES]
+    states += [basis_state(basis, [1, 0, 1, 0]), product_state(basis, kets)]
+    for psi in states:
+        assert type(psi) is np.ndarray and psi.dtype == complex and psi.shape == (basis.dim,)

@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -24,3 +26,20 @@ def test_dynamics_import_leaves_csgraph_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, spinbh.dynamics; assert 'scipy.sparse.csgraph' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_no_module_level_import_goes_unused():
+    # neither pyflakes nor ruff is a dependency; this is their unused-import rule
+    unused = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(spinbh.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{os.path.basename(path)}: {name}" for name in imported if name not in used]
+    assert not unused

@@ -2,13 +2,14 @@
 
 Energies are ordinary frequencies nu = E/(2*pi*hbar) in MHz and times are in
 us, so MHz * us = 1 and the propagated phase is exp(-i * 2*pi * nu * t).
+H splits into the connected blocks of its sparsity pattern (the symmetry
+sectors, such as fixed particle number, found without naming them), and a
+state never leaves the union S of the blocks psi0 touches.
 Propagators only propagate: each takes (h, psi0, times) and yields blocks of
 state columns, one column per output time, in grid order.  The dense one
-splits H into the connected blocks of its sparsity pattern (the symmetry
-sectors, such as fixed particle number, found without naming them),
-diagonalizes only the blocks the initial state touches, and yields
-full-length columns 512 at a time (fewer past 4096 states, so a column
-block stays within 32 MB; best up to a few thousand states per H block).
+diagonalizes only the blocks psi0 touches and yields columns 512 at a time
+(fewer past 4096 states, so a column block stays within 32 MB; best up to a
+few thousand states per H block).
 The Lanczos one works in windows: one basis of
 ``KRYLOV_DIM`` vectors, built at the last accepted time, serves every
 following grid point whose error bound (Expokit's a-posteriori bound,
@@ -16,10 +17,12 @@ evaluated for many times at once) is within ``STEP_TOLERANCE``.  A block
 never holds more than ``KRYLOV_DIM`` columns, so memory stays at two
 basis-sized arrays.  When not even the next grid point fits, the window
 halves a substep inside that interval until one fits.
-``evolve`` records every block in one loop on the full-space columns, so
-observables that couple blocks keep their cross-block coherences; leakage is
-one more of them, <Q> of the diagonal projector Q off the mask, unless Q
-stores no entry and the leakage is exactly zero.
+``evolve`` picks the propagator by |S|, runs the dense one on H, psi0 and
+the observables restricted to S and the Lanczos one on the full space, and
+records every block in one loop, so observables that couple blocks keep
+their cross-block coherences; leakage is one more of them, <Q> of the
+diagonal projector Q off the mask, unless Q stores no entry on the recorded
+states and the leakage is exactly zero.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ class EvolutionConfig:
     """Output grid and propagator choice.
 
     ``n_steps`` counts grid points (at most ``MAX_GRID_POINTS``) on the inclusive grid [0, t_max];
-    ``method`` is one of dense_eig, krylov, auto (dense up to dim 4096).
+    ``method`` is one of dense_eig, krylov, auto (dense up to 4096 states in
+    the blocks of H that the initial state touches).
     """
 
     t_max: float
@@ -196,21 +200,26 @@ def _krylov_blocks(h, psi0, times):
         cur, t0 = vecs.T @ coeffs[:, k], t0 + dts[k]
 
 
+def _components(matrix) -> np.ndarray:
+    """Label of every state's weakly connected component in the sparsity pattern."""
+    from scipy.sparse.csgraph import connected_components  # kept out of the import time
+
+    csr = matrix.tocsr()
+    # the pattern, not the values: a complex-to-real cast would drop imaginary hoppings
+    pattern = sp.csr_matrix((np.ones(len(csr.indices)), csr.indices, csr.indptr), shape=csr.shape)
+    return connected_components(pattern, directed=False)[1]
+
+
 def _dense_blocks(h, psi0, times):
     """Column blocks of up to 512 columns (and ``_CHUNK_ENTRIES`` entries) from
     the spectral decomposition of every connected block of H that psi0 touches.
 
-    The blocks are the weakly connected components of H's sparsity pattern,
-    so any conserved quantity splits H without being named.  A block where
-    psi0 is exactly zero stays zero for all times and is never diagonalized;
-    each column is rebuilt block by block into zeros of the full length.
+    A block where psi0 is exactly zero stays zero for all times and is never
+    diagonalized; each column is rebuilt block by block into zeros of length
+    ``h.dim``.
     """
-    from scipy.sparse.csgraph import connected_components  # kept out of the import time
-
     csr = h.matrix.tocsr()  # sliceable even when h.matrix only forwards attributes
-    # the pattern, not the values: a complex-to-real cast would drop imaginary hoppings
-    pattern = sp.csr_matrix((np.ones(len(csr.indices)), csr.indices, csr.indptr), shape=csr.shape)
-    _, labels = connected_components(pattern, directed=False)
+    labels = _components(csr)
     blocks = []
     for label in np.unique(labels[psi0 != 0]):
         idx = np.flatnonzero(labels == label)
@@ -238,10 +247,14 @@ def evolve(
     and record observables on the grid; with ``leakage_mask``, also <Q> off
     the mask as ``Trajectory.leakage``.
 
+    ``auto`` resolves on |S|, the states of the blocks of H that psi0
+    touches; the dense propagator runs on H, the observables and Q
+    restricted to S, which is exact because every state vanishes off S.
+
     Non-Hermitian generators are refused; project them onto an invariant
-    subspace first.  Non-finite expectations or norms, norm drift beyond 1e-9
-    and expectation imaginary parts beyond 1e-9 raise NumericalError rather
-    than being silently discarded.
+    subspace first.  A psi0 whose norm is not 1, non-finite expectations or
+    norms, norm drift beyond 1e-9 and expectation imaginary parts beyond
+    1e-9 raise NumericalError rather than being silently discarded.
     """
     if not h.hermitian:
         raise HermiticityError("evolution requires a Hermitian Hamiltonian")
@@ -250,24 +263,36 @@ def evolve(
         raise ValueError(f"state shape {psi0.shape} does not match Hamiltonian dim {h.dim}")
     for name, op in observables.items():
         _check_observable(op, h.dim, f"observable {name!r}")
+    q = None if leakage_mask is None else outside(h.dim, leakage_mask)
+    dev = abs(np.linalg.norm(psi0) - 1.0)
+    if not dev < NORM_TOL:  # NaN fails too, and a zero psi0 touches no state
+        raise NumericalError(f"initial state norm is off by {dev:.3e}")
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
-    recorded = dict(observables)
+    labels = _components(h.matrix)
+    support = np.flatnonzero(np.isin(labels, labels[psi0 != 0]))
+    blocks = _krylov_blocks
+    recorded = {name: op.matrix for name, op in observables.items()}
+    if cfg.resolve_method(len(support)) == "dense_eig":
+        blocks = _dense_blocks
+        restrict = lambda m: m.tocsr()[support][:, support]
+        h = SparseOperator(matrix=restrict(h.matrix), hermitian=True)
+        recorded = {name: restrict(m) for name, m in recorded.items()}
+        psi0 = psi0[support]
+        q = None if q is None else q[support]
     leak = None
-    if leakage_mask is not None:
-        q = outside(h.dim, leakage_mask)
+    if q is not None:
         if q.any():  # Q under a key that names no observable
-            recorded[None] = SparseOperator.from_matrix(sp.diags(q))
-        else:  # a complete mask: nothing can leave it
+            recorded[None] = sp.diags(q, format="csr")
+        else:  # nothing recorded can leave the mask
             leak = np.zeros(len(times))
-    blocks = _dense_blocks if cfg.resolve_method(h.dim) == "dense_eig" else _krylov_blocks
     values = {name: np.empty(len(times)) for name in recorded}
     max_imag = max_norm_dev = 0.0
     start = 0
     for cols in blocks(h, psi0, times):
         stop = start + cols.shape[1]
         bras = cols.conj()
-        for name, op in recorded.items():
-            values[name][start:stop], imag = _expect_cols(op.matrix, cols, bras)
+        for name, matrix in recorded.items():
+            values[name][start:stop], imag = _expect_cols(matrix, cols, bras)
             max_imag = max(max_imag, imag)
         norms = np.sqrt(np.einsum("ij,ij->j", bras, cols).real)
         dev = float(np.max(np.abs(norms - 1.0)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -603,6 +604,11 @@ def test_dense_blocks_keep_purely_imaginary_hoppings(eigh_shapes):
     assert np.max(np.abs(cols - full_eigh_columns(m, psi0, times))) < 1e-12
     assert np.max(np.abs(cols[1])) > 0.5
     assert eigh_shapes == [(3, 3)]
+    # evolve finds the touched states from the same pattern
+    n1 = SparseOperator.from_matrix(sp.diags([0.0, 1.0, 0.0, 0.0]))
+    traj = evolve(h, psi0, cfg(t_max=0.3, n_steps=13), {"n1": n1})
+    assert np.max(np.abs(traj.values["n1"] - np.abs(cols[1]) ** 2)) < 1e-12
+    assert eigh_shapes == [(3, 3)] * 2
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -653,3 +659,117 @@ def test_forced_dense_cutoff3_chain_of_ten_matches_krylov():
     times = np.linspace(0.0, t_max, 80)
     widths = [cols.shape[1] for cols in dynamics._dense_blocks(h, psi0, times)]
     assert sum(widths) == 80 and max(widths) * basis.dim <= dynamics._CHUNK_ENTRIES
+
+
+# ---------------------------------------------------------------- touched support
+
+@pytest.mark.parametrize("method", ["dense_eig", "krylov", "auto"])
+@pytest.mark.parametrize("state", ["zero", "nan"])
+def test_a_zero_or_nan_initial_state_raises(state, method):
+    # a zero state touches no block of H; a NaN amplitude touches one
+    basis = FockBasis(4, 3)
+    psi0 = np.zeros(basis.dim, dtype=complex)
+    if state == "nan":
+        psi0 = named_initial_state(basis, "neel", "boson")
+        psi0[7] = np.nan
+    with pytest.raises(NumericalError):
+        evolve(build_h_ebh(chain_spec(4, 40.0, 4720.0), basis), psi0,
+               cfg(t_max=0.01, n_steps=5, method=method),
+               {"sz1": observable("sz1", "boson", basis)}, leakage_mask=physical_mask(basis))
+
+
+def random_cutoff3_hamiltonian(rng, n, model):
+    """An inhomogeneous EBH chain, or a full circuit whose interior links are
+    each off the exact constraint by their own amount, at cutoff 3."""
+    basis = FockBasis(n, 3)
+    if model == "ebh":
+        edges = [(j, j + 1, rng.uniform(-60.0, 60.0)) for j in range(n - 1)]
+        spec = SpinModelSpec(n, tuple(edges), tuple(rng.uniform(-30.0, 30.0, n)))
+        return build_h_ebh(spec, basis)
+    circuit = chain_circuit(n, 200.0, rng.uniform(11000.0, 14000.0), 1562.5, 0.0,
+                            include_boundary=True)
+    e_coup = (0.0, *rng.uniform(5.0, 20.0, n - 1), 0.0)
+    return build_h_jja(derive_jja_params(dataclasses.replace(circuit, e_coup=e_coup)),
+                       basis, "full")
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.integers(3, 6), model=st.sampled_from(["ebh", "jja"]),
+       state=st.sampled_from(["random", "domain_wall", "neel"]), seed=st.integers(0, 2**32 - 1))
+def test_evolve_on_the_touched_states_matches_expm_multiply_on_the_full_space(n, model, state,
+                                                                              seed):
+    # a random sparse start spans several particle-number sectors and
+    # non-hard-core states, so the touched states hold leakage and coherences
+    assume(state != "domain_wall" or n % 2 == 0)
+    rng = np.random.default_rng(seed)
+    basis = FockBasis(n, 3)
+    h = random_cutoff3_hamiltonian(rng, n, model)
+    if state == "random":
+        psi0 = random_sparse_state(rng, basis.dim, int(rng.integers(2, 7)))
+    else:
+        psi0 = named_initial_state(basis, state, "boson")
+    obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx", "cxx")}
+    t_max, n_steps = 0.02, 11
+    states = expm_multiply(-2j * np.pi * h.matrix, psi0,
+                           start=0.0, stop=t_max, num=n_steps, endpoint=True)
+    ref = {name: np.einsum("ti,ti->t", states.conj(), (op.matrix @ states.T).T).real
+           for name, op in obs.items()}
+    off = np.ones(basis.dim, dtype=bool)
+    off[physical_mask(basis)] = False
+    ref_leak = np.sum(np.abs(states[:, off]) ** 2, axis=1)
+    for method in ("auto", "dense_eig"):
+        traj = evolve(h, psi0, cfg(t_max, n_steps, method), obs,
+                      leakage_mask=physical_mask(basis))
+        for name in obs:
+            assert np.max(np.abs(traj.values[name] - ref[name])) < 1e-9
+        assert np.max(np.abs(traj.leakage - ref_leak)) < 1e-9
+
+
+def test_auto_evolves_a_cutoff3_chain_of_ten_on_its_touched_states(eigh_shapes, monkeypatch):
+    # dim 3**10 = 59049 is past DENSE_DIM_LIMIT, but domain_wall touches only the
+    # 252 hard-core states at half filling, so auto diagonalizes and records on those
+    n_steps = 10
+    t_max = (n_steps - 1) * 0.5 / 1999
+    basis = FockBasis(10, 3)
+    h = build_h_ebh(chain_spec(10, 40.0, 4720.0), basis)
+    psi0 = named_initial_state(basis, "domain_wall", "boson")
+    obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx", "cxx")}
+    lengths = []
+    dense_blocks = dynamics._dense_blocks
+
+    def spy(*args):
+        for cols in dense_blocks(*args):
+            lengths.append(cols.shape[0])
+            yield cols
+
+    monkeypatch.setattr(dynamics, "_dense_blocks", spy)
+    counted = CountingMatrix(h.matrix)
+    auto = evolve(SparseOperator(matrix=counted, hermitian=True), psi0, cfg(t_max, n_steps),
+                  obs, leakage_mask=physical_mask(basis))
+    assert counted.matvecs == 0
+    assert eigh_shapes == [(252, 252)]
+    assert lengths and set(lengths) == {252}
+    assert np.all(auto.leakage == 0.0)
+    krylov = evolve(h, psi0, cfg(t_max, n_steps, "krylov"), obs)
+    for name in obs:
+        assert np.max(np.abs(auto.values[name] - krylov.values[name])) < 1e-8
+
+
+def test_auto_builds_lanczos_bases_when_the_touched_states_pass_the_dense_limit(
+        eigh_shapes, monkeypatch):
+    # every site in (|0> + |1> + |2>)/sqrt(3) touches all 3**8 = 6561 states
+    basis = FockBasis(8, 3)
+    h = build_h_ebh(chain_spec(8, 40.0, 4720.0), basis)
+    psi0 = product_state(basis, [np.ones(3)] * 8)
+    bases = []
+    lanczos = dynamics._lanczos
+
+    def spy(*args):
+        bases.append(args[1].shape)
+        return lanczos(*args)
+
+    monkeypatch.setattr(dynamics, "_lanczos", spy)
+    traj = evolve(h, psi0, cfg(t_max=1e-3, n_steps=3), {"sz1": observable("sz1", "boson", basis)})
+    assert bases and set(bases) == {(basis.dim,)}
+    assert eigh_shapes == []
+    assert traj.max_norm_deviation < 1e-9

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .dynamics import MAX_GRID_POINTS, METHODS
+from .dynamics import MAX_GRID_POINTS, MAX_RUN_BYTES, METHODS
 from .errors import InvalidSpecError
 from .hilbert import MAX_DIM, NAMED_STATES
 from .model import Violation
@@ -23,10 +23,9 @@ from .operators import MAX_CUTOFF, MAX_SPIN_SITES, OBSERVABLE_NAMES, VARIANTS
 KINDS = ("spin", "boson", "jja", "compare", "design", "verify")
 ENCODINGS = ("ebh", "jja")
 
-# Peak memory a run may plan for, estimated before anything is built.  Measured
-# peaks: about 1.5 KB per state for an evolving run; for a verify about 30 B per
-# boson state plus about 1 KB per spin state (the spin and hard-core builds).
-MAX_RUN_BYTES = 4 * 2**30
+# A run's peak memory, estimated before anything is built, must stay within
+# MAX_RUN_BYTES.  Measured peaks: about 1.5 KB per state for an evolving run; for
+# a verify about 30 B per boson state plus 1 KB per spin state (both builds).
 BYTES_PER_STATE = 2048
 VERIFY_BYTES_PER_BOSON_STATE = 64
 

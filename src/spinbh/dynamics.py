@@ -9,7 +9,8 @@ Propagators only propagate: each takes (h, psi0, times) and yields blocks of
 state columns, one column per output time, in grid order.  The dense one
 diagonalizes only the blocks psi0 touches and yields columns 512 at a time
 (fewer past 4096 states, so a column block stays within 32 MB; best up to a
-few thousand states per H block).
+few thousand states per H block), and refuses a touched block whose three
+dense complex b x b arrays would pass ``MAX_RUN_BYTES`` before forming any.
 The Lanczos one works in windows: one basis of
 ``KRYLOV_DIM`` vectors, built at the last accepted time, serves every
 following grid point whose error bound (Expokit's a-posteriori bound,
@@ -17,12 +18,12 @@ evaluated for many times at once) is within ``STEP_TOLERANCE``.  A block
 never holds more than ``KRYLOV_DIM`` columns, so memory stays at two
 basis-sized arrays.  When not even the next grid point fits, the window
 halves a substep inside that interval until one fits.
-``evolve`` picks the propagator by |S|, runs the dense one on H, psi0 and
-the observables restricted to S and the Lanczos one on the full space, and
-records every block in one loop, so observables that couple blocks keep
-their cross-block coherences; leakage is one more of them, <Q> of the
-diagonal projector Q off the mask, unless Q stores no entry on the recorded
-states and the leakage is exactly zero.
+``evolve`` picks the propagator by |S|, runs the dense one on H and psi0
+restricted to S, cuts the columns of the Lanczos one (which still propagates
+on the full space) to S, and records every block on S in one loop, so
+observables that couple blocks keep their cross-block coherences; leakage is
+one more of them, <Q> of the diagonal projector Q off the mask, unless Q
+stores no entry on S and the leakage is exactly zero.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import HermiticityError, NumericalError
+from .errors import HermiticityError, InvalidSpecError, NumericalError
 from .hilbert import outside
 from .operators import SparseOperator
 
@@ -45,6 +46,7 @@ MAX_HALVINGS = 60
 KRYLOV_DIM = 30
 STEP_TOLERANCE = 1e-10  # error bound of a Krylov window at each time it serves
 MAX_GRID_POINTS = 10**6  # per recorded series 8 MB, and one output row each
+MAX_RUN_BYTES = 4 * 2**30  # peak memory a run may plan for
 _GRID_CHUNK = 512
 # entries of one dense chunk: 512 columns up to DENSE_DIM_LIMIT, fewer beyond
 _CHUNK_ENTRIES = _GRID_CHUNK * DENSE_DIM_LIMIT
@@ -220,9 +222,15 @@ def _dense_blocks(h, psi0, times):
     """
     csr = h.matrix.tocsr()  # sliceable even when h.matrix only forwards attributes
     labels = _components(csr)
+    touched = [np.flatnonzero(labels == label) for label in np.unique(labels[psi0 != 0])]
+    size = max(len(idx) for idx in touched)
+    need = 3 * 16 * size**2  # complex b x b: the block, eigh's copy of it, its eigenvectors
+    if need > MAX_RUN_BYTES:
+        raise InvalidSpecError(
+            f"dense_eig would diagonalize a block of {size} states ({need / 2**30:.3g} GiB), "
+            f"past the budget of {MAX_RUN_BYTES // 2**30} GiB; use method auto or krylov")
     blocks = []
-    for label in np.unique(labels[psi0 != 0]):
-        idx = np.flatnonzero(labels == label)
+    for idx in touched:
         evals, evecs = sla.eigh(csr[idx][:, idx].toarray())
         blocks.append((idx, evals, evecs, evecs.conj().T @ psi0[idx]))
     step = min(_GRID_CHUNK, max(1, _CHUNK_ENTRIES // h.dim))
@@ -248,8 +256,8 @@ def evolve(
     the mask as ``Trajectory.leakage``.
 
     ``auto`` resolves on |S|, the states of the blocks of H that psi0
-    touches; the dense propagator runs on H, the observables and Q
-    restricted to S, which is exact because every state vanishes off S.
+    touches; both propagators record with the observables and Q restricted
+    to S, which is exact because every state vanishes off S.
 
     Non-Hermitian generators are refused; project them onto an invariant
     subspace first.  A psi0 whose norm is not 1, non-finite expectations or
@@ -270,15 +278,16 @@ def evolve(
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
     labels = _components(h.matrix)
     support = np.flatnonzero(np.isin(labels, labels[psi0 != 0]))
-    blocks = _krylov_blocks
-    recorded = {name: op.matrix for name, op in observables.items()}
+    whole = len(support) == h.dim  # then slice and copy nothing
+    cut = slice(None) if whole else support
+    restrict = lambda m: m if whole else m.tocsr()[support][:, support]
+    recorded = {name: restrict(op.matrix) for name, op in observables.items()}
+    q = None if q is None else q[cut]
     if cfg.resolve_method(len(support)) == "dense_eig":
-        blocks = _dense_blocks
-        restrict = lambda m: m.tocsr()[support][:, support]
         h = SparseOperator(matrix=restrict(h.matrix), hermitian=True)
-        recorded = {name: restrict(m) for name, m in recorded.items()}
-        psi0 = psi0[support]
-        q = None if q is None else q[support]
+        blocks = _dense_blocks(h, psi0[cut], times)
+    else:  # Lanczos still propagates on the full space
+        blocks = (cols[cut] for cols in _krylov_blocks(h, psi0, times))
     leak = None
     if q is not None:
         if q.any():  # Q under a key that names no observable
@@ -288,7 +297,7 @@ def evolve(
     values = {name: np.empty(len(times)) for name in recorded}
     max_imag = max_norm_dev = 0.0
     start = 0
-    for cols in blocks(h, psi0, times):
+    for cols in blocks:
         stop = start + cols.shape[1]
         bras = cols.conj()
         for name, matrix in recorded.items():

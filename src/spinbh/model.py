@@ -3,6 +3,10 @@
 Sites are 0-indexed.  A chain of N sites has N+1 coupling links, indexed
 0..N; link l joins sites l-1 and l, so links 0 and N join the edge sites to
 ground.  All energies are ordinary frequencies nu = E/(2*pi*hbar) in MHz.
+
+Both specs are valid by construction: a malformed one raises one
+InvalidSpecError that lists every problem, and ``validate`` reports a
+circuit's regime errors and warnings.
 """
 
 from __future__ import annotations
@@ -46,6 +50,25 @@ class SpinModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((int(j), int(k), float(v)) for j, k, v in self.edges))
         object.__setattr__(self, "fields", tuple(float(h) for h in self.fields))
+        n = self.n_sites
+        problems = [] if n >= 1 else [f"n_sites must be >= 1, got {n}"]
+        if len(self.fields) != n:
+            problems.append(f"fields has length {len(self.fields)}, expected {n}")
+        seen = set()
+        for j, k, v in self.edges:
+            if not (0 <= j < n and 0 <= k < n):
+                problems.append(f"edge ({j},{k}) out of range [0,{n})")
+            if j >= k:
+                problems.append(f"edge ({j},{k}) violates j<k ordering")
+            if (j, k) in seen:
+                problems.append(f"duplicate edge ({j},{k})")
+            seen.add((j, k))
+            if not math.isfinite(v):
+                problems.append(f"edge ({j},{k}) has non-finite coupling")
+        problems += [f"field at site {j} is not finite"
+                     for j, h in enumerate(self.fields) if not math.isfinite(h)]
+        if problems:
+            raise InvalidSpecError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -66,6 +89,17 @@ class CircuitSpec:
     def __post_init__(self):
         for name in ("e_c", "e_j", "eprime_j", "e_coup"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        n = self.n_sites
+        problems = [] if n >= 1 else [f"n_sites must be >= 1, got {n}"]
+        if len(self.e_c) != n or len(self.e_j) != n:
+            problems.append("e_c and e_j must have one entry per site")
+        if len(self.eprime_j) != n + 1 or len(self.e_coup) != n + 1:
+            problems.append("eprime_j and e_coup must have n_sites+1 entries")
+        for name in ("e_c", "e_j", "eprime_j", "e_coup"):
+            problems += [f"{name}[{i}] is not finite"
+                         for i, x in enumerate(getattr(self, name)) if not math.isfinite(x)]
+        if problems:
+            raise InvalidSpecError("; ".join(problems))
 
     def inductive_energies(self) -> tuple[float, ...]:
         """Per-site E_L: own Josephson energy plus both adjacent link energies."""
@@ -76,8 +110,6 @@ class CircuitSpec:
 
 def chain_spec(n_sites: int, coupling: float, field: float) -> SpinModelSpec:
     """Homogeneous open chain: nearest-neighbor coupling J and uniform field h."""
-    if n_sites < 1:
-        raise InvalidSpecError(f"chain needs at least one site, got {n_sites}")
     if not (math.isfinite(coupling) and math.isfinite(field)):
         raise InvalidSpecError("coupling and field must be finite")
     edges = tuple((j, j + 1, coupling) for j in range(n_sites - 1))
@@ -100,8 +132,6 @@ def chain_circuit(
     boundary capacitive coupling is always zero: a link to ground couples no
     pair of sites.
     """
-    if n_sites < 1:
-        raise InvalidSpecError(f"chain needs at least one site, got {n_sites}")
     boundary = eprime_j if include_boundary else 0.0
     ep = (boundary,) + (eprime_j,) * (n_sites - 1) + (boundary,)
     ec = (0.0,) + (e_coup,) * (n_sites - 1) + (0.0,)
@@ -114,49 +144,16 @@ def chain_circuit(
     )
 
 
-def _validate_spin(spec: SpinModelSpec) -> list[Violation]:
-    report = []
-    if spec.n_sites < 1:
-        report.append(Violation("error", f"n_sites must be >= 1, got {spec.n_sites}"))
-    if len(spec.fields) != spec.n_sites:
-        report.append(
-            Violation("error", f"fields has length {len(spec.fields)}, expected {spec.n_sites}")
-        )
-    seen = set()
-    for j, k, v in spec.edges:
-        if not (0 <= j < spec.n_sites and 0 <= k < spec.n_sites):
-            report.append(Violation("error", f"edge ({j},{k}) out of range [0,{spec.n_sites})"))
-        if j >= k:
-            report.append(Violation("error", f"edge ({j},{k}) violates j<k ordering"))
-        if (j, k) in seen:
-            report.append(Violation("error", f"duplicate edge ({j},{k})"))
-        seen.add((j, k))
-        if not math.isfinite(v):
-            report.append(Violation("error", f"edge ({j},{k}) has non-finite coupling"))
-    for j, h in enumerate(spec.fields):
-        if not math.isfinite(h):
-            report.append(Violation("error", f"field at site {j} is not finite"))
-    return report
-
-
-def _validate_circuit(spec: CircuitSpec) -> list[Violation]:
+def validate(spec: SpinModelSpec | CircuitSpec) -> list[Violation]:
+    """A circuit's regime errors and warnings; an empty list means the spec is
+    usable.  Structural problems never get here: the constructors refuse them,
+    so a spin model always validates."""
+    if isinstance(spec, SpinModelSpec):
+        return []
+    if not isinstance(spec, CircuitSpec):
+        raise TypeError(f"cannot validate {type(spec).__name__}")
     report = []
     n = spec.n_sites
-    if n < 1:
-        report.append(Violation("error", f"n_sites must be >= 1, got {n}"))
-        return report
-    if len(spec.e_c) != n or len(spec.e_j) != n:
-        report.append(Violation("error", "e_c and e_j must have one entry per site"))
-        return report
-    if len(spec.eprime_j) != n + 1 or len(spec.e_coup) != n + 1:
-        report.append(Violation("error", "eprime_j and e_coup must have n_sites+1 entries"))
-        return report
-    for name in ("e_c", "e_j", "eprime_j", "e_coup"):
-        for i, x in enumerate(getattr(spec, name)):
-            if not math.isfinite(x):
-                report.append(Violation("error", f"{name}[{i}] is not finite"))
-    if report:
-        return report
     for s in range(n):
         if spec.e_c[s] <= 0:
             report.append(Violation("error", f"e_c[{s}] must be positive"))
@@ -190,15 +187,6 @@ def _validate_circuit(spec: CircuitSpec) -> list[Violation]:
                     )
                 )
     return report
-
-
-def validate(spec: SpinModelSpec | CircuitSpec) -> list[Violation]:
-    """Report-only validation; an empty list means the spec is usable."""
-    if isinstance(spec, SpinModelSpec):
-        return _validate_spin(spec)
-    if isinstance(spec, CircuitSpec):
-        return _validate_circuit(spec)
-    raise TypeError(f"cannot validate {type(spec).__name__}")
 
 
 def has_errors(report: list[Violation]) -> bool:

@@ -232,9 +232,14 @@ def test_validation_error_infinite_horizon(tmp_path, kind):
     pytest.param(JJA_INI, DESIGN_INI.replace("e_j = 12500.0", "e_j = 0.0"),
                  id="design-e_j = 0.0"),
 ])
-def test_validation_error_bad_circuit_energy(tmp_path, good, bad):
+def test_validation_error_bad_circuit_energy(tmp_path, capsys, good, bad):
     path = write(tmp_path, "jja.ini", JJA_INI.replace(good, bad))
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
+    key, _, value = bad.partition(" = ")
+    if value in ("nan", "inf"):  # the circuit refuses it: one line lists every entry
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{key}[1] is not finite" in lines[0]
 
 
 SPIN_KEYS = {"j": 40.0, "h": 4720.0}
@@ -254,6 +259,17 @@ def test_validation_error_oversized_basis(tmp_path, capsys, kind, n_sites, cutof
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_validation_error_forced_dense_block_past_the_budget(tmp_path, capsys):
+    # the run's estimate (2 KiB per state, 128 MiB) passes, but all_up_x touches a
+    # C(16, 8) = 12870-state block that dense_eig would hold three times over
+    data = {"model": {"n_sites": 16, **SPIN_KEYS}, "evolution": {"method": "dense_eig"},
+            "experiment": {"kind": "spin", "initial_state": "all_up_x"}}
+    path = write(tmp_path, "dense.json", json.dumps(data))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
+    assert "error: dense_eig would diagonalize a block of 12870 states" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "o") == []
 
 
 # both pass every other check; unchecked, numpy raises MemoryError for the

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import expm_multiply
 import oracles
 from spinbh import dynamics
 from spinbh.dynamics import EvolutionConfig, evolve
-from spinbh.errors import HermiticityError, NumericalError
+from spinbh.errors import HermiticityError, InvalidSpecError, NumericalError
 from spinbh.hilbert import FockBasis, basis_state, named_initial_state, physical_mask, product_state
 from spinbh.mapping import derive_jja_params
 from spinbh.model import SpinModelSpec, chain_circuit, chain_spec
@@ -717,7 +717,7 @@ def test_evolve_on_the_touched_states_matches_expm_multiply_on_the_full_space(n,
     off = np.ones(basis.dim, dtype=bool)
     off[physical_mask(basis)] = False
     ref_leak = np.sum(np.abs(states[:, off]) ** 2, axis=1)
-    for method in ("auto", "dense_eig"):
+    for method in ("auto", "dense_eig", "krylov"):
         traj = evolve(h, psi0, cfg(t_max, n_steps, method), obs,
                       leakage_mask=physical_mask(basis))
         for name in obs:
@@ -755,21 +755,83 @@ def test_auto_evolves_a_cutoff3_chain_of_ten_on_its_touched_states(eigh_shapes, 
         assert np.max(np.abs(auto.values[name] - krylov.values[name])) < 1e-8
 
 
+@pytest.fixture
+def lanczos_starts(monkeypatch):
+    """Shapes of the vectors the Lanczos bases start from, in call order."""
+    shapes = []
+    lanczos = dynamics._lanczos
+
+    def spy(*args):
+        shapes.append(args[1].shape)
+        return lanczos(*args)
+
+    monkeypatch.setattr(dynamics, "_lanczos", spy)
+    return shapes
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """(matrix, column length) of every expectation the recorder takes, in call order."""
+    calls = []
+    expect_cols = dynamics._expect_cols
+
+    def spy(matrix, cols, bras):
+        calls.append((matrix, cols.shape[0]))
+        return expect_cols(matrix, cols, bras)
+
+    monkeypatch.setattr(dynamics, "_expect_cols", spy)
+    return calls
+
+
 def test_auto_builds_lanczos_bases_when_the_touched_states_pass_the_dense_limit(
-        eigh_shapes, monkeypatch):
+        eigh_shapes, lanczos_starts, recorded):
     # every site in (|0> + |1> + |2>)/sqrt(3) touches all 3**8 = 6561 states
     basis = FockBasis(8, 3)
     h = build_h_ebh(chain_spec(8, 40.0, 4720.0), basis)
     psi0 = product_state(basis, [np.ones(3)] * 8)
-    bases = []
-    lanczos = dynamics._lanczos
+    obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx")}
+    traj = evolve(h, psi0, cfg(t_max=1e-3, n_steps=3), obs)
+    assert lanczos_starts and set(lanczos_starts) == {(basis.dim,)}
+    assert eigh_shapes == []
+    assert traj.max_norm_deviation < 1e-9
+    # S is the whole space, so each observable is recorded through its own
+    # matrix, not a sliced copy, on full-length columns
+    assert {id(m) for m, _ in recorded} == {id(op.matrix) for op in obs.values()}
+    assert {rows for _, rows in recorded} == {basis.dim}
 
-    def spy(*args):
-        bases.append(args[1].shape)
-        return lanczos(*args)
 
-    monkeypatch.setattr(dynamics, "_lanczos", spy)
-    traj = evolve(h, psi0, cfg(t_max=1e-3, n_steps=3), {"sz1": observable("sz1", "boson", basis)})
-    assert bases and set(bases) == {(basis.dim,)}
+def test_forced_krylov_records_a_cutoff3_chain_of_ten_on_its_touched_states(lanczos_starts,
+                                                                             recorded):
+    # Lanczos propagates the 59049-long state, but recording reads only the 252
+    # hard-core states at half filling that domain_wall touches, where Q is zero
+    n_steps = 10
+    t_max = (n_steps - 1) * 0.5 / 1999
+    basis = FockBasis(10, 3)
+    h = build_h_ebh(chain_spec(10, 40.0, 4720.0), basis)
+    psi0 = named_initial_state(basis, "domain_wall", "boson")
+    obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx", "cxx")}
+    krylov = evolve(h, psi0, cfg(t_max, n_steps, "krylov"), obs,
+                    leakage_mask=physical_mask(basis))
+    assert lanczos_starts and set(lanczos_starts) == {(basis.dim,)}
+    assert {(m.shape, rows) for m, rows in recorded} == {((252, 252), 252)}
+    assert len(recorded) % len(obs) == 0  # no block records Q
+    assert np.all(krylov.leakage == 0.0)
+    dense = evolve(h, psi0, cfg(t_max, n_steps, "dense_eig"), obs)
+    for name in obs:
+        assert np.max(np.abs(krylov.values[name] - dense.values[name])) < 1e-8
+
+
+def test_forced_dense_refuses_a_block_past_the_memory_budget(eigh_shapes, lanczos_starts):
+    # all_up_x touches every sector of a 16-site chain; its largest block holds
+    # C(16, 8) = 12870 states, and three complex arrays of that size take 7.4 GiB
+    basis = FockBasis(16, 2)
+    h = build_h_spin(chain_spec(16, 40.0, 4720.0))
+    psi0 = named_initial_state(basis, "all_up_x", "spin")
+    obs = {"sz1": observable("sz1", "spin", basis)}
+    with pytest.raises(InvalidSpecError, match="block of 12870 states"):
+        evolve(h, psi0, cfg(t_max=1e-3, n_steps=3, method="dense_eig"), obs)
+    assert eigh_shapes == []
+    traj = evolve(h, psi0, cfg(t_max=1e-3, n_steps=3), obs)  # auto runs Lanczos
+    assert lanczos_starts and set(lanczos_starts) == {(basis.dim,)}
     assert eigh_shapes == []
     assert traj.max_norm_deviation < 1e-9

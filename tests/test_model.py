@@ -52,24 +52,24 @@ def test_validate_clean_chain():
 
 
 def test_validate_flags_edge_ordering():
-    spec = SpinModelSpec(n_sites=3, edges=((2, 1, 1.0),), fields=(0.0, 0.0, 0.0))
-    report = validate(spec)
-    assert any("j<k" in v.message for v in report)
-    assert has_errors(report)
+    with pytest.raises(InvalidSpecError, match=r"^edge \(2,1\) violates j<k ordering$"):
+        SpinModelSpec(n_sites=3, edges=((2, 1, 1.0),), fields=(0.0, 0.0, 0.0))
 
 
 def test_validate_flags_duplicates_and_range():
-    spec = SpinModelSpec(
-        n_sites=2, edges=((0, 1, 1.0), (0, 1, 2.0), (0, 5, 1.0)), fields=(0.0, 0.0)
-    )
-    messages = " | ".join(v.message for v in validate(spec))
-    assert "duplicate" in messages
-    assert "out of range" in messages
+    # one error lists every problem
+    with pytest.raises(InvalidSpecError,
+                       match=r"^duplicate edge \(0,1\); edge \(0,5\) out of range \[0,2\)$"):
+        SpinModelSpec(
+            n_sites=2, edges=((0, 1, 1.0), (0, 1, 2.0), (0, 5, 1.0)), fields=(0.0, 0.0)
+        )
 
 
 def test_validate_flags_field_length():
-    spec = SpinModelSpec(n_sites=3, edges=(), fields=(0.0,))
-    assert has_errors(validate(spec))
+    with pytest.raises(InvalidSpecError, match="fields has length 1, expected 3"):
+        SpinModelSpec(n_sites=3, edges=(), fields=(0.0,))
+    with pytest.raises(InvalidSpecError, match="fields has length 1, expected 3"):
+        replace(chain_spec(3, 1.0, 0.0), fields=(0.0,))
 
 
 def test_validate_is_pure_and_idempotent():
@@ -77,8 +77,12 @@ def test_validate_is_pure_and_idempotent():
     first = validate(spec)
     second = validate(spec)
     assert first == second == []
-    bad = SpinModelSpec(n_sites=2, edges=((1, 0, 1.0),), fields=(0.0, 0.0))
-    assert [str(v) for v in validate(bad)] == [str(v) for v in validate(bad)]
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InvalidSpecError) as info:
+            SpinModelSpec(n_sites=2, edges=((1, 0, 1.0),), fields=(0.0, 0.0))
+        messages.append(str(info.value))
+    assert messages == ["edge (1,0) violates j<k ordering"] * 2
 
 
 def test_circuit_regime_violation_at_large_coupling_ratio():
@@ -117,8 +121,8 @@ def test_circuit_rejects_non_finite_energies(field, value):
     circuit = chain_circuit(3, 200.0, 12500.0, 1562.5, 18.4, include_boundary=True)
     energies = list(getattr(circuit, field))
     energies[1] = value
-    report = validate(replace(circuit, **{field: tuple(energies)}))
-    assert any(v.severity == "error" and f"{field}[1]" in v.message for v in report)
+    with pytest.raises(InvalidSpecError, match=rf"^{field}\[1\] is not finite$"):
+        replace(circuit, **{field: tuple(energies)})
 
 
 def test_inductive_energies_include_both_links():

@@ -5,7 +5,7 @@ import oracles
 from spinbh.errors import InvalidSpecError
 from spinbh.hilbert import FockBasis, physical_mask
 from spinbh.mapping import derive_jja_params, exact_coupling
-from spinbh.model import chain_circuit, chain_spec
+from spinbh.model import SpinModelSpec, chain_circuit, chain_spec
 from spinbh.operators import (
     DROP_THRESHOLD,
     MAX_CUTOFF,
@@ -106,6 +106,18 @@ def test_h_spin_hermitian_flag():
 def test_h_spin_rejects_oversized_chain():
     with pytest.raises(InvalidSpecError):
         build_h_spin(chain_spec(25, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("build", [
+    build_h_spin,
+    lambda spec: build_h_ebh(spec, FockBasis(3, 3)),
+    lambda spec: build_h_dm(spec, FockBasis(3, 3)),
+], ids=["spin", "ebh", "dm"])
+def test_a_spec_with_short_fields_never_reaches_a_builder(build):
+    # unchecked, each builder took this spec and left sites 1 and 2 without a
+    # field: build_h_spin's diagonal began -3, 2.5, -2, not chain_spec's -8, -2.5, -2
+    with pytest.raises(InvalidSpecError, match="fields has length 1, expected 3"):
+        build(SpinModelSpec(3, ((0, 1, 1.0), (1, 2, 1.0)), (5.0,)))
 
 
 def test_h_spin_reflection_invariant_spectrum():

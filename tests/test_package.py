@@ -43,3 +43,25 @@ def test_no_module_level_import_goes_unused():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{os.path.basename(path)}: {name}" for name in imported if name not in used]
     assert not unused
+
+
+def test_no_private_module_name_goes_unused():
+    # a module-level _name is reachable only from its own module, so a helper,
+    # class or constant that no other statement there names is dead code
+    unused = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(spinbh.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        named = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)} for node in tree.body]
+        for i, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            used = set().union(*named[:i], *named[i + 1:])
+            unused += [f"{os.path.basename(path)}: {name}" for name in defined
+                       if name.startswith("_") and not name.startswith("__") and name not in used]
+    assert not unused

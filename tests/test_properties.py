@@ -36,7 +36,7 @@ from spinbh.mapping import (
     derive_jja_params,
     design_circuit,
 )
-from spinbh.model import SpinModelSpec, chain_circuit, chain_spec
+from spinbh.model import SpinModelSpec, chain_circuit, chain_spec, validate
 from spinbh.operators import (
     DROP_THRESHOLD,
     OBSERVABLE_NAMES,
@@ -134,6 +134,13 @@ def ebh_chains(draw, n):
         j = draw(st.integers(0, n - 3))
         edges.append((j, draw(st.integers(j + 2, n - 1)), draw(coupling)))
     return SpinModelSpec(n, tuple(sorted(edges)), draw(per(n, mhz(-5000.0, 5000.0))))
+
+
+@examples
+@given(st.integers(2, 5).flatmap(spin_specs) | st.integers(2, 8).flatmap(ebh_chains))
+def test_every_drawn_spin_spec_validates(spec):
+    # a spin model is checked whole at construction, so it has nothing left to report
+    assert validate(spec) == []
 
 
 @st.composite

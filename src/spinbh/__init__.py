@@ -12,11 +12,9 @@ _EXPORTS = {
     # model
     "SpinModelSpec": "model",
     "CircuitSpec": "model",
-    "Violation": "model",
     "chain_spec": "model",
     "chain_circuit": "model",
     "validate": "model",
-    "has_errors": "model",
     # hilbert
     "FockBasis": "hilbert",
     "basis_state": "hilbert",

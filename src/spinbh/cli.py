@@ -29,8 +29,10 @@ _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 
 def _write_table(path, header, rows, precision: int, sep: str = ",") -> None:
     """Write an optional ``header`` line, then each row as soon as it is formatted:
-    floats get ``precision`` significant digits, every other cell is ``str``."""
+    floats get ``precision`` significant digits, every other cell is ``str``.
+    The file's directory is made here, so a refused run leaves none behind."""
     spec = f".{precision}g"
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         if header:
             fh.write(sep.join(header) + "\n")
@@ -58,43 +60,42 @@ def emit_plotdata(out_dir, labeled_trajectories, precision: int = 12) -> list[st
     return written
 
 
+def _checked(circuit):
+    """``circuit`` once ``validate`` accepts it, each regime warning on stderr."""
+    from .model import validate
+
+    for msg in validate(circuit):
+        print(f"warning: {msg}", file=sys.stderr)
+    return circuit
+
+
 def _build_circuit(cfg):
     from dataclasses import replace
 
     from .mapping import exact_couplings
-    from .model import chain_circuit, has_errors, validate
+    from .model import chain_circuit, validate
 
     circuit = chain_circuit(
         cfg.n_sites, cfg.e_c, cfg.e_j, cfg.eprime_j, cfg.e_coup or 0.0,
         include_boundary=cfg.include_boundary,
     )
-    # the exact coupling needs the positive inductive energies validation ensures
-    if cfg.e_coup is None and not has_errors(validate(circuit)):
+    if cfg.e_coup is None:  # the exact coupling needs the positive energies validate ensures
+        validate(circuit)
         circuit = replace(circuit, e_coup=exact_couplings(circuit))
-    return circuit
-
-
-def _report_violations(violations) -> bool:
-    from .model import has_errors
-
-    for v in violations:
-        print(str(v), file=sys.stderr)
-    return has_errors(violations)
+    return _checked(circuit)
 
 
 def run_experiment(cfg, quiet: bool = False) -> int:
-    """Execute one validated experiment; returns a process exit code."""
+    """Execute one experiment and return a process exit code; a refused config
+    raises InvalidSpecError before any output file is written."""
     from dataclasses import asdict
 
     from . import dynamics, mapping, operators, verify
     from .config import model_source, validate_config
     from .hilbert import FockBasis, named_initial_state, physical_mask
-    from .model import chain_spec, validate
+    from .model import chain_spec
 
-    violations = validate_config(cfg)
-    if _report_violations(violations):
-        return EXIT_VALIDATION
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    validate_config(cfg)
 
     def say(msg: str) -> None:
         if not quiet:
@@ -102,15 +103,13 @@ def run_experiment(cfg, quiet: bool = False) -> int:
 
     if cfg.kind == "design":
         target = chain_spec(cfg.n_sites, cfg.coupling, cfg.fieldstrength or 0.0)
-        circuit = mapping.design_circuit(
+        circuit = _checked(mapping.design_circuit(
             target,
             e_c=cfg.e_c,
             e_j=cfg.e_j if cfg.e_j is not None else 12500.0,
             match_field=cfg.match_field and cfg.fieldstrength is not None,
             include_boundary=cfg.include_boundary,
-        )
-        if _report_violations(validate(circuit)):
-            return EXIT_VALIDATION
+        ))
         sheet = mapping.parameter_sheet(circuit)
         path = os.path.join(cfg.out_dir, "parameter_sheet.csv")
         _write_table(path, sheet, [sheet.values()], cfg.precision)
@@ -124,8 +123,6 @@ def run_experiment(cfg, quiet: bool = False) -> int:
         spin_spec = chain_spec(cfg.n_sites, cfg.coupling, cfg.fieldstrength)
     elif source == "circuit":
         circuit = _build_circuit(cfg)
-        if _report_violations(validate(circuit)):
-            return EXIT_VALIDATION
         spin_spec = mapping.circuit_to_spin(circuit)
 
     def boson_hamiltonian(basis, **flags):

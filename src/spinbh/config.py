@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from .dynamics import MAX_GRID_POINTS, MAX_RUN_BYTES, METHODS
 from .errors import InvalidSpecError
 from .hilbert import MAX_DIM, NAMED_STATES
-from .model import Violation
 from .operators import MAX_CUTOFF, MAX_SPIN_SITES, OBSERVABLE_NAMES, VARIANTS
 
 KINDS = ("spin", "boson", "jja", "compare", "design", "verify")
@@ -99,14 +98,24 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _number(key: str, raw, kind: type):
-    """``raw`` as an int or float.  Strings parse; JSON null, bools, lists and
-    objects, and a non-integral number for an int key are errors naming ``key``."""
+def _scalar(key: str, raw, what: str) -> None:
+    """Refuse JSON null, bools, lists and objects for a key that takes ``what``."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise ValueError(f"{key} must be a number, got {raw!r}")
+        raise ValueError(f"{key} must be {what}, got {raw!r}")
+
+
+def _number(key: str, raw, kind: type):
+    """``raw`` as an int or float.  Strings parse; a non-integral number for an
+    int key is an error naming ``key``."""
+    _scalar(key, raw, "a number")
     if kind is int and isinstance(raw, float) and not raw.is_integer():
         raise ValueError(f"{key} must be an integer, got {raw!r}")
     return kind(raw)
+
+
+def _text(key: str, raw) -> str:
+    _scalar(key, raw, "a string")
+    return str(raw).strip()
 
 
 def _coerce(section: str, key: str, raw) -> tuple[str, object]:
@@ -118,17 +127,17 @@ def _coerce(section: str, key: str, raw) -> tuple[str, object]:
         attr, spec = spec
     if spec == "obs_list":
         if isinstance(raw, (list, tuple)):
-            names = [str(x).strip().lower() for x in raw]
+            names = [_text(key, x).lower() for x in raw]
         else:
-            names = [part.strip().lower() for part in str(raw).split(",") if part.strip()]
+            names = [part.strip().lower() for part in _text(key, raw).split(",") if part.strip()]
         return "observables", tuple(names)
     if spec == "path":  # preserve case, unlike the enum-valued strings
-        return attr, str(raw).strip()
+        return attr, _text(key, raw)
     if spec is bool:
         return attr, raw if isinstance(raw, bool) else _parse_bool(raw)
     if spec in (int, float):
         return attr, _number(key, raw, spec)
-    return attr, str(raw).strip().lower()
+    return attr, _text(key, raw).lower()
 
 
 def from_mapping(data: dict) -> ExperimentConfig:
@@ -170,15 +179,12 @@ def model_source(cfg: ExperimentConfig) -> str | None:
     return {"spin": "spin", "boson": "spin", "jja": "circuit"}.get(cfg.kind)
 
 
-def validate_config(cfg: ExperimentConfig) -> list[Violation]:
-    report: list[Violation] = []
-
-    def err(msg: str) -> None:
-        report.append(Violation("error", msg))
-
-    if cfg.kind not in KINDS:
-        err(f"kind must be one of {KINDS}, got {cfg.kind!r}")
-        return report
+def validate_config(cfg: ExperimentConfig) -> None:
+    """Refuse ``cfg`` with one InvalidSpecError that lists every problem."""
+    if cfg.kind not in KINDS:  # the checks below depend on the kind
+        raise InvalidSpecError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
+    problems: list[str] = []
+    err = problems.append
     if cfg.n_sites < 1:
         err(f"n_sites must be >= 1, got {cfg.n_sites}")
     if cfg.cutoff < 2:
@@ -239,12 +245,13 @@ def validate_config(cfg: ExperimentConfig) -> list[Violation]:
         if cfg.match_field and cfg.fieldstrength is None and cfg.e_j is None:
             err("design needs either a target field h or an anchored e_j")
     # the size checks above passed, so no power formed here is large
-    if not report and cfg.kind != "design":
+    if not problems and cfg.kind != "design":
         need = _run_bytes(cfg)
         if need > MAX_RUN_BYTES:
             err(f"estimated peak memory {need / 2**30:.3g} GiB exceeds the "
                 f"budget of {MAX_RUN_BYTES // 2**30} GiB")
-    return report
+    if problems:
+        raise InvalidSpecError("; ".join(problems))
 
 
 def _run_bytes(cfg: ExperimentConfig) -> int:

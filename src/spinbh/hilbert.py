@@ -27,7 +27,8 @@ class FockBasis:
             raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
         if self.local_dim < 2:
             raise ValueError(f"local_dim must be >= 2, got {self.local_dim}")
-        if self.local_dim**self.n_sites > MAX_DIM:
+        # 2**32 > MAX_DIM, so a capped exponent keeps the verdict and skips a huge power
+        if self.local_dim ** min(self.n_sites, 32) > MAX_DIM:
             raise ValueError(
                 f"basis dimension {self.local_dim}**{self.n_sites} exceeds {MAX_DIM}"
             )

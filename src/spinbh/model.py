@@ -5,8 +5,9 @@ Sites are 0-indexed.  A chain of N sites has N+1 coupling links, indexed
 ground.  All energies are ordinary frequencies nu = E/(2*pi*hbar) in MHz.
 
 Both specs are valid by construction: a malformed one raises one
-InvalidSpecError that lists every problem, and ``validate`` reports a
-circuit's regime errors and warnings.
+InvalidSpecError that lists every problem.  ``validate`` refuses a circuit
+outside the regime the mapping assumes in the same way, and returns its
+regime warnings.
 """
 
 from __future__ import annotations
@@ -22,17 +23,6 @@ TRANSMON_RATIO_WARN = 0.1
 # The low-coupling inversion E'_J = E_J (E_coup/E_C) / (1 - 2 E_coup/E_C)
 # changes sign at E_coup/E_C = 0.5.
 COUPLING_RATIO_LIMIT = 0.5
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One entry of a validation report."""
-
-    severity: str  # "error" | "warning"
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.severity}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -144,50 +134,35 @@ def chain_circuit(
     )
 
 
-def validate(spec: SpinModelSpec | CircuitSpec) -> list[Violation]:
-    """A circuit's regime errors and warnings; an empty list means the spec is
-    usable.  Structural problems never get here: the constructors refuse them,
-    so a spin model always validates."""
-    if isinstance(spec, SpinModelSpec):
-        return []
-    if not isinstance(spec, CircuitSpec):
-        raise TypeError(f"cannot validate {type(spec).__name__}")
-    report = []
-    n = spec.n_sites
+def validate(circuit: CircuitSpec) -> list[str]:
+    """Refuse a circuit outside the regime the mapping assumes with one
+    InvalidSpecError that lists every regime error; return the regime warnings.
+    Structural problems never get here: the constructor refuses them."""
+    errors, warnings = [], []
+    n = circuit.n_sites
     for s in range(n):
-        if spec.e_c[s] <= 0:
-            report.append(Violation("error", f"e_c[{s}] must be positive"))
-        if spec.e_j[s] <= 0:
-            report.append(Violation("error", f"e_j[{s}] must be positive"))
-        if spec.e_j[s] > 0 and spec.e_c[s] / spec.e_j[s] > TRANSMON_RATIO_WARN:
-            report.append(
-                Violation(
-                    "warning",
-                    f"site {s}: e_c/e_j = {spec.e_c[s] / spec.e_j[s]:.3g} exceeds "
-                    f"{TRANSMON_RATIO_WARN}; weakly anharmonic regime not satisfied",
-                )
-            )
+        e_c, e_j = circuit.e_c[s], circuit.e_j[s]
+        if e_c <= 0:
+            errors.append(f"e_c[{s}] must be positive")
+        if e_j <= 0:
+            errors.append(f"e_j[{s}] must be positive")
+        elif e_c / e_j > TRANSMON_RATIO_WARN:
+            warnings.append(f"site {s}: e_c/e_j = {e_c / e_j:.3g} exceeds {TRANSMON_RATIO_WARN}; "
+                            "weakly anharmonic regime not satisfied")
     for link in range(n + 1):
         interior = 0 < link < n
-        ep, ec = spec.eprime_j[link], spec.e_coup[link]
+        ep, ec = circuit.eprime_j[link], circuit.e_coup[link]
         if interior and ep <= 0:
-            report.append(Violation("error", f"eprime_j[{link}] must be positive on interior links"))
+            errors.append(f"eprime_j[{link}] must be positive on interior links")
         if not interior and ep < 0:
-            report.append(Violation("error", f"eprime_j[{link}] must be >= 0"))
+            errors.append(f"eprime_j[{link}] must be >= 0")
         if ec < 0:
-            report.append(Violation("error", f"e_coup[{link}] must be >= 0"))
-        if interior and spec.e_c[link - 1] > 0:
-            ratio = ec / spec.e_c[link - 1]
+            errors.append(f"e_coup[{link}] must be >= 0")
+        if interior and circuit.e_c[link - 1] > 0:
+            ratio = ec / circuit.e_c[link - 1]
             if ratio >= COUPLING_RATIO_LIMIT:
-                report.append(
-                    Violation(
-                        "error",
-                        f"link {link}: e_coup/e_c = {ratio:.3g} is at or beyond "
-                        f"{COUPLING_RATIO_LIMIT}, where the low-coupling inversion diverges",
-                    )
-                )
-    return report
-
-
-def has_errors(report: list[Violation]) -> bool:
-    return any(v.severity == "error" for v in report)
+                errors.append(f"link {link}: e_coup/e_c = {ratio:.3g} is at or beyond "
+                              f"{COUPLING_RATIO_LIMIT}, where the low-coupling inversion diverges")
+    if errors:
+        raise InvalidSpecError("; ".join(errors))
+    return warnings

@@ -8,6 +8,7 @@ import pytest
 from spinbh import operators
 from spinbh.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from spinbh.config import load_config, preset_config, validate_config
+from spinbh.errors import InvalidSpecError
 from spinbh.hilbert import physical_mask
 
 COMPARE_INI = """\
@@ -88,7 +89,7 @@ def test_load_ini_config(tmp_path):
     assert cfg.coupling == 40.0
     assert cfg.fieldstrength == 4720.0
     assert cfg.observables == ("sz1", "mx", "cxx")
-    assert validate_config(cfg) == []
+    validate_config(cfg)  # raises InvalidSpecError on any problem
 
 
 def test_out_dir_preserves_case(tmp_path):
@@ -107,12 +108,10 @@ def test_load_json_mirror(tmp_path):
     cfg = load_config(write(tmp_path, "c.json", json.dumps(data)))
     assert cfg.kind == "spin"
     assert cfg.coupling == 40.0
-    assert validate_config(cfg) == []
+    validate_config(cfg)
 
 
 def test_unknown_key_rejected(tmp_path):
-    from spinbh.errors import InvalidSpecError
-
     # krylov_dim is no key: the Krylov dimension is the constant dynamics.KRYLOV_DIM
     for text in ("[model]\nn_sights = 3\n", "[evolution]\nkrylov_dim = 30\n"):
         path = write(tmp_path, "c.ini", text)
@@ -123,7 +122,7 @@ def test_unknown_key_rejected(tmp_path):
 
 def test_readme_config_block_is_valid(tmp_path):
     block = readme_block("ini")
-    assert validate_config(load_config(write(tmp_path, "readme.ini", block))) == []
+    validate_config(load_config(write(tmp_path, "readme.ini", block)))
 
 
 def test_readme_library_example_matches_circuit_spin_model():
@@ -137,16 +136,25 @@ def test_validate_config_catches_bad_values():
     cfg = preset_config("fig2_sz")
     from dataclasses import replace
 
-    assert validate_config(replace(cfg, t_max=0.0))
-    assert validate_config(replace(cfg, t_max=math.inf))
-    assert validate_config(replace(cfg, cutoff=1))
-    assert validate_config(replace(cfg, observables=("sy",)))
-    assert validate_config(replace(cfg, n_sites=5))  # domain wall needs even chains
+    for bad, message in [
+        ({"t_max": 0.0}, r"^t_max must be positive and finite, got 0\.0$"),
+        ({"t_max": math.inf}, r"^t_max must be positive and finite, got inf$"),
+        ({"cutoff": 1}, r"^cutoff must be >= 2, got 1$"),
+        ({"observables": ("sy",)}, r"^unknown observable 'sy'"),
+        ({"n_sites": 5}, r"^domain_wall needs an even number of sites$"),
+    ]:
+        with pytest.raises(InvalidSpecError, match=message):
+            validate_config(replace(cfg, **bad))
+    # one error lists every problem, in the order of the checks
+    with pytest.raises(InvalidSpecError, match=r"^cutoff must be >= 2, got 1; t_max must be"):
+        validate_config(replace(cfg, t_max=0.0, cutoff=1))
+    with pytest.raises(InvalidSpecError, match=r"^kind must be one of .*, got 'spins'$"):
+        validate_config(replace(cfg, kind="spins", t_max=0.0))  # the kind stops the check
 
 
 def test_presets_parse_clean():
     for name in ("fig2_sz", "fig2_mx", "fig2_cxx", "table1_design"):
-        assert validate_config(preset_config(name)) == []
+        validate_config(preset_config(name))
 
 
 # ---------------------------------------------------------------- exit codes
@@ -193,7 +201,7 @@ def test_validation_error_jja_encoding_outside_compare_and_verify(tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
-def test_validation_error_circuit_regime(tmp_path):
+def test_validation_error_circuit_regime(tmp_path, capsys):
     ini = """\
 [model]
 n_sites = 3
@@ -209,6 +217,10 @@ cutoff = 3
 """
     path = write(tmp_path, "circuit.ini", ini)
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: link 1: e_coup/e_c = 0.75")
+    assert "; link 2: e_coup/e_c = 0.75" in lines[0]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind", ["spin", "compare"])
@@ -235,11 +247,12 @@ def test_validation_error_infinite_horizon(tmp_path, kind):
 def test_validation_error_bad_circuit_energy(tmp_path, capsys, good, bad):
     path = write(tmp_path, "jja.ini", JJA_INI.replace(good, bad))
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()  # one line lists every problem
+    assert len(lines) == 1 and lines[0].startswith("error: ")
     key, _, value = bad.partition(" = ")
-    if value in ("nan", "inf"):  # the circuit refuses it: one line lists every entry
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+    if value in ("nan", "inf"):  # the circuit refuses it
         assert f"{key}[1] is not finite" in lines[0]
+    assert not (tmp_path / "o").exists()
 
 
 SPIN_KEYS = {"j": 40.0, "h": 4720.0}
@@ -269,7 +282,7 @@ def test_validation_error_forced_dense_block_past_the_budget(tmp_path, capsys):
     path = write(tmp_path, "dense.json", json.dumps(data))
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
     assert "error: dense_eig would diagonalize a block of 12870 states" in capsys.readouterr().err
-    assert os.listdir(tmp_path / "o") == []
+    assert not (tmp_path / "o").exists()
 
 
 # both pass every other check; unchecked, numpy raises MemoryError for the
@@ -313,6 +326,23 @@ def test_usage_error_json_value_of_wrong_type(tmp_path, capsys, key, value):
     path = write(tmp_path, "typed.json", json.dumps(data))
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_USAGE
     assert f"error: {path}: {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("output", "out_dir", None), ("output", "out_dir", {"x": 1}), ("experiment", "kind", None),
+    ("experiment", "kind", True), ("evolution", "method", ["auto"]),
+    ("experiment", "initial_state", False), ("experiment", "observables", None),
+    ("experiment", "observables", ["sz1", None]),
+])
+def test_usage_error_json_string_key_of_wrong_type(tmp_path, capsys, section, key, value):
+    data = {"model": {"n_sites": 2, **SPIN_KEYS}, "evolution": {"t_max": 0.01, "n_steps": 3},
+            "experiment": {"kind": "spin", "initial_state": "neel"}}
+    data.setdefault(section, {})[key] = value
+    path = write(tmp_path, "typed.json", json.dumps(data))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {key} must be a string, got ")
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------- compare runs

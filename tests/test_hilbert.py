@@ -44,6 +44,18 @@ def test_basis_rejects_overflow():
         FockBasis(40, 2)
 
 
+@pytest.mark.parametrize("n_sites, d, refused", [
+    (31, 2, False), (32, 2, True), (19, 3, False), (20, 3, True), (10**9, 2, True), (10**9, 3, True),
+])
+def test_basis_size_verdict_needs_no_huge_power(n_sites, d, refused):
+    # d**N at N = 10**9 would be an integer of hundreds of millions of digits
+    if refused:
+        with pytest.raises(ValueError, match=rf"^basis dimension {d}\*\*{n_sites} exceeds"):
+            FockBasis(n_sites, d)
+    else:
+        assert FockBasis(n_sites, d).dim <= 2**31
+
+
 def test_product_state_single_site():
     psi = product_state(FockBasis(1, 2), [(1.0, 1.0)])
     assert np.allclose(psi, [1 / np.sqrt(2), 1 / np.sqrt(2)])

@@ -8,7 +8,6 @@ from spinbh.model import (
     SpinModelSpec,
     chain_circuit,
     chain_spec,
-    has_errors,
     validate,
 )
 
@@ -42,13 +41,17 @@ def test_chain_spec_rejects_non_finite():
         chain_spec(2, float("nan"), 0.0)
 
 
+# a spin model is checked whole at construction: rebuilding it through
+# dataclasses.replace runs every check again
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
 def test_chain_spec_always_validates(n):
-    assert validate(chain_spec(n, 1.0, 0.5)) == []
+    spec = chain_spec(n, 1.0, 0.5)
+    assert replace(spec) == spec
 
 
 def test_validate_clean_chain():
-    assert validate(chain_spec(3, 1.0, 0.0)) == []
+    spec = chain_spec(3, 1.0, 0.0)
+    assert replace(spec) == spec
 
 
 def test_validate_flags_edge_ordering():
@@ -73,10 +76,10 @@ def test_validate_flags_field_length():
 
 
 def test_validate_is_pure_and_idempotent():
-    spec = chain_spec(4, 2.0, 1.0)
-    first = validate(spec)
-    second = validate(spec)
-    assert first == second == []
+    circuit = chain_circuit(2, 200.0, 500.0, 50.0, 1.0)
+    first = validate(circuit)
+    second = validate(circuit)
+    assert first == second and len(first) == 2
     messages = []
     for _ in range(2):
         with pytest.raises(InvalidSpecError) as info:
@@ -88,15 +91,15 @@ def test_validate_is_pure_and_idempotent():
 def test_circuit_regime_violation_at_large_coupling_ratio():
     # e_coup / e_c = 0.6 sits past the pole of the low-coupling inversion
     circuit = chain_circuit(3, 200.0, 12500.0, 1562.5, 120.0)
-    report = validate(circuit)
-    assert any("e_coup/e_c" in v.message and v.severity == "error" for v in report)
+    with pytest.raises(InvalidSpecError, match=r"^link 1: e_coup/e_c = 0\.6 is at or beyond 0\.5.*"
+                                               r"; link 2: e_coup/e_c = 0\.6"):
+        validate(circuit)
 
 
 def test_circuit_transmon_ratio_warning():
     circuit = chain_circuit(2, 200.0, 500.0, 50.0, 1.0)
-    report = validate(circuit)
-    assert any(v.severity == "warning" and "e_c/e_j" in v.message for v in report)
-    assert not has_errors(report)
+    warnings = validate(circuit)  # a warning alone does not refuse the circuit
+    assert any("e_c/e_j" in w for w in warnings)
 
 
 def test_circuit_clean_table_values():
@@ -112,7 +115,8 @@ def test_circuit_boundary_links_may_be_zero_but_not_interior():
         eprime_j=(0.0, 0.0, 0.0),
         e_coup=(0.0, 18.4, 0.0),
     )
-    assert any("interior" in v.message for v in validate(circuit))
+    with pytest.raises(InvalidSpecError, match=r"eprime_j\[1\] must be positive on interior links"):
+        validate(circuit)
 
 
 @pytest.mark.parametrize("field", ["e_c", "e_j", "eprime_j", "e_coup"])

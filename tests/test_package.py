@@ -7,6 +7,13 @@ import sys
 import spinbh
 
 
+def _modules():
+    """(file name, syntax tree) of every module of the package."""
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(spinbh.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.basename(path), ast.parse(fh.read())
+
+
 def test_every_lazy_export_resolves():
     for name in spinbh.__all__:
         assert getattr(spinbh, name) is not None, name
@@ -31,9 +38,7 @@ def test_dynamics_import_leaves_csgraph_unloaded():
 def test_no_module_level_import_goes_unused():
     # neither pyflakes nor ruff is a dependency; this is their unused-import rule
     unused = []
-    for path in sorted(glob.glob(os.path.join(os.path.dirname(spinbh.__file__), "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for module, tree in _modules():
         imported = []
         for node in tree.body:
             if isinstance(node, ast.Import):
@@ -41,7 +46,7 @@ def test_no_module_level_import_goes_unused():
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 imported += [a.asname or a.name for a in node.names]
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        unused += [f"{os.path.basename(path)}: {name}" for name in imported if name not in used]
+        unused += [f"{module}: {name}" for name in imported if name not in used]
     assert not unused
 
 
@@ -49,9 +54,7 @@ def test_no_private_module_name_goes_unused():
     # a module-level _name is reachable only from its own module, so a helper,
     # class or constant that no other statement there names is dead code
     unused = []
-    for path in sorted(glob.glob(os.path.join(os.path.dirname(spinbh.__file__), "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for module, tree in _modules():
         named = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)} for node in tree.body]
         for i, node in enumerate(tree.body):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -62,6 +65,14 @@ def test_no_private_module_name_goes_unused():
             else:
                 continue
             used = set().union(*named[:i], *named[i + 1:])
-            unused += [f"{os.path.basename(path)}: {name}" for name in defined
+            unused += [f"{module}: {name}" for name in defined
                        if name.startswith("_") and not name.startswith("__") and name not in used]
     assert not unused
+
+
+def test_only_the_command_line_prints():
+    # library code raises or returns what it finds; cli.py alone turns it into text
+    printing = [f"{module}:{node.lineno}" for module, tree in _modules() if module != "cli.py"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"]
+    assert not printing

@@ -17,6 +17,7 @@ import math
 import os
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from spinbh.mapping import (
     derive_jja_params,
     design_circuit,
 )
-from spinbh.model import SpinModelSpec, chain_circuit, chain_spec, validate
+from spinbh.model import SpinModelSpec, chain_circuit, chain_spec
 from spinbh.operators import (
     DROP_THRESHOLD,
     OBSERVABLE_NAMES,
@@ -139,8 +140,8 @@ def ebh_chains(draw, n):
 @examples
 @given(st.integers(2, 5).flatmap(spin_specs) | st.integers(2, 8).flatmap(ebh_chains))
 def test_every_drawn_spin_spec_validates(spec):
-    # a spin model is checked whole at construction, so it has nothing left to report
-    assert validate(spec) == []
+    # a spin model is checked whole at construction: a rebuild passes every check again
+    assert replace(spec) == spec
 
 
 @st.composite
@@ -343,5 +344,7 @@ def test_every_config_ends_in_a_documented_exit_code(data):
         assert code in (0, 1, 2, 3)
         if code == 0:
             assert expected_outputs(data["experiment"]) <= set(os.listdir(out))
-        elif code in (1, 2):
-            assert stderr.getvalue()
+        elif code in (1, 2):  # one line lists every problem, and nothing is written
+            errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1
+            assert not os.path.exists(out)

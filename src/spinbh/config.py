@@ -89,15 +89,6 @@ _SECTION_KEYS = {
 }
 
 
-def _parse_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _scalar(key: str, raw, what: str) -> None:
     """Refuse JSON null, bools, lists and objects for a key that takes ``what``."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
@@ -118,6 +109,17 @@ def _text(key: str, raw) -> str:
     return str(raw).strip()
 
 
+def _flag(key: str, raw) -> bool:
+    """``raw`` as a bool: JSON true or false, or 1/0, true/false, yes/no, on/off."""
+    if isinstance(raw, bool):
+        return raw
+    _scalar(key, raw, "a boolean")
+    low = str(raw).strip().lower()
+    if low not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"{key} must be a boolean, got {raw!r}")
+    return low in ("1", "true", "yes", "on")
+
+
 def _coerce(section: str, key: str, raw) -> tuple[str, object]:
     spec = _SECTION_KEYS[section].get(key)
     if spec is None:
@@ -134,7 +136,7 @@ def _coerce(section: str, key: str, raw) -> tuple[str, object]:
     if spec == "path":  # preserve case, unlike the enum-valued strings
         return attr, _text(key, raw)
     if spec is bool:
-        return attr, raw if isinstance(raw, bool) else _parse_bool(raw)
+        return attr, _flag(key, raw)
     if spec in (int, float):
         return attr, _number(key, raw, spec)
     return attr, _text(key, raw).lower()

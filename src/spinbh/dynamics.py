@@ -9,8 +9,9 @@ Propagators only propagate: each takes (h, psi0, times) and yields blocks of
 state columns, one column per output time, in grid order.  The dense one
 diagonalizes only the blocks psi0 touches and yields columns 512 at a time
 (fewer past 4096 states, so a column block stays within 32 MB; best up to a
-few thousand states per H block), and refuses a touched block whose three
-dense complex b x b arrays would pass ``MAX_RUN_BYTES`` before forming any.
+few thousand states per H block).  A block with no imaginary stored value takes
+a real ``eigh`` and one real product per chunk; blocks whose eigenvectors and
+work arrays would pass ``MAX_RUN_BYTES`` are refused before any is formed.
 The Lanczos one works in windows: one basis of
 ``KRYLOV_DIM`` vectors, built at the last accepted time, serves every
 following grid point whose error bound (Expokit's a-posteriori bound,
@@ -112,6 +113,16 @@ def _expect_cols(matrix, cols: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray
     return raw.real, imag
 
 
+def _phased(evals: np.ndarray, dts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """weights[k] * exp(-i*2*pi*evals[k]*dt) at row k and column dt, fresh and C-ordered."""
+    arg = -TWO_PI * np.outer(evals, dts)
+    z = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=z.real)
+    np.sin(arg, out=z.imag)
+    z *= weights[:, None]
+    return z
+
+
 def _lanczos(matvec, v: np.ndarray, m: int):
     """Krylov basis of v of at most m vectors, and the propagator it gives.
 
@@ -153,8 +164,7 @@ def _lanczos(matvec, v: np.ndarray, m: int):
     evals, evecs = sla.eigh_tridiagonal(alpha[:k_used], beta[: k_used - 1])
 
     def propagate(dts: np.ndarray):
-        phases = np.exp(-1j * TWO_PI * np.outer(evals, dts))
-        coeffs = nrm * (evecs @ (phases * evecs[0, :, None]))
+        coeffs = nrm * (evecs @ _phased(evals, dts, evecs[0]))
         return coeffs, beta_next * np.abs(coeffs[-1]) * np.abs(TWO_PI * dts)
 
     return vecs[:k_used], propagate
@@ -223,22 +233,25 @@ def _dense_blocks(h, psi0, times):
     csr = h.matrix.tocsr()  # sliceable even when h.matrix only forwards attributes
     labels = _components(csr)
     touched = [np.flatnonzero(labels == label) for label in np.unique(labels[psi0 != 0])]
-    size = max(len(idx) for idx in touched)
-    need = 3 * 16 * size**2  # complex b x b: the block, eigh's copy of it, its eigenvectors
+    subs = [s if s.data.imag.any() else s.real for s in (csr[i][:, i] for i in touched)]
+    size = max(sub.shape[0] for sub in subs)
+    # kept eigenvectors + 32 B per entry of the largest block (its array, evr's copy or evd's work)
+    need = sum(sub.dtype.itemsize * sub.shape[0] ** 2 for sub in subs) + 32 * size**2
     if need > MAX_RUN_BYTES:
         raise InvalidSpecError(
             f"dense_eig would diagonalize a block of {size} states ({need / 2**30:.3g} GiB), "
             f"past the budget of {MAX_RUN_BYTES // 2**30} GiB; use method auto or krylov")
     blocks = []
-    for idx in touched:
-        evals, evecs = sla.eigh(csr[idx][:, idx].toarray())
+    for idx, sub in zip(touched, subs):
+        evals, evecs = sla.eigh(sub.toarray(), driver="evd" if np.isrealobj(sub) else None)
         blocks.append((idx, evals, evecs, evecs.conj().T @ psi0[idx]))
     step = min(_GRID_CHUNK, max(1, _CHUNK_ENTRIES // h.dim))
     for start in range(0, len(times), step):
         chunk = times[start : start + step]
         cols = np.zeros((h.dim, len(chunk)), dtype=complex)
         for idx, evals, evecs, w0 in blocks:
-            cols[idx] = evecs @ (np.exp(-1j * TWO_PI * np.outer(evals, chunk)) * w0[:, None])
+            z = _phased(evals, chunk, w0)  # a real evecs takes one real product on z's parts
+            cols[idx] = (evecs @ z.view(float)).view(complex) if np.isrealobj(evecs) else evecs @ z
         yield cols
 
 

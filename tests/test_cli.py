@@ -345,6 +345,23 @@ def test_usage_error_json_string_key_of_wrong_type(tmp_path, capsys, section, ke
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "include_boundary", None), ("model", "include_boundary", [1]),
+    ("model", "include_boundary", {"x": 1}), ("model", "include_boundary", "maybe"),
+    ("model", "include_boundary", 2), ("experiment", "match_field", None),
+    ("experiment", "match_field", 0.5),
+])
+def test_usage_error_json_bool_key_of_wrong_type(tmp_path, capsys, section, key, value):
+    data = {"model": {"n_sites": 2, **SPIN_KEYS}, "evolution": {"t_max": 0.01, "n_steps": 3},
+            "experiment": {"kind": "spin", "initial_state": "neel"}}
+    data[section][key] = value
+    path = write(tmp_path, "typed.json", json.dumps(data))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {path}: {key} must be a boolean, got {value!r}"]
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------- compare runs
 
 @pytest.fixture()

@@ -503,14 +503,27 @@ def dense_columns(h, psi0, times):
     return np.hstack(list(dynamics._dense_blocks(h, psi0, times)))
 
 
+class EighCalls(list):
+    """Shapes of the diagonalized matrices in call order; their dtypes in ``dtypes``."""
+
+    def __init__(self):
+        super().__init__()
+        self.dtypes = []
+
+    def clear(self):
+        super().clear()
+        self.dtypes.clear()
+
+
 @pytest.fixture
 def eigh_shapes(monkeypatch):
-    """Shapes of the matrices the dense propagator diagonalizes, in call order."""
-    shapes = []
+    """Shapes (and dtypes) of the matrices the dense propagator diagonalizes."""
+    shapes = EighCalls()
     eigh = dynamics.sla.eigh
 
     def spy(a, *args, **kwargs):
         shapes.append(a.shape)
+        shapes.dtypes.append(a.dtype)
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(dynamics.sla, "eigh", spy)
@@ -611,6 +624,39 @@ def test_dense_blocks_keep_purely_imaginary_hoppings(eigh_shapes):
     assert eigh_shapes == [(3, 3)] * 2
 
 
+def test_dense_blocks_take_real_arithmetic_only_on_real_blocks(eigh_shapes):
+    # states 0-1-2 form a real block, states 3-4-5 one joined only by imaginary
+    # hoppings; a complex psi0 touches both
+    m = np.zeros((6, 6), dtype=complex)
+    m[1, 0], m[2, 1], m[2, 0] = 7.0, -4.0, 2.5
+    m[4, 3], m[5, 4] = 3.0j, -2.0j
+    m += m.conj().T
+    m[np.diag_indices(6)] = [1.0, -2.0, 0.5, 3.0, 0.0, -1.5]
+    h = SparseOperator.from_matrix(m)
+    psi0 = np.array([0.3 + 0.4j, 0.0, -0.2j, 0.0, 0.5 - 0.1j, 0.6])
+    psi0 /= np.linalg.norm(psi0)
+    times = np.linspace(0.0, 0.3, 13)
+    cols = dense_columns(h, psi0, times)
+    assert np.max(np.abs(cols - full_eigh_columns(m, psi0, times))) < 1e-12
+    assert eigh_shapes == [(3, 3)] * 2
+    assert eigh_shapes.dtypes == [np.dtype(np.float64), np.dtype(np.complex128)]
+
+
+def test_real_chain_from_a_complex_state_matches_expm_multiply(eigh_shapes):
+    rng = np.random.default_rng(11)
+    n = 8
+    edges = [(j, j + 1, rng.uniform(10.0, 60.0)) for j in range(n - 1)]
+    h = build_h_spin(SpinModelSpec(n, tuple(edges), tuple(rng.uniform(-30.0, 30.0, n))))
+    basis = FockBasis(n, 2)
+    psi0 = random_sparse_state(rng, basis.dim, 12)
+    obs = {name: observable(name, "spin", basis) for name in ("sz1", "mx", "cxx")}
+    traj = evolve(h, psi0, cfg(t_max=0.05, n_steps=41, method="dense_eig"), obs)
+    assert eigh_shapes and set(eigh_shapes.dtypes) == {np.dtype(np.float64)}
+    ref = expm_multiply_series(h, psi0, obs, 0.05, 41)
+    for name in obs:
+        assert np.max(np.abs(traj.values[name] - ref[name])) < 1e-9
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_dense_blocks_keep_cross_sector_coherences(d):
     # all_up_x spans every particle-number sector; mx couples N to N +- 1 and
@@ -637,6 +683,7 @@ def test_fig2_sz_diagonalizes_one_half_filling_block_per_side(eigh_shapes, tmp_p
 
     assert main(["--preset", "fig2_sz", "--out-dir", str(tmp_path), "--quiet"]) == 0
     assert eigh_shapes == [(252, 252)] * 2  # spin side, then the cutoff-2 boson side
+    assert eigh_shapes.dtypes == [np.dtype(np.float64)] * 2  # both real symmetric
 
 
 def test_forced_dense_cutoff3_chain_of_ten_matches_krylov():
@@ -823,7 +870,8 @@ def test_forced_krylov_records_a_cutoff3_chain_of_ten_on_its_touched_states(lanc
 
 def test_forced_dense_refuses_a_block_past_the_memory_budget(eigh_shapes, lanczos_starts):
     # all_up_x touches every sector of a 16-site chain; its largest block holds
-    # C(16, 8) = 12870 states, and three complex arrays of that size take 7.4 GiB
+    # C(16, 8) = 12870 states, and with every block's real eigenvectors the
+    # estimate is 9.4 GiB
     basis = FockBasis(16, 2)
     h = build_h_spin(chain_spec(16, 40.0, 4720.0))
     psi0 = named_initial_state(basis, "all_up_x", "spin")
@@ -835,3 +883,24 @@ def test_forced_dense_refuses_a_block_past_the_memory_budget(eigh_shapes, lanczo
     assert lanczos_starts and set(lanczos_starts) == {(basis.dim,)}
     assert eigh_shapes == []
     assert traj.max_norm_deviation < 1e-9
+
+
+def test_forced_dense_budget_counts_the_eigenvectors_of_every_touched_block(
+        eigh_shapes, monkeypatch):
+    # all_up_x on 6 sites touches real blocks of 1, 6, 15, 20, 15, 6 and 1 states:
+    # their eigenvectors take 8 B per entry (924 entries), plus 32 B per entry of
+    # the 20-state block; one byte less is refused, though three complex arrays
+    # of the largest block alone (19 200 B) would fit
+    basis = FockBasis(6, 2)
+    h = build_h_spin(chain_spec(6, 40.0, 4720.0))
+    psi0 = named_initial_state(basis, "all_up_x", "spin")
+    need = 8 * 924 + 32 * 20**2
+    monkeypatch.setattr(dynamics, "MAX_RUN_BYTES", need)
+    traj = evolve(h, psi0, cfg(t_max=1e-3, n_steps=3, method="dense_eig"), {})
+    assert traj.max_norm_deviation < 1e-9
+    assert sorted(eigh_shapes) == sorted((math.comb(6, k),) * 2 for k in range(7))
+    eigh_shapes.clear()
+    monkeypatch.setattr(dynamics, "MAX_RUN_BYTES", need - 1)
+    with pytest.raises(InvalidSpecError, match="block of 20 states"):
+        evolve(h, psi0, cfg(t_max=1e-3, n_steps=3, method="dense_eig"), {})
+    assert eigh_shapes == []

@@ -220,9 +220,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             err(f"n_steps must be in [2, {MAX_GRID_POINTS}], got {cfg.n_steps}")
         if not cfg.observables:
             err("at least one observable is required")
-        for name in cfg.observables:
+        for name in dict.fromkeys(cfg.observables):  # each name once, in order
+            count = cfg.observables.count(name)
             if name not in OBSERVABLE_NAMES:
                 err(f"unknown observable {name!r}; expected one of {OBSERVABLE_NAMES}")
+            elif count > 1:  # its output files would be written twice
+                err(f"observable {name!r} is listed {count} times")
         if cfg.initial_state not in NAMED_STATES:
             err(f"unknown initial_state {cfg.initial_state!r}; expected one of {NAMED_STATES}")
         if cfg.initial_state == "domain_wall" and cfg.n_sites % 2 != 0:

@@ -5,14 +5,18 @@ us, so MHz * us = 1 and the propagated phase is exp(-i * 2*pi * nu * t).
 H splits into the connected blocks of its sparsity pattern (the symmetry
 sectors, such as fixed particle number, found without naming them), and a
 state never leaves the union S of the blocks psi0 touches.
-Propagators only propagate: each takes (h, psi0, times) and yields blocks of
-state columns, one column per output time, in grid order.  The dense one
-diagonalizes only the blocks psi0 touches and yields columns 512 at a time
-(fewer past 4096 states, so a column block stays within 32 MB; best up to a
-few thousand states per H block).  A block with no imaginary stored value takes
-a real ``eigh`` and one real product per chunk; blocks whose eigenvectors and
-work arrays would pass ``MAX_RUN_BYTES`` are refused before any is formed.
-The Lanczos one works in windows: one basis of
+Propagators only propagate: each yields blocks of state columns, one column
+per output time, in grid order.  The dense one takes the uniform grid as its
+spacing and point count, diagonalizes only the blocks psi0 touches and yields
+columns 512 at a time (fewer past 4096 states, so a column block stays within
+32 MB; best up to a few thousand states per H block).  Its phases at grid
+index k = q*L + r are the product of two cos/sin tables, one over the L = 64
+offsets r made once per run and one over a chunk's strides q, so each
+eigenvalue takes about L + n/L phase evaluations, not n.  A block with no
+imaginary stored value takes a real ``eigh`` and one real product per chunk;
+blocks whose eigenvectors and work arrays would pass ``MAX_RUN_BYTES`` are
+refused before any is formed.  The Lanczos one takes arbitrary target times
+and works in windows: one basis of
 ``KRYLOV_DIM`` vectors, built at the last accepted time, serves every
 following grid point whose error bound (Expokit's a-posteriori bound,
 evaluated for many times at once) is within ``STEP_TOLERANCE``.  A block
@@ -24,7 +28,9 @@ restricted to S, cuts the columns of the Lanczos one (which still propagates
 on the full space) to S, and records every block on S in one loop, so
 observables that couple blocks keep their cross-block coherences; leakage is
 one more of them, <Q> of the diagonal projector Q off the mask, unless Q
-stores no entry on S and the leakage is exactly zero.
+stores no entry on S and the leakage is exactly zero.  A real observable (every
+built one, and Q) is applied in real arithmetic to the interleaved real and
+imaginary parts of the columns, with the complex product's result.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ STEP_TOLERANCE = 1e-10  # error bound of a Krylov window at each time it serves
 MAX_GRID_POINTS = 10**6  # per recorded series 8 MB, and one output row each
 MAX_RUN_BYTES = 4 * 2**30  # peak memory a run may plan for
 _GRID_CHUNK = 512
+_PHASE_STRIDE = 64  # L: grid offsets in one dense phase table, and a chunk's width divides by it
 # entries of one dense chunk: 512 columns up to DENSE_DIM_LIMIT, fewer beyond
 _CHUNK_ENTRIES = _GRID_CHUNK * DENSE_DIM_LIMIT
 METHODS = ("dense_eig", "krylov", "auto")
@@ -103,8 +110,16 @@ def _check_observable(op: SparseOperator, dim: int, name: str) -> None:
 
 def _expect_cols(matrix, cols: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray, float]:
     """Real <psi|O|psi> of every column psi, and the largest |imaginary part|;
-    ``bras`` is ``cols.conj()``, taken once per block by the caller."""
-    raw = np.einsum("ij,ij->j", bras, matrix @ cols)
+    ``bras`` is ``cols.conj()``, taken once per block by the caller.
+
+    A real ``matrix`` acts on the interleaved real and imaginary parts of
+    ``cols`` in one real product, which equals the complex product bit for bit.
+    """
+    if np.isrealobj(matrix):
+        applied = (matrix @ cols.view(float)).view(complex)
+    else:
+        applied = matrix @ cols
+    raw = np.einsum("ij,ij->j", bras, applied)
     if not np.isfinite(raw).all():
         raise NumericalError("expectation value is not finite")
     imag = float(np.max(np.abs(raw.imag)))
@@ -222,13 +237,17 @@ def _components(matrix) -> np.ndarray:
     return connected_components(pattern, directed=False)[1]
 
 
-def _dense_blocks(h, psi0, times):
+def _dense_blocks(h, psi0, dt, n_points):
     """Column blocks of up to 512 columns (and ``_CHUNK_ENTRIES`` entries) from
-    the spectral decomposition of every connected block of H that psi0 touches.
+    the spectral decomposition of every connected block of H that psi0 touches,
+    at the times k*dt for k < n_points.
 
     A block where psi0 is exactly zero stays zero for all times and is never
     diagonalized; each column is rebuilt block by block into zeros of length
-    ``h.dim``.
+    ``h.dim``.  The phased coefficients at k = q*L + r are exp(-i*2*pi*E*q*L*dt)
+    * exp(-i*2*pi*E*r*dt): a table over the L offsets r, made once per block,
+    times one over the chunk's strides q.  A chunk's width is a multiple of L
+    (except the last chunk's), so every chunk starts at r = 0.
     """
     csr = h.matrix.tocsr()  # sliceable even when h.matrix only forwards attributes
     labels = _components(csr)
@@ -241,16 +260,23 @@ def _dense_blocks(h, psi0, times):
         raise InvalidSpecError(
             f"dense_eig would diagonalize a block of {size} states ({need / 2**30:.3g} GiB), "
             f"past the budget of {MAX_RUN_BYTES // 2**30} GiB; use method auto or krylov")
+    step = min(_GRID_CHUNK, max(1, _CHUNK_ENTRIES // h.dim))
+    stride = min(_PHASE_STRIDE, step)
+    step -= step % stride  # rounding down keeps a chunk within _CHUNK_ENTRIES
+    offsets = dt * np.arange(stride)
     blocks = []
     for idx, sub in zip(touched, subs):
         evals, evecs = sla.eigh(sub.toarray(), driver="evd" if np.isrealobj(sub) else None)
-        blocks.append((idx, evals, evecs, evecs.conj().T @ psi0[idx]))
-    step = min(_GRID_CHUNK, max(1, _CHUNK_ENTRIES // h.dim))
-    for start in range(0, len(times), step):
-        chunk = times[start : start + step]
-        cols = np.zeros((h.dim, len(chunk)), dtype=complex)
-        for idx, evals, evecs, w0 in blocks:
-            z = _phased(evals, chunk, w0)  # a real evecs takes one real product on z's parts
+        inner = _phased(evals, offsets, np.ones(len(evals)))
+        blocks.append((idx, evals, evecs, evecs.conj().T @ psi0[idx], inner))
+    for start in range(0, n_points, step):
+        width = min(step, n_points - start)
+        strides = dt * np.arange(start, start + width, stride)
+        cols = np.zeros((h.dim, width), dtype=complex)
+        for idx, evals, evecs, w0, inner in blocks:
+            outer = _phased(evals, strides, w0)
+            z = (outer[:, :, None] * inner[:, None, :]).reshape(len(evals), -1)[:, :width]
+            # a real evecs takes one real product on z's parts
             cols[idx] = (evecs @ z.view(float)).view(complex) if np.isrealobj(evecs) else evecs @ z
         yield cols
 
@@ -298,7 +324,7 @@ def evolve(
     q = None if q is None else q[cut]
     if cfg.resolve_method(len(support)) == "dense_eig":
         h = SparseOperator(matrix=restrict(h.matrix), hermitian=True)
-        blocks = _dense_blocks(h, psi0[cut], times)
+        blocks = _dense_blocks(h, psi0[cut], cfg.t_max / (cfg.n_steps - 1), cfg.n_steps)
     else:  # Lanczos still propagates on the full space
         blocks = (cols[cut] for cols in _krylov_blocks(h, psi0, times))
     leak = None

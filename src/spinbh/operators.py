@@ -44,7 +44,8 @@ VARIANTS = ("simplified", "full")
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Compressed-row complex matrix with a measured (never assumed) hermitian flag."""
+    """Compressed-row matrix with a measured (never assumed) hermitian flag;
+    complex, except the real observables that ``observable`` returns."""
 
     matrix: sp.csr_matrix
     hermitian: bool
@@ -260,7 +261,8 @@ def observable(name: str, sector: str, basis: FockBasis) -> SparseOperator:
     cxx   x-x correlator of the first two sites
 
     On two levels n - 1/2 and (a + a+)/2 are S^z and S^x, so both sectors
-    share the same local matrices.
+    share the same local matrices.  They are real, so the matrix is a float64
+    CSR with the same values and a C-contiguous ``data`` array.
     """
     if sector not in ("spin", "boson"):
         raise ValueError(f"unknown sector {sector!r}")
@@ -278,4 +280,7 @@ def observable(name: str, sector: str, basis: FockBasis) -> SparseOperator:
         terms = [(1.0, ((0, x), (1, x)))]
     else:
         raise ValueError(f"unknown observable {name!r}; expected one of {OBSERVABLE_NAMES}")
-    return assemble(basis, terms)
+    op = assemble(basis, terms)
+    m = op.matrix  # csr.real would keep a strided data view, copied by every product
+    real = sp.csr_matrix((np.ascontiguousarray(m.data.real), m.indices, m.indptr), shape=m.shape)
+    return SparseOperator(matrix=real, hermitian=op.hermitian)

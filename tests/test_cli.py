@@ -223,6 +223,19 @@ cutoff = 3
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("observables, problem", [
+    ("sz1, sz1", "observable 'sz1' is listed 2 times"),
+    ("mx, sz1, mx, MX", "observable 'mx' is listed 3 times"),
+])
+def test_validation_error_repeated_observable(tmp_path, capsys, observables, problem):
+    # a repeated name would write its compare file twice and repeat its distance row
+    bad = COMPARE_INI.replace("observables = sz1, mx, cxx", f"observables = {observables}")
+    path = write(tmp_path, "bad.ini", bad)
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [f"error: {problem}"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("kind", ["spin", "compare"])
 def test_validation_error_infinite_horizon(tmp_path, kind):
     bad = COMPARE_INI.replace("t_max = 0.05", "t_max = inf").replace("kind = compare", f"kind = {kind}")

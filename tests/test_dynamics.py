@@ -329,15 +329,16 @@ def test_total_sz_conserved():
     assert np.max(np.abs(traj.values["tsz"] - traj.values["tsz"][0])) < 1e-10
 
 
-@pytest.mark.parametrize("blocks", [dynamics._dense_blocks, dynamics._krylov_blocks],
-                         ids=["dense_eig", "krylov"])
-def test_time_reversal_returns_initial_state(blocks):
+@pytest.mark.parametrize("method", ["dense_eig", "krylov"])
+def test_time_reversal_returns_initial_state(method):
+    columns = dense_columns if method == "dense_eig" else (
+        lambda h, psi0, times: np.hstack(list(dynamics._krylov_blocks(h, psi0, times))))
     h = build_h_spin(chain_spec(4, 3.0, 1.0))
     psi0 = named_initial_state(FockBasis(4, 2), "neel", "spin")
     times = np.linspace(0.0, 0.4, 41)
-    psi_t = np.hstack(list(blocks(h, psi0, times)))[:, -1]
+    psi_t = columns(h, psi0, times)[:, -1]
     minus_h = SparseOperator.from_matrix(-h.matrix)
-    back = np.hstack(list(blocks(minus_h, psi_t, times)))[:, -1]
+    back = columns(minus_h, psi_t, times)[:, -1]
     assert np.max(np.abs(back - psi0)) < 1e-8
 
 
@@ -475,8 +476,8 @@ def test_krylov_windows_restart_and_halve_within_the_column_cap(monkeypatch):
     assert sum(a == "basis" and b != "basis" for a, b in follows) >= 2  # windows restart
     assert any("basis" not in pair for pair in follows)  # a basis serves two blocks
     assert ("basis", "basis") in follows  # a window that reaches no grid point
-    dense = np.hstack(list(dynamics._dense_blocks(h, psi0, times)))
-    assert np.max(np.abs(np.hstack(blocks) - dense)) < 1e-8
+    ref = full_eigh_columns(h.dense(), psi0, times)  # the dense propagator needs a uniform grid
+    assert np.max(np.abs(np.hstack(blocks) - ref)) < 1e-8
 
 
 def test_krylov_subspace_smaller_than_dimension():
@@ -500,7 +501,10 @@ def full_eigh_columns(h_dense, psi0, times):
 
 
 def dense_columns(h, psi0, times):
-    return np.hstack(list(dynamics._dense_blocks(h, psi0, times)))
+    """The dense propagator's columns on ``times``, a grid from np.linspace(0, t_max, n)."""
+    n = len(times)
+    assert np.array_equal(times, np.linspace(0.0, times[-1], n))
+    return np.hstack(list(dynamics._dense_blocks(h, psi0, times[-1] / (n - 1), n)))
 
 
 class EighCalls(list):
@@ -678,6 +682,66 @@ def test_dense_blocks_keep_cross_sector_coherences(d):
         assert np.max(np.abs(traj.values[name])) > 0.1
 
 
+@pytest.mark.parametrize("hopping", ["real", "imaginary"])
+@pytest.mark.parametrize("chunk, widths", [(None, [512, 512, 276]), (35, [35] * 37 + [5])],
+                         ids=["chunk512", "chunk35"])
+def test_dense_columns_cross_chunk_and_stride_boundaries_on_a_wide_spectrum(
+        eigh_shapes, monkeypatch, hopping, chunk, widths):
+    # J = 40 MHz and h = 4720 MHz over 0.5 us take phase arguments to about 1e4
+    # rad; 1300 points make full chunks and a last one that is not a multiple
+    # of the 64 (or 35) grid offsets in one phase table
+    basis = FockBasis(6, 2)
+    h = build_h_spin(chain_spec(6, 40.0, 4720.0))
+    m = h.dense()
+    if hopping == "imaginary":  # the same pattern, so the complex block path
+        m = np.diag(np.diag(m)) + 1j * np.triu(m, 1) - 1j * np.tril(m, -1)
+        h = SparseOperator.from_matrix(m)
+    if chunk:
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", chunk * basis.dim)
+    psi0 = named_initial_state(basis, "all_up_x", "spin")  # touches all 7 blocks
+    blocks = list(dynamics._dense_blocks(h, psi0, 0.5 / 1299, 1300))
+    assert [cols.shape[1] for cols in blocks] == widths
+    times = np.linspace(0.0, 0.5, 1300)
+    assert np.max(np.abs(np.hstack(blocks) - full_eigh_columns(m, psi0, times))) < 1e-9
+    # the two one-state blocks hold no hopping, so they stay real
+    hopping_blocks = {dtype for shape, dtype in zip(eigh_shapes, eigh_shapes.dtypes)
+                      if shape[0] > 1}
+    assert len(eigh_shapes) == 7
+    assert hopping_blocks == {np.dtype(float if hopping == "real" else complex)}
+
+
+def test_a_complex_observable_records_through_the_complex_product(recorded):
+    # S^y on site 0 holds imaginary entries, so the real interleaved product
+    # would be wrong for it; the real observables share the run
+    basis = FockBasis(4, 2)
+    sy = np.kron(np.eye(8), np.array([[0.0, 0.5j], [-0.5j, 0.0]]))
+    obs = {"sy": SparseOperator.from_matrix(sy), "mx": observable("mx", "spin", basis)}
+    assert obs["sy"].hermitian
+    h = build_h_spin(chain_spec(4, 40.0, 4720.0))
+    psi0 = named_initial_state(basis, "all_up_x", "spin")
+    traj = evolve(h, psi0, cfg(t_max=0.05, n_steps=41, method="dense_eig"), obs)
+    assert {m.dtype for m, _ in recorded} == {np.dtype(complex), np.dtype(float)}
+    cols = dense_columns(h, psi0, traj.times)
+    for name, op in obs.items():
+        ref = np.einsum("ij,ij->j", cols.conj(), op.dense() @ cols).real
+        assert np.max(np.abs(traj.values[name] - ref)) < 1e-12
+    assert np.max(np.abs(traj.values["sy"])) > 0.1
+
+
+def test_a_real_observable_takes_the_complex_products_values():
+    # mx on 10 spins over a 1024 x 512 block of columns, the size of fig2_mx's
+    rng = np.random.default_rng(5)
+    real = observable("mx", "spin", FockBasis(10, 2)).matrix
+    cols = rng.normal(size=(1024, 512)) + 1j * rng.normal(size=(1024, 512))
+    cols /= np.linalg.norm(cols, axis=0)
+    as_complex = real.astype(complex)
+    assert np.array_equal((real @ cols.view(float)).view(complex), as_complex @ cols)
+    bras = cols.conj()
+    for got, want in zip(dynamics._expect_cols(real, cols, bras),
+                         dynamics._expect_cols(as_complex, cols, bras)):
+        assert np.array_equal(got, want)
+
+
 def test_fig2_sz_diagonalizes_one_half_filling_block_per_side(eigh_shapes, tmp_path):
     from spinbh.cli import main
 
@@ -703,8 +767,7 @@ def test_forced_dense_cutoff3_chain_of_ten_matches_krylov():
         assert np.max(np.abs(diff)) < 1e-8
     assert np.all(runs["dense_eig"].leakage == 0.0)
     # full-length chunks shrink past DENSE_DIM_LIMIT, so memory stays bounded
-    times = np.linspace(0.0, t_max, 80)
-    widths = [cols.shape[1] for cols in dynamics._dense_blocks(h, psi0, times)]
+    widths = [cols.shape[1] for cols in dynamics._dense_blocks(h, psi0, t_max / 79, 80)]
     assert sum(widths) == 80 and max(widths) * basis.dim <= dynamics._CHUNK_ENTRIES
 
 

@@ -293,6 +293,16 @@ def test_observable_cxx_boson_pattern():
     assert np.allclose(m, 0.25 * np.kron(sigma_x, sigma_x))
 
 
+@pytest.mark.parametrize("sector, d", [("spin", 2), ("boson", 3)])
+@pytest.mark.parametrize("name", ["sz1", "mx", "cxx"])
+def test_observable_is_a_real_csr_with_contiguous_data(name, sector, d):
+    # csr.real would leave a strided view of the complex data, which every
+    # sparse product would copy
+    op = observable(name, sector, FockBasis(3, d))
+    assert op.matrix.format == "csr" and op.matrix.dtype == np.float64
+    assert op.matrix.data.flags.c_contiguous and op.hermitian
+
+
 def test_observable_spin_requires_two_levels():
     with pytest.raises(ValueError):
         observable("sz1", "spin", FockBasis(2, 3))

@@ -293,8 +293,7 @@ def config_dicts(draw):
             "kind": draw(st.sampled_from(KINDS)),
             "encoding": draw(st.sampled_from(ENCODINGS)),
             "cutoff": draw(st.integers(2, 3)),
-            "observables": draw(st.lists(st.sampled_from(OBSERVABLE_NAMES),
-                                         min_size=1, unique=True)),
+            "observables": draw(st.lists(st.sampled_from(OBSERVABLE_NAMES), min_size=1)),
             "initial_state": draw(st.sampled_from(NAMED_STATES)),
             "match_field": draw(st.booleans()),
         },

@@ -9,14 +9,11 @@ Propagators only propagate: each yields blocks of state columns, one column
 per output time, in grid order.  The dense one takes the uniform grid as its
 spacing and point count, diagonalizes only the blocks psi0 touches and yields
 columns 512 at a time (fewer past 4096 states, so a column block stays within
-32 MB; best up to a few thousand states per H block).  Its phases at grid
-index k = q*L + r are the product of two cos/sin tables, one over the L = 64
-offsets r made once per run and one over a chunk's strides q, so each
-eigenvalue takes about L + n/L phase evaluations, not n.  A block with no
-imaginary stored value takes a real ``eigh`` and one real product per chunk;
-blocks whose eigenvectors and work arrays would pass ``MAX_RUN_BYTES`` are
-refused before any is formed.  The Lanczos one takes arbitrary target times
-and works in windows: one basis of
+32 MB; best up to a few thousand states per H block), phased from two small
+cos/sin tables.  A block with no imaginary stored value takes a real ``eigh``
+and one real product per chunk; blocks whose eigenvectors and work arrays
+would pass ``MAX_RUN_BYTES`` are refused before any is formed.  The Lanczos
+one takes any target times and works in windows: one basis of
 ``KRYLOV_DIM`` vectors, built at the last accepted time, serves every
 following grid point whose error bound (Expokit's a-posteriori bound,
 evaluated for many times at once) is within ``STEP_TOLERANCE``.  A block
@@ -28,9 +25,8 @@ restricted to S, cuts the columns of the Lanczos one (which still propagates
 on the full space) to S, and records every block on S in one loop, so
 observables that couple blocks keep their cross-block coherences; leakage is
 one more of them, <Q> of the diagonal projector Q off the mask, unless Q
-stores no entry on S and the leakage is exactly zero.  A real observable (every
-built one, and Q) is applied in real arithmetic to the interleaved real and
-imaginary parts of the columns, with the complex product's result.
+stores no entry on S and the leakage is exactly zero.  A real observable (each
+built one, and Q) takes one real product.
 """
 
 from __future__ import annotations
@@ -110,15 +106,10 @@ def _check_observable(op: SparseOperator, dim: int, name: str) -> None:
 
 def _expect_cols(matrix, cols: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray, float]:
     """Real <psi|O|psi> of every column psi, and the largest |imaginary part|;
-    ``bras`` is ``cols.conj()``, taken once per block by the caller.
-
-    A real ``matrix`` acts on the interleaved real and imaginary parts of
-    ``cols`` in one real product, which equals the complex product bit for bit.
-    """
-    if np.isrealobj(matrix):
-        applied = (matrix @ cols.view(float)).view(complex)
-    else:
-        applied = matrix @ cols
+    ``bras`` is ``cols.conj()``, taken once per block by the caller.  A real
+    ``matrix`` takes one real product on the interleaved parts of ``cols``,
+    equal to the complex product bit for bit."""
+    applied = (matrix @ cols.view(float)).view(complex) if np.isrealobj(matrix) else matrix @ cols
     raw = np.einsum("ij,ij->j", bras, applied)
     if not np.isfinite(raw).all():
         raise NumericalError("expectation value is not finite")
@@ -244,10 +235,9 @@ def _dense_blocks(h, psi0, dt, n_points):
 
     A block where psi0 is exactly zero stays zero for all times and is never
     diagonalized; each column is rebuilt block by block into zeros of length
-    ``h.dim``.  The phased coefficients at k = q*L + r are exp(-i*2*pi*E*q*L*dt)
-    * exp(-i*2*pi*E*r*dt): a table over the L offsets r, made once per block,
-    times one over the chunk's strides q.  A chunk's width is a multiple of L
-    (except the last chunk's), so every chunk starts at r = 0.
+    ``h.dim``.  The phase at k = q*L + r is the product of the phases at q*L,
+    tabulated per chunk, and at r < L, tabulated once per block; so each
+    eigenvalue takes about L + n_points/L cos/sin pairs, not n_points.
     """
     csr = h.matrix.tocsr()  # sliceable even when h.matrix only forwards attributes
     labels = _components(csr)
@@ -262,7 +252,7 @@ def _dense_blocks(h, psi0, dt, n_points):
             f"past the budget of {MAX_RUN_BYTES // 2**30} GiB; use method auto or krylov")
     step = min(_GRID_CHUNK, max(1, _CHUNK_ENTRIES // h.dim))
     stride = min(_PHASE_STRIDE, step)
-    step -= step % stride  # rounding down keeps a chunk within _CHUNK_ENTRIES
+    step -= step % stride  # chunks start at multiples of L; rounding down keeps _CHUNK_ENTRIES
     offsets = dt * np.arange(stride)
     blocks = []
     for idx, sub in zip(touched, subs):

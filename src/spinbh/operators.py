@@ -261,8 +261,7 @@ def observable(name: str, sector: str, basis: FockBasis) -> SparseOperator:
     cxx   x-x correlator of the first two sites
 
     On two levels n - 1/2 and (a + a+)/2 are S^z and S^x, so both sectors
-    share the same local matrices.  They are real, so the matrix is a float64
-    CSR with the same values and a C-contiguous ``data`` array.
+    share the same local matrices.  They are real, so the matrix is float64.
     """
     if sector not in ("spin", "boson"):
         raise ValueError(f"unknown sector {sector!r}")

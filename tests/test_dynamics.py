@@ -687,7 +687,7 @@ def test_dense_blocks_keep_cross_sector_coherences(d):
                          ids=["chunk512", "chunk35"])
 def test_dense_columns_cross_chunk_and_stride_boundaries_on_a_wide_spectrum(
         eigh_shapes, monkeypatch, hopping, chunk, widths):
-    # J = 40 MHz and h = 4720 MHz over 0.5 us take phase arguments to about 1e4
+    # J = 40 MHz and h = 4720 MHz over 0.5 us take phase arguments past 1e4
     # rad; 1300 points make full chunks and a last one that is not a multiple
     # of the 64 (or 35) grid offsets in one phase table
     basis = FockBasis(6, 2)

@@ -41,23 +41,13 @@ def _write_table(path, header, rows, precision: int, sep: str = ",") -> None:
                                for c in row]) + "\n")
 
 
-def emit_plotdata(out_dir, labeled_trajectories, precision: int = 12) -> list[str]:
-    """One two-column series file per recorded curve, named <observable>_<sector>.dat.
-
-    ``labeled_trajectories`` is an iterable of (sector, Trajectory).  Returns
-    the written paths; an empty input writes nothing and warns on stderr.
-    """
-    labeled = list(labeled_trajectories)
-    if not labeled:
-        print("warning: no trajectories to emit", file=sys.stderr)
-        return []
-    written = []
-    for sector, traj in labeled:
+def emit_plotdata(out_dir, labeled_trajectories, precision: int = 12) -> None:
+    """One two-column series file per recorded curve, named <observable>_<sector>.dat;
+    ``labeled_trajectories`` is an iterable of (sector, Trajectory)."""
+    for sector, traj in labeled_trajectories:
         for obs, series in traj.values.items():
             path = os.path.join(out_dir, f"{obs}_{sector}.dat")
             _write_table(path, None, zip(traj.times, series), precision, sep=" ")
-            written.append(path)
-    return written
 
 
 def _checked(circuit):

@@ -50,6 +50,7 @@ KRYLOV_DIM = 30
 STEP_TOLERANCE = 1e-10  # error bound of a Krylov window at each time it serves
 MAX_GRID_POINTS = 10**6  # per recorded series 8 MB, and one output row each
 MAX_RUN_BYTES = 4 * 2**30  # peak memory a run may plan for
+MAX_PHASE = 2.0**33  # rad; a float64 phase this large is known to about 1e-6 rad
 _GRID_CHUNK = 512
 _PHASE_STRIDE = 64  # L: grid offsets in one dense phase table, and a chunk's width divides by it
 # entries of one dense chunk: 512 columns up to DENSE_DIM_LIMIT, fewer beyond
@@ -289,9 +290,12 @@ def evolve(
     to S, which is exact because every state vanishes off S.
 
     Non-Hermitian generators are refused; project them onto an invariant
-    subspace first.  A psi0 whose norm is not 1, non-finite expectations or
-    norms, norm drift beyond 1e-9 and expectation imaginary parts beyond
-    1e-9 raise NumericalError rather than being silently discarded.
+    subspace first.  A grid whose largest phase 2*pi*rho*t_max is finite but
+    past ``MAX_PHASE`` raises InvalidSpecError, where rho, the largest absolute
+    row sum of H's stored values, bounds every |E|.  A psi0 whose norm is not 1,
+    non-finite expectations or norms, norm drift beyond 1e-9 and expectation
+    imaginary parts beyond 1e-9 raise NumericalError rather than being
+    silently discarded.
     """
     if not h.hermitian:
         raise HermiticityError("evolution requires a Hermitian Hamiltonian")
@@ -304,8 +308,17 @@ def evolve(
     dev = abs(np.linalg.norm(psi0) - 1.0)
     if not dev < NORM_TOL:  # NaN fails too, and a zero psi0 touches no state
         raise NumericalError(f"initial state norm is off by {dev:.3e}")
+    csr = h.matrix.tocsr()
+    rho = float(sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
+                .sum(1).max())
+    phase = TWO_PI * rho * cfg.t_max
+    if MAX_PHASE < phase < np.inf:  # an overflowing one fails the non-finite checks below
+        raise InvalidSpecError(
+            f"t_max = {cfg.t_max:.6g} us reaches a phase of {phase:.3g} rad "
+            f"(|E| <= {rho:.6g} MHz), past the {MAX_PHASE:.3g} rad within which "
+            "a float64 phase is known to 1e-6 rad")
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
-    labels = _components(h.matrix)
+    labels = _components(csr)
     support = np.flatnonzero(np.isin(labels, labels[psi0 != 0]))
     whole = len(support) == h.dim  # then slice and copy nothing
     cut = slice(None) if whole else support

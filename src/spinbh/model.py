@@ -6,8 +6,8 @@ ground.  All energies are ordinary frequencies nu = E/(2*pi*hbar) in MHz.
 
 Both specs are valid by construction: a malformed one raises one
 InvalidSpecError that lists every problem.  ``validate`` refuses a circuit
-outside the regime the mapping assumes in the same way, and returns its
-regime warnings.
+outside the regime the mapping assumes in the same way, and returns every
+regime warning; nothing else in the package judges a circuit's regime.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ TRANSMON_RATIO_WARN = 0.1
 # The low-coupling inversion E'_J = E_J (E_coup/E_C) / (1 - 2 E_coup/E_C)
 # changes sign at E_coup/E_C = 0.5.
 COUPLING_RATIO_LIMIT = 0.5
+# Relative E_C/E_L spread along the chain, and relative miss of the exact
+# coupling on any interior link, above which the spin model is only approximate.
+EXACT_REGIME_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,11 @@ def chain_circuit(
 
 def validate(circuit: CircuitSpec) -> list[str]:
     """Refuse a circuit outside the regime the mapping assumes with one
-    InvalidSpecError that lists every regime error; return the regime warnings.
-    Structural problems never get here: the constructor refuses them."""
+    InvalidSpecError that lists every regime error; return the regime warnings:
+    a weakly anharmonic site, an E_C/E_L that varies along the chain, and a
+    coupling that misses the exact constraint, the last two judged once the
+    errors are clear.  Structural problems never get here: the constructor
+    refuses them."""
     errors, warnings = [], []
     n = circuit.n_sites
     for s in range(n):
@@ -165,4 +171,21 @@ def validate(circuit: CircuitSpec) -> list[str]:
                               f"{COUPLING_RATIO_LIMIT}, where the low-coupling inversion diverges")
     if errors:
         raise InvalidSpecError("; ".join(errors))
+    from .mapping import exact_couplings  # needs positive energies; mapping imports this module
+
+    e_l = circuit.inductive_energies()
+    ratios = [circuit.e_c[s] / e_l[s] for s in range(n)]
+    spread = (max(ratios) - min(ratios)) / max(ratios)
+    if spread > EXACT_REGIME_TOL:
+        warnings.append(f"E_C/E_L varies by {spread:.3g} along the chain; "
+                        "link parameters use the left-site ratio")
+    # miss relative to the larger of the set and the exact coupling;
+    # a link where both are zero is exact
+    miss = 0.0
+    for given, exact in zip(circuit.e_coup[1:n], exact_couplings(circuit)[1:n]):
+        scale = max(abs(given), abs(exact))
+        miss = max(miss, abs(given - exact) / scale if scale > 0.0 else 0.0)
+    if miss > EXACT_REGIME_TOL:
+        warnings.append(f"coupling constraint violated by {miss:.3g} relative; "
+                        "the emitted spin model is only approximate")
     return warnings

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +12,9 @@ from spinbh.mapping import (
     eprime_from_simplified_coupling,
     exact_coupling,
     parameter_sheet,
-    ratio_uniformity,
     simplified_coupling,
 )
-from spinbh.model import chain_circuit, chain_spec
+from spinbh.model import chain_circuit, chain_spec, validate
 
 E_C, E_J, EP = 200.0, 12500.0, 1562.5
 E_L = E_J + 2 * EP  # 15625
@@ -67,10 +65,10 @@ def test_delta_tilde_edges_halved():
 
 
 def test_ratio_uniformity_warning_for_bare_edges():
+    # bare ends: E_L = 14062.5 at the edges, 15625 inside
     circuit = table_circuit(4, include_boundary=False)
-    assert ratio_uniformity(circuit) > 0.05
-    with pytest.warns(UserWarning):
-        derive_jja_params(circuit)
+    assert validate(circuit)[0].split(";")[0] == "E_C/E_L varies by 0.1 along the chain"
+    derive_jja_params(circuit)  # computes without warning
 
 
 # ------------------------------------------------------- constraint
@@ -113,19 +111,24 @@ def test_circuit_to_spin_edge_field():
     assert np.isclose(spin.fields[-1], 4760.0, rtol=1e-12)
 
 
-def test_circuit_to_spin_warns_off_constraint():
-    with pytest.warns(UserWarning):
-        circuit_to_spin(table_circuit(3, e_coup=20.0))
+def test_validate_warns_off_constraint():
+    # 20 against the exact 18.4: 1.6 / 20 relative
+    circuit = table_circuit(3, e_coup=20.0)
+    assert validate(circuit) == [
+        "coupling constraint violated by 0.08 relative; the emitted spin model is only approximate"
+    ]
+    circuit_to_spin(circuit)  # computes without warning
 
 
-def test_circuit_to_spin_zero_coupling_reads_as_full_violation():
+def test_zero_coupling_reads_as_full_violation():
     # e_coup = 0 misses the exact coupling by all of it: relative violation 1
-    with pytest.warns(UserWarning, match="violated by 1 relative"):
-        circuit_to_spin(table_circuit(2, e_coup=0.0))
-    # zero set and zero exact coupling (no link Josephson energy) is exact
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        circuit_to_spin(chain_circuit(2, E_C, E_J, 0.0, 0.0))
+    assert [w.split(";")[0] for w in validate(table_circuit(2, e_coup=0.0))] == [
+        "coupling constraint violated by 1 relative"
+    ]
+    # zero set and zero exact coupling (E_C = 2 E_L, so 1 - sqrt(E_C/2E_L) = 0) is exact
+    circuit = chain_circuit(2, E_C, 90.0, 10.0, 0.0)
+    assert exact_coupling(E_C, 100.0, 10.0) == 0.0
+    assert not [w for w in validate(circuit) if "constraint" in w]
 
 
 # ------------------------------------------------------- design
@@ -151,10 +154,9 @@ def test_design_without_boundary_meets_constraint_on_every_link():
     circuit = design_circuit(chain_spec(4, 40.0, 4720.0), e_c=E_C, include_boundary=False)
     resid = constraint_residual(circuit)
     assert np.all(np.abs(resid) <= 1e-12 * np.array(circuit.e_coup[1:-1]))
-    circuit_to_spin(circuit)  # a constraint warning would fail the test
+    assert [w.split(" by ")[0] for w in validate(circuit)] == ["E_C/E_L varies"]
     # independent of the constraint formula: the hopping is -Delta/2 on every link
-    with pytest.warns(UserWarning, match="E_C/E_L varies"):
-        params = derive_jja_params(circuit)
+    params = derive_jja_params(circuit)
     assert np.allclose(params.t, -0.5 * np.array(params.delta), rtol=1e-12, atol=0.0)
 
 

@@ -79,7 +79,7 @@ def test_validate_is_pure_and_idempotent():
     circuit = chain_circuit(2, 200.0, 500.0, 50.0, 1.0)
     first = validate(circuit)
     second = validate(circuit)
-    assert first == second and len(first) == 2
+    assert first == second and len(first) == 3  # e_c/e_j at both sites, and the constraint
     messages = []
     for _ in range(2):
         with pytest.raises(InvalidSpecError) as info:

@@ -76,3 +76,22 @@ def test_only_the_command_line_prints():
                 for node in ast.walk(tree)
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"]
     assert not printing
+
+
+def test_no_module_warns():
+    # a regime warning is a string that model.validate returns and cli.py
+    # prints; Python's once-per-location registry would hide it on a rerun
+    warning = []
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]]
+            elif isinstance(node, ast.Call):
+                names = [getattr(node.func, "attr", getattr(node.func, "id", None))]
+            else:
+                continue
+            if "warnings" in names or "warn" in names:
+                warning.append(f"{module}:{node.lineno}")
+    assert not warning

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import tempfile
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,8 +35,16 @@ from spinbh.mapping import (
     constraint_residual,
     derive_jja_params,
     design_circuit,
+    parameter_sheet,
 )
-from spinbh.model import SpinModelSpec, chain_circuit, chain_spec
+from spinbh.model import (
+    EXACT_REGIME_TOL,
+    CircuitSpec,
+    SpinModelSpec,
+    chain_circuit,
+    chain_spec,
+    validate,
+)
 from spinbh.operators import (
     DROP_THRESHOLD,
     OBSERVABLE_NAMES,
@@ -214,6 +221,50 @@ def test_project_matches_dense_slicing(case, random_mask):
         assert project(build(hardcore_touching=True), mask)[1] == coupling
 
 
+# ------------------------------------------------------- regime warnings
+
+@st.composite
+def accepted_circuits(draw):
+    """Inhomogeneous circuits that ``validate`` accepts, near and far from the
+    exact scheme: per-site E_J, per-link E'_J (a boundary link zero or not), E_C
+    at one E_C/E_L ratio times a per-site factor, and each interior E_coup at
+    its exact value times a per-link factor.  A factor is 1, within 3e-6 of 1
+    (either side of the 1e-6 tolerance) or anywhere in [0.5, 1.5]."""
+    n = draw(st.integers(1, 6))
+    factor = st.just(1.0) | mhz(1.0 - 3e-6, 1.0 + 3e-6) | mhz(0.5, 1.5)
+    boundary = st.just(0.0) | mhz(0.0, 250.0)
+    e_j = draw(per(n, mhz(1e3, 3e4)))
+    eprime = (draw(boundary), *draw(per(n - 1, mhz(1.0, 250.0))), draw(boundary))
+    e_l = [e_j[s] + eprime[s] + eprime[s + 1] for s in range(n)]
+    ratio = draw(mhz(0.005, 0.05))
+    e_c = tuple(ratio * e_l[s] * draw(factor) for s in range(n))
+    exact = [eprime[i + 1] * e_c[i] / e_l[i] * (1.0 - math.sqrt(e_c[i] / (2.0 * e_l[i])))
+             for i in range(n - 1)]
+    e_coup = (0.0, *(x * draw(factor) for x in exact), 0.0)
+    return CircuitSpec(n, e_c, e_j, eprime, e_coup)
+
+
+@examples
+@given(accepted_circuits())
+def test_validate_warns_exactly_when_the_circuit_is_not_exact(circuit):
+    warned = validate(circuit)
+    n, e_c = circuit.n_sites, np.array(circuit.e_c)
+    e_l = np.add(circuit.e_j, circuit.eprime_j[:-1]) + circuit.eprime_j[1:]
+    ratio = e_c / e_l
+    spread = (ratio.max() - ratio.min()) / ratio.max()
+    left = slice(0, n - 1)
+    exact = np.multiply(circuit.eprime_j[1:n], ratio[left]) * (1.0 - np.sqrt(ratio[left] / 2.0))
+    given = np.array(circuit.e_coup[1:n])
+    miss = np.max(np.abs(given - exact) / np.maximum(given, exact), initial=0.0)
+    for value, prefix in ((spread, "E_C/E_L varies by"), (miss, "coupling constraint violated")):
+        if abs(value / EXACT_REGIME_TOL - 1.0) > 1e-9:  # rounding decides within the band
+            assert any(w.startswith(prefix) for w in warned) == (value > EXACT_REGIME_TOL)
+    # the mapping computes and never warns (pytest.ini makes any UserWarning an error)
+    derive_jja_params(circuit)
+    circuit_to_spin(circuit)
+    parameter_sheet(circuit)
+
+
 def bulk_field(e_c, coupling, e_j):
     """Interior-site field of the homogeneous design with Josephson energy e_j."""
     return math.sqrt(8.0 * e_c * e_j * e_c / (e_c - coupling)) - e_c - 2.0 * coupling
@@ -243,10 +294,7 @@ def test_designer_hits_field_coupling_and_constraint(target):
     resid = constraint_residual(circuit)
     assert np.all(np.abs(resid) <= 1e-12 * np.array(circuit.e_coup[1:-1]))
     # independent of the constraint formula: the hopping is -Delta/2 on every link
-    with warnings.catch_warnings():
-        # bare ends make E_C/E_L uneven (unless J is tiny), which is reported
-        warnings.filterwarnings("ignore", "E_C/E_L varies", UserWarning)
-        params = derive_jja_params(circuit)
+    params = derive_jja_params(circuit)
     assert np.allclose(params.t, -0.5 * np.array(params.delta), rtol=1e-9, atol=0.0)
 
 
@@ -337,8 +385,7 @@ def test_every_config_ends_in_a_documented_exit_code(data):
         with open(path, "w") as fh:
             json.dump(data, fh)
         stderr = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("ignore")  # the command line reports, never raises, warnings
+        with contextlib.redirect_stderr(stderr):  # a Python warning would raise (pytest.ini)
             code = main(["run", path, "--out-dir", out, "--quiet"])
         assert code in (0, 1, 2, 3)
         if code == 0:

@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", help="built-in experiment name")
     parser.add_argument("--out-dir", help="override the output directory")
     parser.add_argument("--method", help="override the propagator (dense_eig, krylov, auto)")
-    parser.add_argument("--cutoff", type=int, help="override the boson local dimension")
+    parser.add_argument("--cutoff", help="override the boson local dimension")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
@@ -211,6 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     threads = os.environ.get("SPINBH_THREADS")
     if threads:
+        if not (threads.isascii() and threads.isdigit() and int(threads) > 0):
+            print(f"error: SPINBH_THREADS must be a positive integer, got {threads!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         for var in _THREAD_ENV_VARS:
             os.environ.setdefault(var, threads)
 
@@ -227,14 +231,16 @@ def main(argv=None) -> int:
     import configparser
     import json
 
-    from .config import load_config, preset_config
+    from .config import from_mapping, load_config, preset_config
     from .errors import InvalidSpecError, SpinBHError
 
+    source = args.config
+    flags = (("output", "out_dir"), ("evolution", "method"), ("experiment", "cutoff"))
     try:
-        if args.preset:
-            cfg = preset_config(args.preset)
-        else:
-            cfg = load_config(args.config)
+        cfg = preset_config(args.preset) if args.preset else load_config(args.config)
+        source = "command line"  # a flag is read exactly like its file key
+        cfg = from_mapping({section: {key: getattr(args, key)} for section, key in flags
+                            if getattr(args, key) is not None}, cfg)
     except (FileNotFoundError, configparser.Error, InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -243,20 +249,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        print(f"error: {source}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    from dataclasses import replace
-
-    overrides = {}
-    if args.out_dir:
-        overrides["out_dir"] = args.out_dir
-    if args.method:
-        overrides["method"] = args.method
-    if args.cutoff is not None:
-        overrides["cutoff"] = args.cutoff
-    if overrides:
-        cfg = replace(cfg, **overrides)
 
     try:
         return run_experiment(cfg, quiet=args.quiet)

@@ -13,6 +13,7 @@ import configparser
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 from .dynamics import MAX_GRID_POINTS, MAX_RUN_BYTES, METHODS
 from .errors import InvalidSpecError
@@ -57,36 +58,17 @@ class ExperimentConfig:
     precision: int = 12
 
 
-_SECTION_KEYS = {
-    "model": {
-        "n_sites": int,
-        "j": ("coupling", float),
-        "h": ("fieldstrength", float),
-        "e_c": float,
-        "e_j": float,
-        "eprime_j": float,
-        "e_coup": float,
-        "include_boundary": bool,
-    },
-    "evolution": {
-        "t_max": float,
-        "n_steps": int,
-        "method": str,
-    },
-    "experiment": {
-        "kind": str,
-        "observables": "obs_list",
-        "initial_state": str,
-        "cutoff": int,
-        "encoding": str,
-        "variant": str,
-        "match_field": bool,
-    },
-    "output": {
-        "out_dir": "path",
-        "precision": int,
-    },
+# The keys of each section.  A key sets the ExperimentConfig field of its own
+# name, or of its alias, and is read as that field's type.
+_SECTIONS = {
+    "model": ("n_sites", "j", "h", "e_c", "e_j", "eprime_j", "e_coup", "include_boundary"),
+    "evolution": ("t_max", "n_steps", "method"),
+    "experiment": ("kind", "observables", "initial_state", "cutoff", "encoding", "variant",
+                   "match_field"),
+    "output": ("out_dir", "precision"),
 }
+_ALIASES = {"j": "coupling", "h": "fieldstrength"}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _scalar(key: str, raw, what: str) -> None:
@@ -96,12 +78,22 @@ def _scalar(key: str, raw, what: str) -> None:
 
 
 def _number(key: str, raw, kind: type):
-    """``raw`` as an int or float.  Strings parse; a non-integral number for an
-    int key is an error naming ``key``."""
+    """``raw`` as an int or float, read alike from text and JSON numbers.  An int
+    key takes any integral value, and reads its text as an exact int first."""
     _scalar(key, raw, "a number")
-    if kind is int and isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"{key} must be an integer, got {raw!r}")
-    return kind(raw)
+    what = "an integer" if kind is int else "a number"
+    if kind is int and not isinstance(raw, float):
+        try:
+            return int(raw)
+        except ValueError:
+            pass  # "3.0" or "1e3" is still integral
+    try:
+        value = float(raw)
+    except (ValueError, OverflowError):
+        value = None
+    if value is None or kind is int and not value.is_integer():
+        raise ValueError(f"{key} must be {what}, got {raw!r}")
+    return int(value) if kind is int else value
 
 
 def _text(key: str, raw) -> str:
@@ -121,40 +113,35 @@ def _flag(key: str, raw) -> bool:
 
 
 def _coerce(section: str, key: str, raw) -> tuple[str, object]:
-    spec = _SECTION_KEYS[section].get(key)
-    if spec is None:
+    if key not in _SECTIONS[section]:
         raise InvalidSpecError(f"unknown key {key!r} in section [{section}]")
-    attr = key
-    if isinstance(spec, tuple):
-        attr, spec = spec
-    if spec == "obs_list":
+    attr = _ALIASES.get(key, key)
+    if attr == "observables":
         if isinstance(raw, (list, tuple)):
-            names = [_text(key, x).lower() for x in raw]
-        else:
-            names = [part.strip().lower() for part in _text(key, raw).split(",") if part.strip()]
-        return "observables", tuple(names)
-    if spec == "path":  # preserve case, unlike the enum-valued strings
+            return attr, tuple(_text(key, x).lower() for x in raw)
+        return attr, tuple(part.strip().lower() for part in _text(key, raw).split(",") if part.strip())
+    if attr == "out_dir":  # a path keeps its case, unlike the enum-valued strings
         return attr, _text(key, raw)
-    if spec is bool:
+    kind = _FIELD_TYPES[attr]
+    if kind is bool:
         return attr, _flag(key, raw)
-    if spec in (int, float):
-        return attr, _number(key, raw, spec)
-    return attr, _text(key, raw).lower()
+    if kind is str:
+        return attr, _text(key, raw).lower()
+    return attr, _number(key, raw, int if kind is int else float)
 
 
-def from_mapping(data: dict) -> ExperimentConfig:
-    """Build a config from nested {section: {key: value}} data."""
+def from_mapping(data: dict, base: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
+    """``base`` with the keys of nested {section: {key: value}} data applied."""
     updates = {}
     for section, entries in data.items():
         sec = str(section).strip().lower()
-        if sec not in _SECTION_KEYS:
+        if sec not in _SECTIONS:
             raise InvalidSpecError(f"unknown section [{sec}]")
         if not isinstance(entries, dict):
             raise InvalidSpecError(f"section [{sec}] must hold key = value entries")
-        for key, value in entries.items():
-            attr, coerced = _coerce(sec, str(key).strip().lower(), value)
-            updates[attr] = coerced
-    return replace(ExperimentConfig(), **updates)
+        updates.update(_coerce(sec, str(key).strip().lower(), value)
+                       for key, value in entries.items())
+    return replace(base, **updates)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -211,6 +198,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         err(f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
     if cfg.precision < 1 or cfg.precision > 17:
         err(f"precision must be in [1, 17], got {cfg.precision}")
+    if not cfg.out_dir:
+        err("out_dir must not be empty")
 
     needs_evolution = cfg.kind in ("spin", "boson", "jja", "compare")
     if needs_evolution:
@@ -235,10 +224,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     source = model_source(cfg)
     if source == "spin":
+        run = f"kind={cfg.kind}" + (" with encoding=ebh" if cfg.kind in ("compare", "verify") else "")
         if cfg.coupling is None:
-            err(f"kind={cfg.kind} with encoding=ebh requires model key J")
+            err(f"{run} requires model key J")
         if cfg.fieldstrength is None:
-            err(f"kind={cfg.kind} with encoding=ebh requires model key h")
+            err(f"{run} requires model key h")
     elif source == "circuit":
         if cfg.e_c is None or cfg.e_j is None or cfg.eprime_j is None:
             err("circuit experiments require model keys e_c, e_j, eprime_j")

@@ -1,7 +1,12 @@
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 import warnings
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -131,6 +136,74 @@ def test_readme_library_example_matches_circuit_spin_model():
     exec(compile(readme_block("python"), "README.md", "exec"), namespace)
     scale = float(np.max(np.abs(namespace["h_circuit_spin"].matrix.data)))
     assert namespace["report"].residual_max < 1e-9 * scale
+
+
+def test_readme_config_block_lists_every_key():
+    from spinbh.config import _SECTIONS
+
+    block = readme_block("ini")
+    missing = [key for keys in _SECTIONS.values() for key in keys
+               if not re.search(rf"^[#\s]*{key}\s*=", block, re.IGNORECASE | re.MULTILINE)]
+    assert not missing
+
+
+# one non-default value per field type: (JSON value, its text)
+FIELD_SAMPLES = {int: (7, "7"), float: (2.5, "2.5"), bool: (False, "false"),
+                 str: ("Text", "Text"), tuple: (["sz1", "mx"], "sz1, mx")}
+
+
+def test_every_field_is_set_by_one_key_read_as_its_type(tmp_path):
+    # the reader takes each key's type from its ExperimentConfig field
+    from spinbh.config import _SECTIONS, ExperimentConfig
+
+    hints = get_type_hints(ExperimentConfig)
+    kinds = {int: int, float: float, float | None: float, bool: bool, str: str,
+             tuple[str, ...]: tuple}
+    default = ExperimentConfig()
+    set_by = []
+    for section, keys in _SECTIONS.items():
+        for key in keys:
+            attr = {"j": "coupling", "h": "fieldstrength"}.get(key, key)
+            kind = kinds[hints[attr]]
+            value, text = FIELD_SAMPLES[kind]
+            read = [load_config(write(tmp_path, "k.ini", f"[{section}]\n{key} = {text}\n")),
+                    load_config(write(tmp_path, "k.json", json.dumps({section: {key: value}}))),
+                    load_config(write(tmp_path, "t.json", json.dumps({section: {key: text}})))]
+            for cfg in read:
+                changed = [f.name for f in fields(cfg)
+                           if getattr(cfg, f.name) != getattr(default, f.name)]
+                assert changed == [attr], key
+                assert type(getattr(cfg, attr)) is kind, key
+                assert getattr(cfg, attr) == getattr(read[0], attr), key
+            set_by.append(attr)
+    assert sorted(set_by) == sorted(f.name for f in fields(ExperimentConfig))
+
+
+@pytest.mark.parametrize("form", ["ini", "json", "json-text"])
+def test_number_keys_read_alike_in_every_form(tmp_path, capsys, form):
+    def load(**model):
+        if form == "ini":
+            text = "[model]\n" + "".join(f"{k} = {v}\n" for k, v in model.items())
+            return write(tmp_path, "n.ini", text)
+        if form == "json-text":
+            model = {k: str(v) for k, v in model.items()}
+        return write(tmp_path, "n.json", json.dumps({"model": model}))
+
+    cfg = load_config(load(n_sites=4.0, e_c=200))
+    assert (cfg.n_sites, cfg.e_c) == (4, 200.0)
+    assert type(cfg.n_sites) is int and type(cfg.e_c) is float
+    if form != "json":  # integer text is read exactly, not through a float
+        assert load_config(load(n_sites="10000000000000001")).n_sites == 10**16 + 1
+    for key, value, problem in [("n_sites", "abc", "n_sites must be an integer, got 'abc'"),
+                                ("n_sites", 2.5, "n_sites must be an integer, got "),
+                                ("e_c", "abc", "e_c must be a number, got 'abc'")]:
+        if form == "json" and value == "abc":
+            continue  # a JSON string is the json-text form
+        path = load(**{key: value})
+        assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {problem}")
+        assert not (tmp_path / "o").exists()
 
 
 def test_validate_config_catches_bad_values():
@@ -388,6 +461,71 @@ def test_usage_error_json_bool_key_of_wrong_type(tmp_path, capsys, section, key,
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"error: {path}: {key} must be a boolean, got {value!r}"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["spin", "boson"])
+def test_validation_error_spin_kind_without_model_names_no_encoding(tmp_path, capsys, kind):
+    # spin and boson runs read no encoding, so the message names none
+    path = write(tmp_path, "bare.ini", f"[experiment]\nkind = {kind}\ninitial_state = neel\n")
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: kind={kind} requires model key J; kind={kind} requires model key h"]
+    path = write(tmp_path, "bare.ini", "[experiment]\nkind = verify\n")
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
+    assert "kind=verify with encoding=ebh requires model key J" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_validation_error_empty_out_dir(tmp_path, capsys):
+    path = write(tmp_path, "cmp.ini", COMPARE_INI + "out_dir =\n")
+    assert run_cli(["run", path, "--quiet"]) == EXIT_VALIDATION
+    path = write(tmp_path, "cmp.ini", COMPARE_INI + f"out_dir = {tmp_path / 'o'}\n")
+    assert run_cli(["run", path, "--out-dir", "", "--quiet"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == ["error: out_dir must not be empty"] * 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1", "2.5"])
+def test_usage_error_bad_thread_count(tmp_path, threads):
+    # refused before numpy loads, so no BLAS pool ever sees the value
+    src = os.path.dirname(os.path.dirname(operators.__file__))
+    env = dict(os.environ, PYTHONPATH=src, SPINBH_THREADS=threads)
+    code = ("import sys, spinbh.cli; code = spinbh.cli.main(sys.argv[1:]); "
+            "assert 'numpy' not in sys.modules; sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", code, "--preset", "fig2_sz",
+                           "--out-dir", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.splitlines() == [
+        f"error: SPINBH_THREADS must be a positive integer, got {threads!r}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_flags_read_like_their_file_keys(tmp_path, capsys):
+    small = COMPARE_INI.replace("n_steps = 41", "n_steps = 11")
+    flagged = write(tmp_path, "flag.ini", small)
+    path = write(tmp_path, "key.ini", small.replace("method = auto", "method = KRYLOV"))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "k"), "--quiet"]) == EXIT_OK
+    assert run_cli(["run", flagged, "--out-dir", str(tmp_path / "f"), "--method", "KRYLOV",
+                    "--quiet"]) == EXIT_OK
+    flagged_verify = write(tmp_path, "flag_v.ini", verify_ini("ebh", 4, 2))
+    path = write(tmp_path, "key_v.ini", verify_ini("ebh", 4, "3.0"))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "k3"), "--quiet"]) == EXIT_OK
+    assert run_cli(["run", flagged_verify, "--out-dir", str(tmp_path / "f3"), "--cutoff", "3.0",
+                    "--quiet"]) == EXIT_OK
+    for a, b in (("k", "f"), ("k3", "f3")):
+        names = sorted(os.listdir(tmp_path / a))
+        assert names == sorted(os.listdir(tmp_path / b))
+        for name in names:
+            assert (tmp_path / a / name).read_bytes() == (tmp_path / b / name).read_bytes()
+    assert "local_dim = 3\n" in (tmp_path / "f3" / "equivalence_report.txt").read_text()
+    capsys.readouterr()
+    out = tmp_path / "bad"
+    assert run_cli(["--preset", "fig2_sz", "--cutoff", "abc", "--out-dir", str(out)]) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "cutoff must be an integer, got 'abc'" in lines[0] and "None" not in lines[0]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- compare runs

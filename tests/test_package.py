@@ -95,3 +95,12 @@ def test_no_module_warns():
             if "warnings" in names or "warn" in names:
                 warning.append(f"{module}:{node.lineno}")
     assert not warning
+
+
+def test_only_the_command_line_reads_the_environment():
+    # SPINBH_THREADS is checked once, in cli.main, before numpy loads
+    reading = [f"{module}:{node.lineno}" for module, tree in _modules() if module != "cli.py"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+               or isinstance(node, ast.ImportFrom) and node.module == "os"]
+    assert not reading

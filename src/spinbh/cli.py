@@ -7,7 +7,10 @@ Usage:
 Exit codes: 0 success, 1 usage/parse error, 2 validation failure,
 3 numerical failure.  Outputs are deterministic: rerunning the same config
 produces byte-identical files.  Every output file goes through one streamed
-row writer, the only place where a number becomes text.
+row writer, the only place where a number becomes text.  The boson side is
+built only on the states a run can reach: the closure of the initial state
+under H for dynamics, the hard-core states for verify.  The spin side keeps
+its 2**N states.
 
 Heavy imports happen inside main() so the SPINBH_THREADS environment
 variable can cap the linear-algebra thread pools before they start.
@@ -115,16 +118,20 @@ def run_experiment(cfg, quiet: bool = False) -> int:
         circuit = _build_circuit(cfg)
         spin_spec = mapping.circuit_to_spin(circuit)
 
-    def boson_hamiltonian(basis, **flags):
-        if circuit is not None:
-            params = mapping.derive_jja_params(circuit)
-            return operators.build_h_jja(params, basis, variant=cfg.variant, **flags)
-        return operators.build_h_ebh(spin_spec, basis, **flags)
+    if circuit is not None:  # the boson side, read only by the kinds that have one
+        params = mapping.derive_jja_params(circuit)
+        boson_terms = lambda: operators.jja_terms(params, cfg.cutoff, cfg.variant)
+        build_boson = lambda basis: operators.build_h_jja(params, basis, variant=cfg.variant)
+    else:
+        boson_terms = lambda: operators.ebh_terms(spin_spec, cfg.cutoff)
+        build_boson = lambda basis: operators.build_h_ebh(spin_spec, basis)
 
     if cfg.kind == "verify":
-        basis = FockBasis(cfg.n_sites, cfg.cutoff)
-        # P H P and Q H P are all the report reads, so Q H Q is never built
-        h_boson = boson_hamiltonian(basis, hardcore_touching=True)
+        # P H P and Q H P are all the report reads, so Q H Q is never built:
+        # on the hard-core states, H keeps P H P and the largest Q H P entry
+        hard_core = physical_mask(FockBasis(cfg.n_sites, cfg.cutoff))
+        basis = FockBasis(cfg.n_sites, cfg.cutoff, hard_core)
+        h_boson = build_boson(basis)
         h_spin = operators.build_h_spin(spin_spec)
         report = verify.compare_projected(h_boson, h_spin, physical_mask(basis))
         path = os.path.join(cfg.out_dir, "equivalence_report.txt")
@@ -140,14 +147,17 @@ def run_experiment(cfg, quiet: bool = False) -> int:
     def run_sector(sector: str):
         if sector == "spin":
             basis = FockBasis(cfg.n_sites, 2)
+            psi0 = named_initial_state(basis, cfg.initial_state, sector)
             h = operators.build_h_spin(spin_spec)
             mask = None
-        else:
-            basis = FockBasis(cfg.n_sites, cfg.cutoff)
-            h = boson_hamiltonian(basis)
+        else:  # on the closure of psi0: the states H reaches from it
+            full = FockBasis(cfg.n_sites, cfg.cutoff)
+            psi0 = named_initial_state(full, cfg.initial_state, sector)
+            basis = operators.closure(full, boson_terms(), psi0.nonzero()[0])
+            psi0 = basis.restrict(psi0)
+            h = build_boson(basis)
             mask = physical_mask(basis)
         obs = {name: operators.observable(name, sector, basis) for name in cfg.observables}
-        psi0 = named_initial_state(basis, cfg.initial_state, sector)
         return dynamics.evolve(
             h, psi0, evo, obs, leakage_mask=mask,
             hamiltonian_label=f"{cfg.kind}:{sector}",

@@ -21,12 +21,15 @@ never holds more than ``KRYLOV_DIM`` columns, so memory stays at two
 basis-sized arrays.  When not even the next grid point fits, the window
 halves a substep inside that interval until one fits.
 ``evolve`` picks the propagator by |S|, runs the dense one on H and psi0
-restricted to S, cuts the columns of the Lanczos one (which still propagates
-on the full space) to S, and records every block on S in one loop, so
-observables that couple blocks keep their cross-block coherences; leakage is
-one more of them, <Q> of the diagonal projector Q off the mask, unless Q
-stores no entry on S and the leakage is exactly zero.  A real observable (each
-built one, and Q) takes one real product.
+restricted to S, cuts the columns of the Lanczos one to S, and records every
+block on S in one loop, so observables that couple blocks keep their
+cross-block coherences; leakage is one more of them, <Q> of the diagonal
+projector Q off the mask, unless Q stores no entry on S and the leakage is
+exactly zero.  A real observable (each built one, and Q) takes one real
+product.  Lanczos propagates on every state of the H it is handed: d**N of
+them for a full-space H, while the command line hands over H built on the
+closure of psi0 (``operators.closure``), which holds S and which H never
+leaves.
 """
 
 from __future__ import annotations
@@ -328,7 +331,7 @@ def evolve(
     if cfg.resolve_method(len(support)) == "dense_eig":
         h = SparseOperator(matrix=restrict(h.matrix), hermitian=True)
         blocks = _dense_blocks(h, psi0[cut], cfg.t_max / (cfg.n_steps - 1), cfg.n_steps)
-    else:  # Lanczos still propagates on the full space
+    else:  # Lanczos propagates on all of h's states
         blocks = (cols[cut] for cols in _krylov_blocks(h, psi0, times))
     leak = None
     if q is not None:

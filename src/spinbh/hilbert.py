@@ -2,13 +2,15 @@
 
 Site 0 is the least significant digit: a Fock state with occupations
 (n_0, ..., n_{N-1}) sits at index sum_j n_j * d**j.  For local dimension 2
-this is the usual spin bit convention with occupation 1 = spin up.  A state
-is its complex amplitude array of length d**N, indexed the same way.
+this is the usual spin bit convention with occupation 1 = spin up.  A basis
+may hold only some of the d**N states: a sorted array of their full-space
+indices, whose position is then the state's index.  A state is its complex
+amplitude array over the basis states, in that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,10 +19,13 @@ MAX_DIM = 2**31
 
 @dataclass(frozen=True)
 class FockBasis:
-    """N-site basis with uniform local dimension d (d=2 is the spin space)."""
+    """N-site basis with uniform local dimension d (d=2 is the spin space):
+    all d**N states, or only ``states``, sorted unique full-space indices.
+    A ``states`` that holds every index is stored as None, the full basis."""
 
     n_sites: int
     local_dim: int = 2
+    states: np.ndarray | None = field(default=None, compare=False)  # bases compare by (N, d)
 
     def __post_init__(self):
         if self.n_sites < 1:
@@ -32,12 +37,36 @@ class FockBasis:
             raise ValueError(
                 f"basis dimension {self.local_dim}**{self.n_sites} exceeds {MAX_DIM}"
             )
+        if self.states is not None:
+            states = np.asarray(self.states, dtype=np.int64)
+            if (states.ndim != 1 or not states.size or states[0] < 0
+                    or states[-1] >= self.full_dim or np.any(np.diff(states) <= 0)):
+                raise ValueError("states must be non-empty, sorted, unique and within range")
+            object.__setattr__(self, "states", None if states.size == self.full_dim else states)
+
+    @property
+    def full_dim(self) -> int:
+        return self.local_dim**self.n_sites
 
     @property
     def dim(self) -> int:
-        return self.local_dim**self.n_sites
+        return self.full_dim if self.states is None else len(self.states)
+
+    def restrict(self, amp: np.ndarray) -> np.ndarray:
+        """The entries of a full-space array ``amp`` at the basis states."""
+        return amp if self.states is None else amp[self.states]
+
+    def rank(self, indices: np.ndarray) -> np.ndarray:
+        """Basis position of each full-space index in ``indices``, -1 where
+        absent; on the full basis, ``indices`` itself."""
+        if self.states is None:
+            return indices
+        pos = np.searchsorted(self.states, indices)
+        hit = self.states[np.minimum(pos, len(self.states) - 1)] == indices
+        return np.where(hit, pos, -1)
 
     def index_of(self, occupations) -> int:
+        """Full-space index of the occupations, whatever states the basis holds."""
         occ = list(occupations)
         if len(occ) != self.n_sites:
             raise ValueError(f"expected {self.n_sites} occupations, got {len(occ)}")
@@ -51,13 +80,13 @@ class FockBasis:
 
 
 def basis_state(basis: FockBasis, occupations) -> np.ndarray:
-    amp = np.zeros(basis.dim, dtype=complex)
+    amp = np.zeros(basis.full_dim, dtype=complex)
     amp[basis.index_of(occupations)] = 1.0
-    return amp
+    return basis.restrict(amp)
 
 
 def product_state(basis: FockBasis, local_kets) -> np.ndarray:
-    """Normalized tensor product of one length-d ket per site."""
+    """Normalized tensor product of one length-d ket per site, at the basis states."""
     kets = [np.asarray(k, dtype=complex) for k in local_kets]
     if len(kets) != basis.n_sites:
         raise ValueError(f"expected {basis.n_sites} local kets, got {len(kets)}")
@@ -70,7 +99,7 @@ def product_state(basis: FockBasis, local_kets) -> np.ndarray:
     for k in kets:  # site 0 first keeps it the fastest-varying index
         amp = np.kron(k, amp)
     amp /= np.linalg.norm(amp)
-    return amp
+    return basis.restrict(amp)
 
 
 NAMED_STATES = ("domain_wall", "all_up_x", "neel")
@@ -112,9 +141,11 @@ def site_offsets(d: int, sites, levels: int | None = None) -> np.ndarray:
 
 
 def physical_mask(basis: FockBasis) -> np.ndarray:
-    """Indices of all hard-core states (every occupation <= 1), in an order
-    matching the d=2 bit convention so entry m corresponds to spin index m."""
-    return site_offsets(basis.local_dim, range(basis.n_sites), 2)
+    """Indices of the basis's hard-core states (every occupation <= 1), in an
+    order matching the d=2 bit convention, so on a basis holding all of them
+    entry m corresponds to spin index m."""
+    pos = basis.rank(site_offsets(basis.local_dim, range(basis.n_sites), 2))
+    return pos[pos >= 0]
 
 
 def outside(dim: int, mask) -> np.ndarray:

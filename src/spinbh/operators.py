@@ -7,22 +7,28 @@ normal-ordering rewrites are performed.
 
 ``assemble`` multiplies each term's factors site by site (factors on
 different sites commute), takes the Kronecker product of the per-site
-products as a small dense block on the term's sorted site support, sums the
-blocks that share a support, and scatters each distinct support into the
-full space once by index arithmetic: block entry (r, c) lands at
-(rest + offset[r], rest + offset[c]) for every full index ``rest`` that is
-empty on the support, where ``offset`` places the block digits at the
-support sites (first site least significant).
+products as a small dense block on the term's sorted site support, and sums
+the blocks that share a support.  It applies each distinct support's block to
+the basis states by digit arithmetic: a state is ``rest + offset[c]``, with
+``c`` its digits on the support and ``offset`` placing block digits at the
+support sites (first site least significant), and block entry (r, c) sends it
+to ``rest + offset[r]``.  (On the full basis ``rest`` simply runs over every
+occupation off the support.)  The pieces are summed one support at a time, in
+support order, as the basis states' columns over full-space rows, so every
+entry equals the full-space build's bit for bit.  The rows are then ranked
+among the basis states by ``searchsorted``.  A row outside the basis is an
+entry of Q H P for the basis projector P; of those the operator keeps only
+the largest |value|, as ``dropped``.
 
-``hardcore_touching=True`` (for ``verify``) keeps only the entries whose row
-or column is hard-core (every occupation <= 1): ``rest`` ranges over {0, 1}
-and a block entry stays when its row or column digits do.  Each kept entry
-equals the full build's bit for bit; only the Q H Q block is left out.
+``closure`` finds, by breadth-first search over the same block applications,
+the states that terms reach from a set of seed states: the smallest basis
+the operator never leaves, found from its own pattern, not from a named
+conservation law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,21 +51,29 @@ VARIANTS = ("simplified", "full")
 @dataclass(frozen=True)
 class SparseOperator:
     """Compressed-row matrix with a measured (never assumed) hermitian flag;
-    complex, except the real observables that ``observable`` returns."""
+    complex, except the real observables that ``observable`` returns.
+    ``dropped`` is the largest |entry| that leaves the basis it was built on,
+    0.0 on the full space."""
 
     matrix: sp.csr_matrix
     hermitian: bool
+    dropped: float = 0.0
 
     @classmethod
     def from_matrix(cls, matrix) -> "SparseOperator":
-        m = sp.csr_matrix(matrix, dtype=complex)
+        """Operator of a copy of ``matrix``, which is left as it was."""
+        return cls._owning(sp.csr_matrix(matrix, dtype=complex, copy=True))
+
+    @classmethod
+    def _owning(cls, m: sp.csr_matrix, dropped: float = 0.0) -> "SparseOperator":
+        """Operator that takes over the complex CSR ``m``, edited in place."""
         m.sum_duplicates()
         if m.nnz:
             m.data[np.abs(m.data) <= DROP_THRESHOLD] = 0.0
         m.eliminate_zeros()
         m.sort_indices()
         dev = hermiticity_deviation(m)
-        return cls(matrix=m, hermitian=bool(dev <= HERMITIAN_TOL))
+        return cls(matrix=m, hermitian=bool(dev <= HERMITIAN_TOL), dropped=dropped)
 
     @property
     def dim(self) -> int:
@@ -106,9 +120,8 @@ def local_ops(local_dim: int) -> LocalOperatorSet:
                             hp_sp=hp_sp, hp_sm=hp_sm, hp_sz=hp_sz)
 
 
-def assemble(basis: FockBasis, terms, *, hardcore_touching: bool = False) -> SparseOperator:
-    """Sum of ``coeff * factor_1 @ factor_2 @ ...`` over ``terms``; with
-    ``hardcore_touching`` only its entries in a hard-core row or column."""
+def _blocks(basis: FockBasis, terms) -> dict[tuple[int, ...], np.ndarray]:
+    """Dense block of every distinct support: the sum of its terms' products."""
     d, n_sites = basis.local_dim, basis.n_sites
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     for coeff, factors in terms:
@@ -122,24 +135,105 @@ def assemble(basis: FockBasis, terms, *, hardcore_touching: bool = False) -> Spa
             per_site[site] = per_site[site] @ local if site in per_site else local
         support = tuple(sorted(per_site))
         block = np.ones((1, 1), dtype=complex)
-        for site in support:  # the first site ends up least significant
-            block = np.kron(per_site[site], block)
+        for site in support:  # the first site ends up least significant, as np.kron puts it
+            local = per_site[site]
+            block = (local[:, None, :, None] * block[None, :, None, :]).reshape(
+                len(local) * len(block), -1)
         blocks[support] = coeff * block + blocks.get(support, 0.0)
-    # One sparse addition per support keeps the peak near the final nnz.
-    total = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    levels = 2 if hardcore_touching else d
-    for support, block in blocks.items():
-        rest = site_offsets(d, [s for s in range(n_sites) if s not in support], levels)[:, None]
+    return blocks
+
+
+def _entries(basis: FockBasis, blocks: dict) -> tuple:
+    """The nonzero entries of ``blocks`` (support -> block) column by column:
+    (sites, first, shift, values).  Row i of ``sites`` lists the i-th support,
+    padded with N (a site whose digit is 0).  With w the widest support,
+    column c of the i-th block is column i * d**w + c; its entries are
+    first[col] to first[col + 1], each moving a state by ``shift``."""
+    d = basis.local_dim
+    width = max(map(len, blocks), default=0)
+    sites = np.full((len(blocks), width), basis.n_sites)
+    ends, shifts, values = [np.zeros(1, dtype=np.int64)], [], []
+    for i, (support, block) in enumerate(blocks.items()):
+        sites[i, : len(support)] = support
+        c, r = np.nonzero(block.T)
         offsets = site_offsets(d, support)
-        r, c = np.nonzero(block)
-        if hardcore_touching:
-            hard = np.isin(np.arange(len(block)), site_offsets(d, range(len(support)), 2))
-            keep = hard[r] | hard[c]
-            r, c = r[keep], c[keep]
-        data = np.broadcast_to(block[r, c], (rest.size, r.size)).ravel()
-        rows, cols = (rest + offsets[r]).ravel(), (rest + offsets[c]).ravel()
-        total = total + sp.csr_matrix((data, (rows, cols)), shape=total.shape)
-    return SparseOperator.from_matrix(total)
+        ends.append(ends[-1][-1] + np.searchsorted(c, np.arange(1, d**width + 1)))
+        shifts.append(offsets[r] - offsets[c])
+        values.append(block[r, c])
+    return sites, np.concatenate(ends), np.concatenate(shifts), np.concatenate(values)
+
+
+def _digits(basis: FockBasis, states: np.ndarray) -> np.ndarray:
+    """Occupation of every site of each full-space state, then a 0 column."""
+    digits = np.zeros((len(states), basis.n_sites + 1), dtype=np.int64)
+    d = basis.local_dim
+    digits[:, :-1] = states[:, None] // d ** np.arange(basis.n_sites) % d
+    return digits
+
+
+def _applied(d: int, entries: tuple, states: np.ndarray, digits: np.ndarray):
+    """Every entry of ``entries`` (see ``_entries``) applied to the full-space
+    ``states`` with ``_digits`` ``digits``: (position of the source in
+    ``states``, target, value)."""
+    sites, first, shift, values = entries
+    n_blocks, width = sites.shape
+    cols = np.tile(d**width * np.arange(n_blocks), (len(states), 1))  # state by block
+    for i in range(width):
+        cols += digits[:, sites[:, i]] * d**i
+    cols = cols.ravel()
+    counts = first[cols + 1] - first[cols]
+    src = np.repeat(np.arange(len(states)).repeat(n_blocks), counts)
+    # an output's entry: its column's first, plus its rank among the column's outputs
+    k = np.arange(len(src)) + np.repeat(first[cols] - np.cumsum(counts) + counts, counts)
+    return src, states[src] + shift[k], values[k]
+
+
+def assemble(basis: FockBasis, terms) -> SparseOperator:
+    """Sum of ``coeff * factor_1 @ factor_2 @ ...`` over ``terms`` on the basis
+    states, with the largest entry leaving them as ``dropped``."""
+    d, dim = basis.local_dim, basis.dim
+    # Column j is the image of basis state j over the full space; one sparse
+    # addition per support keeps the peak near the final nnz.
+    total = sp.csc_matrix((basis.full_dim, dim), dtype=complex)
+    digits = None if basis.states is None else _digits(basis, basis.states)
+    for support, block in _blocks(basis, terms).items():
+        if digits is None:  # each block entry at every occupation off the support
+            rest = site_offsets(d, [s for s in range(basis.n_sites) if s not in support])[:, None]
+            offsets = site_offsets(d, support)
+            r, c = np.nonzero(block)
+            src, targets = (rest + offsets[c]).ravel(), (rest + offsets[r]).ravel()
+            values = np.broadcast_to(block[r, c], (rest.size, r.size)).ravel()
+        else:
+            entries = _entries(basis, {support: block})
+            src, targets, values = _applied(d, entries, basis.states, digits)
+        total = total + sp.csc_matrix((values, (targets, src)), shape=total.shape)
+    if digits is None:
+        return SparseOperator._owning(total.tocsr())
+    entries = total.tocoo()
+    rows = basis.rank(entries.row)
+    kept = rows >= 0
+    leaving = np.abs(entries.data[~kept])
+    dropped = float(np.max(leaving[leaving > DROP_THRESHOLD], initial=0.0))
+    matrix = sp.csr_matrix((entries.data[kept], (rows[kept], entries.col[kept])), shape=(dim, dim))
+    return SparseOperator._owning(matrix, dropped)
+
+
+def closure(basis: FockBasis, terms, seeds) -> FockBasis:
+    """Basis of the states that ``terms`` reach from ``seeds``, full-space
+    indices of N sites at local dimension d, both read from ``basis``.
+    Breadth-first: each round applies every support's nonzero entries to the
+    states the previous round reached first, 4096 of them at a time."""
+    entries = _entries(basis, _blocks(basis, terms))
+    reached = frontier = np.unique(np.asarray(seeds, dtype=np.int64))
+    while frontier.size and reached.size < basis.full_dim:
+        chunks = [frontier[lo : lo + 4096] for lo in range(0, frontier.size, 4096)]
+        targets = np.unique(np.concatenate(
+            [_applied(basis.local_dim, entries, chunk, _digits(basis, chunk))[1] for chunk in chunks]))
+        pos = np.searchsorted(reached, targets)
+        new = reached[np.minimum(pos, reached.size - 1)] != targets
+        frontier = targets[new]
+        reached = np.insert(reached, pos[new], frontier)  # stays sorted
+    return FockBasis(basis.n_sites, basis.local_dim, reached)
 
 
 def _plus_adjoints(terms):
@@ -177,8 +271,21 @@ def build_h_spin(spec: SpinModelSpec) -> SparseOperator:
     return assemble(FockBasis(spec.n_sites, 2), _dm_terms(spec, local_ops(2)))
 
 
-def build_h_ebh(spec: SpinModelSpec, basis: FockBasis, *,
-                hardcore_touching: bool = False) -> SparseOperator:
+def ebh_terms(spec: SpinModelSpec, local_dim: int):
+    """Terms of ``build_h_ebh`` at local dimension ``local_dim``."""
+    ops = local_ops(local_dim)
+    terms = []
+    for j, k, coupling in spec.edges:
+        terms += _plus_adjoints([
+            (-0.5 * coupling, ((j, ops.adag), (k, ops.a))),
+            (0.5 * coupling, ((j, ops.adag), (j, ops.n), (k, ops.a))),
+            (0.5 * coupling, ((j, ops.adag), (k, ops.n), (k, ops.a))),
+        ])
+        terms.append((-coupling, ((j, ops.hp_sz), (k, ops.hp_sz))))
+    return terms + _field_terms(spec, ops.hp_sz)
+
+
+def build_h_ebh(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
     """Bosonic image of the spin model: extended Bose-Hubbard Hamiltonian with
     occupation-dependent hopping,
 
@@ -189,17 +296,7 @@ def build_h_ebh(spec: SpinModelSpec, basis: FockBasis, *,
     subspace, which stays exactly invariant at any local cutoff."""
     if basis.n_sites != spec.n_sites:
         raise InvalidSpecError("basis and spec disagree on the number of sites")
-    ops = local_ops(basis.local_dim)
-    terms = []
-    for j, k, coupling in spec.edges:
-        terms += _plus_adjoints([
-            (-0.5 * coupling, ((j, ops.adag), (k, ops.a))),
-            (0.5 * coupling, ((j, ops.adag), (j, ops.n), (k, ops.a))),
-            (0.5 * coupling, ((j, ops.adag), (k, ops.n), (k, ops.a))),
-        ])
-        terms.append((-coupling, ((j, ops.hp_sz), (k, ops.hp_sz))))
-    return assemble(basis, terms + _field_terms(spec, ops.hp_sz),
-                    hardcore_touching=hardcore_touching)
+    return assemble(basis, ebh_terms(spec, basis.local_dim))
 
 
 def build_h_dm(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
@@ -212,8 +309,32 @@ def build_h_dm(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
     return assemble(basis, _dm_terms(spec, local_ops(basis.local_dim)))
 
 
-def build_h_jja(params: "JJAParams", basis: FockBasis, variant: str = "simplified", *,
-                hardcore_touching: bool = False) -> SparseOperator:
+def jja_terms(params: "JJAParams", local_dim: int, variant: str = "simplified"):
+    """Terms of ``build_h_jja`` at local dimension ``local_dim``."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    ops = local_ops(local_dim)
+    a, ad, n = ops.a, ops.adag, ops.n
+    full = variant == "full"
+    terms = []
+    for s in range(params.n_sites):
+        terms.append((params.omega[s] + params.delta_omega[s] - params.delta_tilde[s], ((s, n),)))
+        if full:
+            terms.append((params.delta_omega[s] / 2.0, ((s, ad), (s, ad), (s, a), (s, a))))
+    for j in range(params.n_sites - 1):
+        k = j + 1
+        terms.append((-params.delta[j], ((j, n), (k, n))))
+        hopping = [(params.t[j], ((j, ad), (k, a))),
+                   (params.corr_t[j], ((j, ad), (j, n), (k, a))),
+                   (params.corr_tp[j], ((j, ad), (k, n), (k, a)))]
+        if full:
+            hopping.append((-params.delta[j] / 4.0, ((k, a), (k, a), (j, ad), (j, ad))))
+        terms += _plus_adjoints(hopping)
+    return terms
+
+
+def build_h_jja(params: "JJAParams", basis: FockBasis,
+                variant: str = "simplified") -> SparseOperator:
     """Rotating-wave Hamiltonian of the Josephson-junction array.
 
     Per site: (omega + delta_omega - delta_tilde) n, and for the full variant
@@ -226,28 +347,9 @@ def build_h_jja(params: "JJAParams", basis: FockBasis, variant: str = "simplifie
     At cutoff 2 the anharmonic and pair-hopping terms vanish identically, so
     both variants produce the same matrix.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     if params.n_sites != basis.n_sites:
         raise InvalidSpecError("params and basis disagree on the number of sites")
-    ops = local_ops(basis.local_dim)
-    a, ad, n = ops.a, ops.adag, ops.n
-    full = variant == "full"
-    terms = []
-    for s in range(basis.n_sites):
-        terms.append((params.omega[s] + params.delta_omega[s] - params.delta_tilde[s], ((s, n),)))
-        if full:
-            terms.append((params.delta_omega[s] / 2.0, ((s, ad), (s, ad), (s, a), (s, a))))
-    for j in range(basis.n_sites - 1):
-        k = j + 1
-        terms.append((-params.delta[j], ((j, n), (k, n))))
-        hopping = [(params.t[j], ((j, ad), (k, a))),
-                   (params.corr_t[j], ((j, ad), (j, n), (k, a))),
-                   (params.corr_tp[j], ((j, ad), (k, n), (k, a)))]
-        if full:
-            hopping.append((-params.delta[j] / 4.0, ((k, a), (k, a), (j, ad), (j, ad))))
-        terms += _plus_adjoints(hopping)
-    return assemble(basis, terms, hardcore_touching=hardcore_touching)
+    return assemble(basis, jja_terms(params, basis.local_dim, variant))
 
 
 OBSERVABLE_NAMES = ("sz1", "mx", "cxx")
@@ -282,4 +384,4 @@ def observable(name: str, sector: str, basis: FockBasis) -> SparseOperator:
     op = assemble(basis, terms)
     m = op.matrix  # csr.real would keep a strided data view, copied by every product
     real = sp.csr_matrix((np.ascontiguousarray(m.data.real), m.indices, m.indptr), shape=m.shape)
-    return SparseOperator(matrix=real, hermitian=op.hermitian)
+    return replace(op, matrix=real)

@@ -6,8 +6,9 @@ identity (constant terms are dropped at different stages of different
 constructions), so matrix comparisons first fit a scalar offset by trace
 matching, which is the least-squares optimal choice.  The comparison reads
 only P H P and Q H P (stored entries whose row ``hilbert.outside`` marks and
-whose column it does not), so it takes a ``hardcore_touching`` build (see
-``operators``), over whose entries ``hermiticity_boson`` is then measured.
+whose column it does not).  So it takes a build on the hard-core states
+alone, whose Q H P is the largest entry the build dropped (see ``operators``)
+and over whose entries ``hermiticity_boson`` is then measured.
 
 Results are returned as values; rendering them as text is the command line's
 job.  A report holds only what the comparison measures: the chain length and
@@ -42,15 +43,19 @@ class EquivalenceReport:
 
 def project(op: SparseOperator, mask) -> tuple[SparseOperator, float]:
     """Sub-matrix on the index set ``mask`` plus the largest matrix element
-    coupling the mask into its complement (rows outside, columns inside)."""
+    coupling the mask into its complement (rows outside, columns inside).
+    The complement includes the states outside the basis ``op`` was built on,
+    so a mask must cover that basis unless the build dropped no entry."""
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("mask must not be empty")
+    if op.dropped and mask.size != op.dim:
+        raise ValueError("an operator with entries leaving its basis projects only onto all of it")
     out = outside(op.dim, mask)
     csr = op.matrix
     # a stored entry is in Q H P when its row is outside the mask (1) and its column inside (0)
     in_qhp = np.repeat(out, np.diff(csr.indptr)) > out[csr.indices]
-    coupling = float(np.max(np.abs(csr.data[in_qhp]), initial=0.0))
+    coupling = float(np.max(np.abs(csr.data[in_qhp]), initial=op.dropped))
     return SparseOperator.from_matrix(csr[mask][:, mask]), coupling
 
 

@@ -15,7 +15,7 @@ from spinbh import operators
 from spinbh.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from spinbh.config import load_config, preset_config, validate_config
 from spinbh.errors import InvalidSpecError
-from spinbh.hilbert import physical_mask
+from spinbh.hilbert import FockBasis, physical_mask
 
 COMPARE_INI = """\
 [model]
@@ -598,8 +598,7 @@ def test_cutoff_override_records_leakage(tmp_path):
 
 # ---------------------------------------------------------------- other kinds
 
-def test_single_spin_run(tmp_path):
-    ini = """\
+SPIN_INI = """\
 [model]
 n_sites = 2
 J = 40.0
@@ -614,13 +613,22 @@ kind = spin
 observables = sz1
 initial_state = neel
 """
+
+
+def test_single_spin_run(tmp_path):
     out = tmp_path / "spin"
-    path = write(tmp_path, "spin.ini", ini)
+    path = write(tmp_path, "spin.ini", SPIN_INI)
     assert run_cli(["run", path, "--out-dir", str(out), "--quiet"]) == EXIT_OK
     files = sorted(os.listdir(out))
     assert files == ["sz1_spin.csv", "sz1_spin.dat"]
     header = (out / "sz1_spin.csv").read_text().splitlines()[0]
     assert header == "time_us,value"
+
+
+def test_spin_run_reads_no_cutoff(tmp_path):
+    # a spin run has no boson side, so not even a cutoff past MAX_CUTOFF is read
+    path = write(tmp_path, "spin.ini", SPIN_INI + "cutoff = 100\n")
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "spin"), "--quiet"]) == EXIT_OK
 
 
 def test_jja_run_with_leakage_column(tmp_path):
@@ -767,22 +775,68 @@ def verify_ini(model, n_sites, cutoff):
             f"[experiment]\nkind = verify\ncutoff = {cutoff}\n{encoding}\n")
 
 
+def spy_builds(monkeypatch, names=("build_h_ebh", "build_h_jja", "build_h_spin", "observable")):
+    """(function name, basis or None, operator) of every build the command line makes."""
+    built = []
+    for name in names:
+        def spy(*args, _name=name, _build=getattr(operators, name), **kwargs):
+            basis = next((a for a in args if isinstance(a, FockBasis)), None)
+            built.append((_name, basis, _build(*args, **kwargs)))
+            return built[-1][2]
+        monkeypatch.setattr(operators, name, spy)
+    return built
+
+
 @pytest.mark.parametrize("model", ["ebh", "simplified", "full"])
 def test_verify_builds_no_entry_between_two_states_outside_the_hard_core_set(
         tmp_path, monkeypatch, model):
-    built = []
-    for name in ("build_h_ebh", "build_h_jja"):
-        def spy(*args, _build=getattr(operators, name), **kwargs):
-            built.append((args[1], _build(*args, **kwargs)))
-            return built[-1][1]
-        monkeypatch.setattr(operators, name, spy)
+    built = spy_builds(monkeypatch, ("build_h_ebh", "build_h_jja"))
     path = write(tmp_path, "verify.ini", verify_ini(model, 4, 4))
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
-    [(basis, h)] = built
-    in_p = np.zeros(basis.dim, dtype=bool)
-    in_p[physical_mask(basis)] = True
-    entries = h.matrix.tocoo()
-    assert entries.nnz and np.all(in_p[entries.row] | in_p[entries.col])
+    [(_, basis, h)] = built
+    # built on the hard-core states P alone: every stored entry is in P H P, and
+    # of Q H P only its largest entry is kept
+    assert np.array_equal(basis.states, physical_mask(FockBasis(4, 4)))
+    assert h.dim == 16 and h.matrix.nnz
+    report = dict(line.split(" = ") for line in
+                  (tmp_path / "out" / "equivalence_report.txt").read_text().splitlines())
+    assert report["coupling_norm"] == f"{h.dropped:.12g}"
+
+
+def test_compare_builds_the_boson_side_on_the_closure_of_psi0_only(tmp_path, monkeypatch):
+    # domain_wall at N=10 reaches the 252 hard-core states with five particles of 3**10
+    built = spy_builds(monkeypatch)
+    ini = verify_ini("ebh", 10, 3).replace("kind = verify", "kind = compare\n"
+                                           "initial_state = domain_wall\nobservables = sz1, mx, cxx")
+    path = write(tmp_path, "c3.ini", ini + "\n[evolution]\nt_max = 0.001\nn_steps = 3\n")
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+    boson = [op.dim for name, basis, op in built if basis is not None and basis.local_dim == 3]
+    spin = [op.dim for name, basis, op in built if basis is None or basis.local_dim == 2]
+    assert boson == [252] * 4 and spin == [1024] * 4  # H and three observables a side
+
+
+@pytest.mark.parametrize("model", ["ebh", "full"])
+def test_verify_builds_on_the_hard_core_states_only(tmp_path, monkeypatch, model):
+    built = spy_builds(monkeypatch)
+    path = write(tmp_path, "verify.ini", verify_ini(model, 9, 3))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+    assert [op.dim for _, _, op in built] == [2**9, 2**9]
+
+
+def test_full_circuit_compare_of_twelve_sites_at_cutoff_three(tmp_path, monkeypatch):
+    """8074 of 3**12 states, half filling: Lanczos on the closure, not the full space."""
+    built = spy_builds(monkeypatch, ("build_h_jja",))
+    ini = (verify_ini("full", 12, 3).replace("kind = verify", "kind = compare\n"
+                                             "initial_state = domain_wall\nobservables = sz1, cxx")
+           + "\n[evolution]\nt_max = 0.0025\nn_steps = 11\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", write(tmp_path, "c.ini", ini), "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    assert [op.dim for _, _, op in built] == [8074]
+    for obs in ("sz1", "cxx"):
+        rows = (out / f"compare_{obs}.csv").read_text().splitlines()[1:]
+        assert len(rows) == 11
+        assert max(float(r.split(",")[3]) for r in rows) < 1e-8
+        assert max(float(r.split(",")[4]) for r in rows) < 1e-12
 
 
 @pytest.mark.parametrize("model, bound", [("ebh", 1e-12), ("full", 1e-9)])

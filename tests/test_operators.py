@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from spinbh.errors import InvalidSpecError
@@ -9,10 +10,14 @@ from spinbh.model import SpinModelSpec, chain_circuit, chain_spec
 from spinbh.operators import (
     DROP_THRESHOLD,
     MAX_CUTOFF,
+    SparseOperator,
+    assemble,
     build_h_dm,
     build_h_ebh,
     build_h_jja,
     build_h_spin,
+    closure,
+    ebh_terms,
     embed,
     local_ops,
     observable,
@@ -356,3 +361,77 @@ def test_no_stored_near_zero_entries():
     for op in (build_h_spin(spec), build_h_ebh(spec, FockBasis(4, 3))):
         if op.matrix.nnz:
             assert np.min(np.abs(op.matrix.data)) > DROP_THRESHOLD
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_from_matrix_leaves_the_callers_matrix_as_it_was(dtype):
+    # a complex CSR shares its arrays with the cast, and a real one its index arrays;
+    # the drop threshold and sorting must not edit them
+    tiny = sp.csr_matrix(np.array([[1.0, 1e-16], [1e-16, 2.0]], dtype=dtype))
+    unsorted = sp.csr_matrix((np.array([2.0, 1.0], dtype=dtype), np.array([1, 0]),
+                              np.array([0, 2, 2])), shape=(2, 2))
+    for m in (tiny, unsorted):
+        before = [a.copy() for a in (m.data, m.indices, m.indptr)]
+        SparseOperator.from_matrix(m)
+        for got, want in zip((m.data, m.indices, m.indptr), before):
+            assert np.array_equal(got, want)
+    assert SparseOperator.from_matrix(tiny).matrix.nnz == 2
+    assert SparseOperator.from_matrix(unsorted).matrix.toarray()[0].tolist() == [1.0, 2.0]
+
+
+# ---------------------------------------------------------------- bases
+
+def test_basis_of_some_states_ranks_them_in_order():
+    basis = FockBasis(2, 3, np.array([1, 3, 4]))
+    assert basis.dim == 3 and basis.full_dim == 9
+    assert basis.rank(np.array([4, 0, 1, 8])).tolist() == [2, -1, 0, -1]
+    assert physical_mask(basis).tolist() == [0, 1, 2]  # full indices 1, 3, 4
+    assert basis.restrict(np.arange(9.0)).tolist() == [1.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("states", [[], [3, 1], [1, 1], [-1], [9], [[1]]])
+def test_basis_refuses_states_that_are_not_sorted_unique_indices(states):
+    with pytest.raises(ValueError, match="states"):
+        FockBasis(2, 3, np.array(states, dtype=np.int64))
+
+
+def test_basis_of_every_state_is_the_full_basis():
+    assert FockBasis(2, 3, np.arange(9)).states is None
+
+
+def test_closure_of_a_fock_state_is_its_particle_number_sector():
+    spec = chain_spec(4, 40.0, 4720.0)
+    full = FockBasis(4, 3)
+    basis = closure(full, ebh_terms(spec, 3), [full.index_of([1, 1, 0, 0])])
+    # the hard-core states with two particles: the EBH hopping never doubles a site
+    occupations = [np.base_repr(i, 3).zfill(4)[::-1] for i in basis.states]
+    assert sorted(occupations) == sorted("".join(p) for p in
+                                         ["1100", "1010", "1001", "0110", "0101", "0011"])
+
+
+def test_closure_covering_every_state_is_the_full_basis():
+    spec = chain_spec(3, 40.0, 4720.0)
+    seeds = np.arange(8)  # every hard-core state of FockBasis(3, 2)
+    assert closure(FockBasis(3, 2), ebh_terms(spec, 2), seeds).states is None
+
+
+def test_build_on_a_subset_keeps_its_block_and_the_largest_entry_leaving_it():
+    params = derive_jja_params(table_circuit(3))
+    full = build_h_jja(params, FockBasis(3, 3), "full")
+    hard = physical_mask(FockBasis(3, 3))
+    part = build_h_jja(params, FockBasis(3, 3, hard), "full")
+    dense = full.dense()
+    rest = np.setdiff1d(np.arange(27), hard)
+    assert np.array_equal(part.dense(), dense[np.ix_(hard, hard)])
+    assert part.dropped == np.max(np.abs(dense[np.ix_(rest, hard)])) > 0.0
+    assert full.dropped == 0.0
+
+
+def test_entries_leaving_the_basis_count_past_the_drop_threshold_only():
+    # as in the full build, a leaving entry of 1.4e-16 is no entry at all
+    ops = local_ops(3)
+    terms = [(1e-16, ((0, ops.adag), (1, ops.a))), (1.0, ((0, ops.n),))]
+    hard = physical_mask(FockBasis(2, 3))
+    part = assemble(FockBasis(2, 3, hard), terms)
+    assert part.dropped == 0.0
+    assert part.matrix.nnz == 2  # n_0 on the two states with site 0 occupied

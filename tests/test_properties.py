@@ -1,7 +1,9 @@
 """Property tests: every builder against the dense oracles on random
 inhomogeneous specs, with couplings on arbitrary (also non-adjacent) pairs,
-the hard-core-touching builds against the full builds and ``project``
-against dense slicing on random chains and circuits, the circuit designer
+builds on a subset of the states (the hard-core states, closures of the
+named states, random subsets) against the sliced full builds, ``project``
+against dense slicing on random chains and circuits, command-line runs on
+closures against library runs on the full space, the circuit designer
 on random homogeneous targets, and the command line on random, often
 broken, experiment configs.
 
@@ -24,10 +26,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import spinbh.mapping
+import spinbh.model
 from spinbh.cli import main
 from spinbh.config import ENCODINGS, KINDS
+from spinbh.dynamics import EvolutionConfig, evolve
 from spinbh.errors import InvalidSpecError
-from spinbh.hilbert import NAMED_STATES, FockBasis, physical_mask
+from spinbh.hilbert import NAMED_STATES, FockBasis, named_initial_state, physical_mask
 from spinbh.mapping import (
     FIELD_SOLVE_BRACKET,
     JJAParams,
@@ -52,7 +57,10 @@ from spinbh.operators import (
     build_h_ebh,
     build_h_jja,
     build_h_spin,
-    hermiticity_deviation,
+    closure,
+    ebh_terms,
+    jja_terms,
+    observable,
 )
 from spinbh.verify import project
 
@@ -130,7 +138,7 @@ def test_h_jja_matches_oracle_on_random_params(data):
         assert_matches(build_h_jja(p, basis, variant), ref)
 
 
-# ------------------------------------------------ hard-core-touching builds
+# ------------------------------------------------ builds on some of the states
 
 @st.composite
 def ebh_chains(draw, n):
@@ -164,30 +172,82 @@ PAPER_CIRCUIT_11 = derive_jja_params(chain_circuit(11, 200.0, 12500.0, 1562.5, 2
                                                    include_boundary=True))
 
 
-@examples
-@given(hardcore_cases())
-@example(("ebh", chain_spec(11, 40.0, 4720.0), 3))
-@example(("full", PAPER_CIRCUIT_11, 3))
-def test_hardcore_touching_build_keeps_every_entry_verify_reads(case):
-    encoding, model, d = case
-    basis = FockBasis(model.n_sites, d)
+def builder(encoding, model):
+    """The basis -> operator build of ``encoding`` (ebh, dm, simplified, full)."""
     if encoding == "ebh":
-        build = lambda **kw: build_h_ebh(model, basis, **kw)
+        return lambda basis: build_h_ebh(model, basis)
+    if encoding == "dm":
+        return lambda basis: build_h_dm(model, basis)
+    return lambda basis: build_h_jja(model, basis, encoding)
+
+
+def model_terms(encoding, model, d):
+    return ebh_terms(model, d) if encoding == "ebh" else jja_terms(model, d, encoding)
+
+
+@st.composite
+def subset_cases(draw):
+    """(encoding, model, cutoff, subset): EBH, DM or JJA chains at N 2-7 and
+    cutoff 2-4 (dim <= 4096), with the hard-core states, a closure of a named
+    state's support (not for DM, which no run evolves) or a random sorted subset
+    (seed, share of states kept)."""
+    n = draw(st.integers(2, 7))
+    d = draw(st.integers(2, 4).filter(lambda d: d**n <= 4096))
+    encoding = draw(st.sampled_from(["ebh", "dm", "simplified", "full"]))
+    model = draw(ebh_chains(n) if encoding in ("ebh", "dm") else jja_params(n))
+    kind = draw(st.sampled_from(["hard-core", "random"] + ["closure"] * (encoding != "dm")))
+    if kind == "closure":
+        subset = draw(st.sampled_from([s for s in NAMED_STATES if s != "domain_wall" or n % 2 == 0]))
+    elif kind == "random":
+        subset = draw(st.tuples(st.integers(0, 2**16), st.sampled_from([0.1, 0.5, 0.9])))
     else:
-        build = lambda **kw: build_h_jja(model, basis, encoding, **kw)
-    full, part = build(), build(hardcore_touching=True)
-    mask = physical_mask(basis)
-    in_p = np.zeros(basis.dim, dtype=bool)
-    in_p[mask] = True
-    f, p = full.matrix.tocoo(), part.matrix.tocoo()
-    touching = in_p[f.row] | in_p[f.col]
-    for got, want in ((p.row, f.row), (p.col, f.col), (p.data, f.data)):
-        assert np.array_equal(got, want[touching])
-    (php_full, coupling_full), (php_part, coupling_part) = project(full, mask), project(part, mask)
+        subset = kind
+    return encoding, model, d, subset
+
+
+def subset_states(encoding, model, d, subset):
+    full = FockBasis(model.n_sites, d)
+    if subset == "hard-core":
+        return physical_mask(full)
+    if isinstance(subset, str):
+        seeds = np.flatnonzero(named_initial_state(full, subset))
+        return closure(full, model_terms(encoding, model, d), seeds).states
+    seed, kept = subset
+    rng = np.random.default_rng(seed)
+    inside = rng.random(full.dim) < kept
+    inside[rng.integers(full.dim)] = True
+    return np.flatnonzero(inside)
+
+
+def assert_same_csr(got, want):
+    want = want.sorted_indices()
     for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(php_part.matrix, attr), getattr(php_full.matrix, attr))
-    assert coupling_part == coupling_full
-    assert hermiticity_deviation(part.matrix) <= hermiticity_deviation(full.matrix)
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+@examples
+@given(subset_cases())
+@example(("ebh", chain_spec(11, 40.0, 4720.0), 3, "hard-core"))
+@example(("full", PAPER_CIRCUIT_11, 3, "hard-core"))
+@example(("full", PAPER_CIRCUIT_11, 3, "all_up_x"))
+def test_subset_builds_equal_sliced_full_builds(case):
+    encoding, model, d, subset = case
+    build = builder(encoding, model)
+    states = subset_states(*case)
+    full_basis = FockBasis(model.n_sites, d)
+    basis = FockBasis(model.n_sites, d, states)
+    if basis.states is None:  # a closure of every state is the full basis
+        states = np.arange(full_basis.dim)
+    full, part = build(full_basis), build(basis)
+    assert_same_csr(part.matrix, full.matrix[states][:, states])
+    for name in OBSERVABLE_NAMES:
+        sliced = observable(name, "boson", full_basis).matrix[states][:, states]
+        assert_same_csr(observable(name, "boson", basis).matrix, sliced)
+    if subset == "hard-core":  # verify's build: its dropped entries are Q H P
+        assert part.dropped == project(full, states)[1]
+        assert project(part, np.arange(part.dim))[1] == part.dropped
+    elif isinstance(subset, str):  # H never leaves a closure
+        assert part.dropped == 0.0
 
 
 @examples
@@ -198,11 +258,8 @@ def test_project_matches_dense_slicing(case, random_mask):
     for the hard-core mask (None) or a random one: (seed, share of states kept)."""
     encoding, model, d = case
     basis = FockBasis(model.n_sites, d)
-    if encoding == "ebh":
-        build = lambda **kw: build_h_ebh(model, basis, **kw)
-    else:
-        build = lambda **kw: build_h_jja(model, basis, encoding, **kw)
-    op = build()
+    build = builder(encoding, model)
+    op = build(basis)
     if random_mask is None:
         mask = physical_mask(basis)
     else:
@@ -217,8 +274,8 @@ def test_project_matches_dense_slicing(case, random_mask):
     php, coupling = project(op, mask)
     assert coupling == (np.max(qhp) if qhp.size else 0.0)
     assert np.array_equal(php.dense(), dense[np.ix_(mask, mask)])
-    if random_mask is None:
-        assert project(build(hardcore_touching=True), mask)[1] == coupling
+    if random_mask is None:  # the hard-core build keeps Q H P only as its largest entry
+        assert project(build(FockBasis(basis.n_sites, d, mask)), np.arange(len(mask)))[1] == coupling
 
 
 # ------------------------------------------------------- regime warnings
@@ -394,3 +451,112 @@ def test_every_config_ends_in_a_documented_exit_code(data):
             errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error: ")]
             assert len(errors) == 1
             assert not os.path.exists(out)
+
+
+# ------------------------------------ closure runs against full-space runs
+
+@contextlib.contextmanager
+def cli_model(encoding, model):
+    """The command line builds ``model`` (a spin spec or JJA parameters)
+    whatever energies its config names."""
+    with pytest.MonkeyPatch.context() as patch:
+        if encoding == "ebh":
+            patch.setattr(spinbh.model, "chain_spec", lambda *args, **kwargs: model)
+        else:
+            patch.setattr(spinbh.mapping, "derive_jja_params", lambda circuit: model)
+        yield
+
+
+def run_boson(tmp, encoding, model, kind, state, cutoff, method, n_steps=7):
+    """Boson series (per observable, plus leakage) of a command-line run,
+    read back at 17 digits, and the run's output directory."""
+    energies = {"j": 40.0, "h": 4720.0} if encoding == "ebh" else {
+        key: ENERGIES[key] for key in ("e_c", "e_j", "eprime_j")}
+    experiment = {"kind": kind, "cutoff": cutoff, "initial_state": state,
+                  "observables": list(OBSERVABLE_NAMES)}
+    if kind == "compare":
+        experiment.update(encoding="ebh" if encoding == "ebh" else "jja",
+                          **({} if encoding == "ebh" else {"variant": encoding}))
+    elif kind == "jja":
+        experiment["variant"] = encoding
+    data = {"model": {"n_sites": model.n_sites, **energies},
+            "evolution": {"t_max": 0.01, "n_steps": n_steps, "method": method},
+            "experiment": experiment, "output": {"precision": 17}}
+    path, out = os.path.join(tmp, f"{cutoff}.json"), os.path.join(tmp, f"out{cutoff}")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    with cli_model(encoding, model), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", path, "--out-dir", out, "--quiet"]) == 0
+    series = {}
+    for name in OBSERVABLE_NAMES:
+        table = f"compare_{name}.csv" if kind == "compare" else f"{name}_boson.csv"
+        with open(os.path.join(out, table)) as fh:
+            rows = [[float(cell) for cell in line.split(",")] for line in fh.readlines()[1:]]
+        series[name], series[None] = [r[-3 if kind == "compare" else 1] for r in rows], \
+            [r[-1] for r in rows]
+    return series, out
+
+
+@st.composite
+def closure_runs(draw):
+    """(encoding, model, kind, initial state, cutoff, method): random
+    inhomogeneous EBH or JJA chains, N 2-6 and cutoff 2-4 (dim <= 4096), run
+    as compare or as the boson kind of their encoding."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(2, 4).filter(lambda d: d**n <= 4096))
+    encoding = draw(st.sampled_from(["ebh", "simplified", "full"]))
+    model = draw(ebh_chains(n) if encoding == "ebh" else jja_params(n))
+    kind = draw(st.sampled_from(["compare", "boson" if encoding == "ebh" else "jja"]))
+    state = draw(st.sampled_from([s for s in NAMED_STATES if s != "domain_wall" or n % 2 == 0]))
+    return encoding, model, kind, state, d, draw(st.sampled_from(["auto", "krylov"]))
+
+
+@settings(examples, max_examples=30)
+@given(closure_runs())
+def test_closure_runs_record_what_full_space_runs_record(case):
+    encoding, model, kind, state, d, method = case
+    full = FockBasis(model.n_sites, d)
+    observables = {name: observable(name, "boson", full) for name in OBSERVABLE_NAMES}
+    ref = evolve(builder(encoding, model)(full), named_initial_state(full, state),
+                 EvolutionConfig(t_max=0.01, n_steps=7, method=method), observables,
+                 leakage_mask=physical_mask(full))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, _ = run_boson(tmp, encoding, model, kind, state, d, method)
+    for name, want in [*ref.values.items(), (None, ref.leakage)]:
+        if method == "krylov":
+            assert np.max(np.abs(np.array(got[name]) - want)) <= 1e-12
+        else:  # the same blocks diagonalized: bit for bit
+            assert got[name] == want.tolist()
+
+
+def occupations(basis):
+    states = np.arange(basis.dim) if basis.states is None else basis.states
+    return [tuple(s // basis.local_dim**j % basis.local_dim for j in range(basis.n_sites))
+            for s in states.tolist()]
+
+
+@settings(examples, max_examples=20)
+@given(st.data())
+def test_a_cutoff_past_the_particle_number_changes_no_closure_and_no_value(data):
+    """H conserves particle number, so a site never holds more than psi0's
+    largest particle number p; cutoffs past p reach the same states."""
+    n = data.draw(st.integers(2, 5))
+    state = data.draw(st.sampled_from([s for s in NAMED_STATES if s != "domain_wall" or n % 2 == 0]))
+    particles = {"domain_wall": n // 2, "neel": (n + 1) // 2, "all_up_x": n}[state]
+    low = particles + 1
+    high = data.draw(st.integers(low + 1, low + 2).filter(lambda d: d**n <= 4096))
+    encoding = data.draw(st.sampled_from(["ebh", "simplified", "full"]))
+    model = data.draw(ebh_chains(n) if encoding == "ebh" else jja_params(n))
+    kind = data.draw(st.sampled_from(["compare", "boson" if encoding == "ebh" else "jja"]))
+    method = data.draw(st.sampled_from(["auto", "krylov"]))
+    closures = []
+    for d in (low, high):
+        full = FockBasis(n, d)
+        seeds = np.flatnonzero(named_initial_state(full, state))
+        closures.append(occupations(closure(full, model_terms(encoding, model, d), seeds)))
+    assert closures[0] == closures[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [run_boson(tmp, encoding, model, kind, state, d, method)[1] for d in (low, high)]
+        for name in sorted(os.listdir(outs[0])):
+            with open(os.path.join(outs[0], name)) as a, open(os.path.join(outs[1], name)) as b:
+                assert a.read() == b.read(), name

@@ -57,6 +57,19 @@ def test_project_rejects_empty_or_bad_mask():
         project(h, np.array([0, 9]))
 
 
+def test_project_of_a_build_on_some_states_counts_the_entries_it_dropped():
+    params = derive_jja_params(table_circuit(3))
+    full = FockBasis(3, 3)
+    hard = FockBasis(3, 3, physical_mask(full))
+    h = build_h_jja(params, hard, "full")
+    want = project(build_h_jja(params, full, "full"), physical_mask(full))
+    php, coupling = project(h, physical_mask(hard))
+    assert coupling == want[1] > 0.0
+    assert np.array_equal(php.dense(), want[0].dense())
+    with pytest.raises(ValueError, match="all of it"):  # Q H Q would hide among the dropped
+        project(h, np.arange(4))
+
+
 # ---------------------------------------------------------------- compare_projected
 
 def test_constructed_offset_is_recovered():

@@ -34,14 +34,16 @@ def _write_table(path, header, rows, precision: int, sep: str = ",") -> None:
     """Write an optional ``header`` line, then each row as soon as it is formatted:
     floats get ``precision`` significant digits, every other cell is ``str``.
     The file's directory is made here, so a refused run leaves none behind."""
-    spec = f".{precision}g"
+    formats = {}  # one %-format per tuple of cell types: the report mixes them in a column
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         if header:
             fh.write(sep.join(header) + "\n")
-        for row in rows:
-            fh.write(sep.join([format(c, spec) if isinstance(c, float) else str(c)
-                               for c in row]) + "\n")
+        for row in map(tuple, rows):
+            types = tuple(map(type, row))
+            fmt = formats.get(types) or formats.setdefault(types, sep.join(
+                f"%.{precision}g" if issubclass(t, float) else "%s" for t in types) + "\n")
+            fh.write(fmt % row)
 
 
 def emit_plotdata(out_dir, labeled_trajectories, precision: int = 12) -> None:

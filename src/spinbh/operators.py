@@ -8,17 +8,20 @@ normal-ordering rewrites are performed.
 ``assemble`` multiplies each term's factors site by site (factors on
 different sites commute), takes the Kronecker product of the per-site
 products as a small dense block on the term's sorted site support, and sums
-the blocks that share a support.  It applies each distinct support's block to
-the basis states by digit arithmetic: a state is ``rest + offset[c]``, with
-``c`` its digits on the support and ``offset`` placing block digits at the
-support sites (first site least significant), and block entry (r, c) sends it
-to ``rest + offset[r]``.  (On the full basis ``rest`` simply runs over every
-occupation off the support.)  The pieces are summed one support at a time, in
-support order, as the basis states' columns over full-space rows, so every
-entry equals the full-space build's bit for bit.  The rows are then ranked
-among the basis states by ``searchsorted``.  A row outside the basis is an
-entry of Q H P for the basis projector P; of those the operator keeps only
-the largest |value|, as ``dropped``.
+the blocks that share a support.  It applies every support's block to the
+basis states by digit arithmetic: a state is ``rest + offset[c]``, with ``c``
+its digits on the support and ``offset`` placing block digits at the support
+sites (first site least significant), and block entry (r, c) shifts it to
+``rest + offset[r]``.  (On the full basis ``rest`` simply runs over every
+occupation off the support, one support at a time.)  Two supports meet at a
+matrix entry exactly when they shift one source state by the same amount, so
+an output at a shift that one support alone makes is an entry of its own, and
+the others are summed in one pass per (source, shift), from +0 in support
+order.  That is the sum a running sparse sum over the supports makes, -0.0
+parts turned +0.0 and exact zeros dropped, so every entry equals it bit for
+bit.  The targets are then ranked among the basis states by ``searchsorted``.
+A target outside the basis is an entry of Q H P for the basis projector P; of
+those the operator keeps only the largest |value|, as ``dropped``.
 
 ``closure`` finds, by breadth-first search over the same block applications,
 the states that terms reach from a set of seed states: the smallest basis
@@ -134,8 +137,8 @@ def _blocks(basis: FockBasis, terms) -> dict[tuple[int, ...], np.ndarray]:
                 raise ValueError(f"site {site} outside [0, {n_sites})")
             per_site[site] = per_site[site] @ local if site in per_site else local
         support = tuple(sorted(per_site))
-        block = np.ones((1, 1), dtype=complex)
-        for site in support:  # the first site ends up least significant, as np.kron puts it
+        block = per_site[support[0]] if support else np.ones((1, 1), dtype=complex)
+        for site in support[1:]:  # the first site ends up least significant, as np.kron puts it
             local = per_site[site]
             block = (local[:, None, :, None] * block[None, :, None, :]).reshape(
                 len(local) * len(block), -1)
@@ -145,14 +148,16 @@ def _blocks(basis: FockBasis, terms) -> dict[tuple[int, ...], np.ndarray]:
 
 def _entries(basis: FockBasis, blocks: dict) -> tuple:
     """The nonzero entries of ``blocks`` (support -> block) column by column:
-    (sites, first, shift, values).  Row i of ``sites`` lists the i-th support,
-    padded with N (a site whose digit is 0).  With w the widest support,
-    column c of the i-th block is column i * d**w + c; its entries are
-    first[col] to first[col + 1], each moving a state by ``shift``."""
+    (sites, first, shift, values, source).  Row i of ``sites`` lists the i-th
+    support, padded with N (a site whose digit is 0).  With w the widest
+    support, column c of the i-th block is column i * d**w + c; its entries
+    are first[col] to first[col + 1], each moving a state by ``shift``, and
+    ``source`` is the full-space index of c's digits on the support."""
     d = basis.local_dim
     width = max(map(len, blocks), default=0)
     sites = np.full((len(blocks), width), basis.n_sites)
-    ends, shifts, values = [np.zeros(1, dtype=np.int64)], [], []
+    none = np.zeros(0, dtype=np.int64)  # no block: no entry
+    ends, shifts, values, sources = [np.zeros(1, dtype=np.int64)], [none], [none + 0j], [none]
     for i, (support, block) in enumerate(blocks.items()):
         sites[i, : len(support)] = support
         c, r = np.nonzero(block.T)
@@ -160,61 +165,73 @@ def _entries(basis: FockBasis, blocks: dict) -> tuple:
         ends.append(ends[-1][-1] + np.searchsorted(c, np.arange(1, d**width + 1)))
         shifts.append(offsets[r] - offsets[c])
         values.append(block[r, c])
-    return sites, np.concatenate(ends), np.concatenate(shifts), np.concatenate(values)
+        sources.append(offsets[c])
+    return sites, *map(np.concatenate, (ends, shifts, values, sources))
 
 
-def _digits(basis: FockBasis, states: np.ndarray) -> np.ndarray:
-    """Occupation of every site of each full-space state, then a 0 column."""
-    digits = np.zeros((len(states), basis.n_sites + 1), dtype=np.int64)
-    d = basis.local_dim
-    digits[:, :-1] = states[:, None] // d ** np.arange(basis.n_sites) % d
-    return digits
-
-
-def _applied(d: int, entries: tuple, states: np.ndarray, digits: np.ndarray):
+def _applied(basis: FockBasis, entries: tuple, states: np.ndarray | None, step: int = 1024):
     """Every entry of ``entries`` (see ``_entries``) applied to the full-space
-    ``states`` with ``_digits`` ``digits``: (position of the source in
-    ``states``, target, value)."""
-    sites, first, shift, values = entries
-    n_blocks, width = sites.shape
-    cols = np.tile(d**width * np.arange(n_blocks), (len(states), 1))  # state by block
-    for i in range(width):
-        cols += digits[:, sites[:, i]] * d**i
-    cols = cols.ravel()
-    counts = first[cols + 1] - first[cols]
-    src = np.repeat(np.arange(len(states)).repeat(n_blocks), counts)
-    # an output's entry: its column's first, plus its rank among the column's outputs
-    k = np.arange(len(src)) + np.repeat(first[cols] - np.cumsum(counts) + counts, counts)
-    return src, states[src] + shift[k], values[k]
+    ``states``, in batches: (position of each output's source in ``states``,
+    the output's entry), arrays that broadcast together.  The outputs of one
+    source at one shift come in support order.  ``states`` None is all d**N
+    states, one support per batch; else ``step`` states per batch."""
+    sites, first, source = entries[0], entries[1], entries[4]
+    d, (n_blocks, width) = basis.local_dim, sites.shape
+    if states is None:  # each entry at every occupation of the other sites
+        for i, support in enumerate(sites.tolist()):
+            k = np.arange(first[i * d**width], first[(i + 1) * d**width])
+            rest = site_offsets(d, sorted(set(range(basis.n_sites)) - set(support)))
+            yield rest[:, None] + source[k], k
+        return
+    for lo in range(0, len(states), step):
+        chunk = states[lo : lo + step]
+        digits = np.zeros((len(chunk), basis.n_sites + 1), dtype=np.int64)  # site N stays 0
+        digits[:, :-1] = chunk[:, None] // d ** np.arange(basis.n_sites) % d
+        cols = np.tile(d**width * np.arange(n_blocks), (len(chunk), 1))  # state by block
+        for i in range(width):
+            cols += digits[:, sites[:, i]] * d**i
+        cols = cols.ravel()
+        counts = first[cols + 1] - first[cols]
+        # an output's entry: its column's first, plus its rank among the column's outputs
+        k = np.repeat(first[cols] - np.cumsum(counts) + counts, counts)
+        k += np.arange(len(k))
+        yield np.repeat(np.arange(lo, lo + len(chunk)).repeat(n_blocks), counts), k
 
 
 def assemble(basis: FockBasis, terms) -> SparseOperator:
     """Sum of ``coeff * factor_1 @ factor_2 @ ...`` over ``terms`` on the basis
     states, with the largest entry leaving them as ``dropped``."""
-    d, dim = basis.local_dim, basis.dim
-    # Column j is the image of basis state j over the full space; one sparse
-    # addition per support keeps the peak near the final nnz.
-    total = sp.csc_matrix((basis.full_dim, dim), dtype=complex)
-    digits = None if basis.states is None else _digits(basis, basis.states)
-    for support, block in _blocks(basis, terms).items():
-        if digits is None:  # each block entry at every occupation off the support
-            rest = site_offsets(d, [s for s in range(basis.n_sites) if s not in support])[:, None]
-            offsets = site_offsets(d, support)
-            r, c = np.nonzero(block)
-            src, targets = (rest + offsets[c]).ravel(), (rest + offsets[r]).ravel()
-            values = np.broadcast_to(block[r, c], (rest.size, r.size)).ravel()
-        else:
-            entries = _entries(basis, {support: block})
-            src, targets, values = _applied(d, entries, basis.states, digits)
-        total = total + sp.csc_matrix((values, (targets, src)), shape=total.shape)
-    if digits is None:
-        return SparseOperator._owning(total.tocsr())
-    entries = total.tocoo()
-    rows = basis.rank(entries.row)
+    blocks = _blocks(basis, terms)
+    sites, first, shift, values, _ = entries = _entries(basis, blocks)
+    # An output at a shift that one support alone makes is a matrix entry of its
+    # own.  Outputs at a shift that several supports make are summed in ``sums``
+    # per (source, shift), from +0 in support order: np.add.at adds in index order.
+    block = np.repeat(np.arange(len(blocks)), np.diff(first[:: basis.local_dim ** sites.shape[1]]))
+    made, makers = np.unique(np.unique(shift * len(blocks) + block) // max(len(blocks), 1), return_counts=True)
+    summed = made[makers > 1]
+    slot, shared, width = np.searchsorted(summed, shift), np.isin(shift, summed), max(summed.size, 1)
+    sums = np.zeros(basis.dim * width, dtype=complex)
+    cols, moves, data = [], [], []
+    for src, k in _applied(basis, entries, basis.states):
+        on = shared[k]
+        into = src[..., on] * width + slot[k[on]]
+        np.add.at(sums, into.ravel(), np.broadcast_to(values[k[on]], into.shape).ravel())
+        src, k = src[..., ~on], k[~on]
+        cols.append(src.ravel())
+        moves.append(np.broadcast_to(shift[k], src.shape).ravel())
+        data.append(np.broadcast_to(values[k], src.shape).ravel())
+    hit = np.flatnonzero(sums != 0)  # an exact zero is no entry, as in a sparse sum
+    cols, targets = np.concatenate(cols + [hit // width]), np.concatenate(moves + [summed[hit % width]])
+    targets += cols if basis.states is None else basis.states[cols]
+    data = np.concatenate(data + [sums[hit]])
+    rows = basis.rank(targets)
     kept = rows >= 0
-    leaving = np.abs(entries.data[~kept])
+    leaving = np.abs(data[~kept])
     dropped = float(np.max(leaving[leaving > DROP_THRESHOLD], initial=0.0))
-    matrix = sp.csr_matrix((entries.data[kept], (rows[kept], entries.col[kept])), shape=(dim, dim))
+    if not kept.all():
+        data, rows, cols = data[kept], rows[kept], cols[kept]
+    matrix = sp.csr_matrix((data, (rows, cols)), shape=(basis.dim,) * 2)
+    del sums, cols, targets, moves, data, rows, kept  # the hermiticity check needs the memory
     return SparseOperator._owning(matrix, dropped)
 
 
@@ -226,9 +243,8 @@ def closure(basis: FockBasis, terms, seeds) -> FockBasis:
     entries = _entries(basis, _blocks(basis, terms))
     reached = frontier = np.unique(np.asarray(seeds, dtype=np.int64))
     while frontier.size and reached.size < basis.full_dim:
-        chunks = [frontier[lo : lo + 4096] for lo in range(0, frontier.size, 4096)]
         targets = np.unique(np.concatenate(
-            [_applied(basis.local_dim, entries, chunk, _digits(basis, chunk))[1] for chunk in chunks]))
+            [frontier[src] + entries[2][k] for src, k in _applied(basis, entries, frontier, 4096)]))
         pos = np.searchsorted(reached, targets)
         new = reached[np.minimum(pos, reached.size - 1)] != targets
         frontier = targets[new]

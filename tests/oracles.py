@@ -6,6 +6,7 @@ comparisons between the two are meaningful cross-checks.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def ladder(d):
@@ -126,6 +127,49 @@ def dense_physical_mask(n_sites, d):
         bits = [(m >> j) & 1 for j in range(n_sites)]
         idx.append(sum(b * d**j for j, b in enumerate(bits)))
     return np.array(idx, dtype=np.int64)
+
+
+def running_sum_assemble(n_sites, d, states, terms, drop, hermitian_tol):
+    """The operator of a term list ``(coeff, ((site, local), ...))``, summed as
+    a running sparse sum: one support at a time, in the order the supports
+    first appear, each support's dense block being the sum of its terms'
+    Kronecker products.  Columns are the sorted full-space ``states`` (None:
+    all d**n_sites); rows outside them are left out, and the largest of their
+    |values| above ``drop`` is returned as ``dropped``.  Returns (csr matrix,
+    dropped, hermitian), with entries of |value| <= ``drop`` removed."""
+    cols = np.arange(d**n_sites) if states is None else np.asarray(states)
+    blocks = {}
+    for coeff, factors in terms:
+        per_site = {}
+        for site, local in factors:
+            local = np.asarray(local, dtype=complex)
+            per_site[site] = per_site[site] @ local if site in per_site else local
+        support = tuple(sorted(per_site))
+        block = np.ones((1, 1), dtype=complex)
+        for site in support:  # first site least significant
+            block = np.kron(per_site[site], block)
+        blocks[support] = coeff * block + blocks.get(support, 0.0)
+    digits = cols[:, None] // d ** np.arange(n_sites) % d
+    total = sp.csc_matrix((d**n_sites, len(cols)), dtype=complex)
+    for support, block in blocks.items():
+        offsets = np.array([sum(r // d**i % d * d**s for i, s in enumerate(support))
+                            for r in range(len(block))], dtype=np.int64)
+        c = sum((digits[:, s] * d**i for i, s in enumerate(support)), np.zeros(len(cols), dtype=np.int64))
+        r, j = np.nonzero(block[:, c])
+        targets = cols[j] - offsets[c[j]] + offsets[r]
+        total = total + sp.csc_matrix((block[r, c[j]], (targets, j)), shape=total.shape)
+    entries = total.tocoo()
+    pos = np.minimum(np.searchsorted(cols, entries.row), len(cols) - 1)
+    kept = cols[pos] == entries.row
+    leaving = np.abs(entries.data[~kept])
+    dropped = float(np.max(leaving[leaving > drop], initial=0.0))
+    m = sp.csr_matrix((entries.data[kept], (pos[kept], entries.col[kept])), shape=(len(cols),) * 2)
+    m.sum_duplicates()
+    m.data[np.abs(m.data) <= drop] = 0.0
+    m.eliminate_zeros()
+    m.sort_indices()
+    diff = m - m.conj().T
+    return m, dropped, bool(np.max(np.abs(diff.data), initial=0.0) <= hermitian_tol)
 
 
 def brute_force_expectation_series(h, psi0, op, times):

@@ -435,3 +435,37 @@ def test_entries_leaving_the_basis_count_past_the_drop_threshold_only():
     part = assemble(FockBasis(2, 3, hard), terms)
     assert part.dropped == 0.0
     assert part.matrix.nnz == 2  # n_0 on the two states with site 0 occupied
+
+
+@pytest.mark.parametrize("states", [None, [1, 7]])
+def test_supports_sharing_an_entry_are_summed_in_support_order(states):
+    n = local_ops(2).n
+    big, tiny, minus = (1e3, ((0, n),)), (3e-13, ((1, n),)), (-1e3, ((2, n),))
+    in_order = ((0.0 + 1e3) + 3e-13) + -1e3
+    minus_second = ((0.0 + 1e3) + -1e3) + 3e-13
+    assert in_order != minus_second == 3e-13
+    for terms, want in (([big, tiny, minus], in_order), ([big, minus, tiny], minus_second)):
+        op = assemble(FockBasis(3, 2, states), terms)
+        assert op.matrix[op.dim - 1, op.dim - 1] == want  # |111>, where all three sum
+
+
+def _paper_chain(n_sites):
+    return derive_jja_params(chain_circuit(n_sites, 200.0, 12500.0, 1562.5, 20.0,
+                                           include_boundary=True))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_h_jja(_paper_chain(9), FockBasis(9, 3), "full"),
+    lambda: build_h_ebh(chain_spec(9, 40.0, 4720.0), FockBasis(9, 3)),
+    lambda: build_h_spin(chain_spec(14, 40.0, 4720.0)),
+], ids=["jja-full-9-3", "ebh-9-3", "spin-14"])
+def test_full_space_builds_peak_below_150_bytes_per_stored_entry(build):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        op = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 * op.matrix.nnz

@@ -52,7 +52,9 @@ from spinbh.model import (
 )
 from spinbh.operators import (
     DROP_THRESHOLD,
+    HERMITIAN_TOL,
     OBSERVABLE_NAMES,
+    assemble,
     build_h_dm,
     build_h_ebh,
     build_h_jja,
@@ -60,6 +62,7 @@ from spinbh.operators import (
     closure,
     ebh_terms,
     jja_terms,
+    local_ops,
     observable,
 )
 from spinbh.verify import project
@@ -248,6 +251,56 @@ def test_subset_builds_equal_sliced_full_builds(case):
         assert project(part, np.arange(part.dim))[1] == part.dropped
     elif isinstance(subset, str):  # H never leaves a closure
         assert part.dropped == 0.0
+
+
+@st.composite
+def term_lists(draw):
+    """(N, d, states, terms): one to ten random complex terms of one to three
+    factors on any sites (several may share one), with entries from a set that
+    cancels exactly, with or without their adjoints (whose conjugated zeros are
+    -0.0), on all d**N <= 1024 states (states None) or a random sorted subset."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(2, 4).filter(lambda d: d**n <= 1024))
+    entry = st.sampled_from([0j] * 5 + [1, -1, 0.5, 1j, -0.25j, 1 + 1j, 1e3, 3e-13])
+    local = st.lists(entry, min_size=d * d, max_size=d * d).map(
+        lambda v: np.array(v, dtype=complex).reshape(d, d))
+    coeff = st.sampled_from([1.0, -0.5, 2.0]) | st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    term = st.tuples(coeff, st.lists(st.tuples(st.integers(0, n - 1), local), min_size=1,
+                                     max_size=3).map(tuple))
+    terms = draw(st.lists(term, min_size=1, max_size=10))
+    if draw(st.booleans()):
+        terms += [(np.conj(c), tuple((s, m.conj().T) for s, m in reversed(f))) for c, f in terms]
+    kept = draw(st.sampled_from([None, 0.1, 0.5, 0.9]))
+    if kept is None:
+        return n, d, None, terms
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    inside = rng.random(d**n) < kept
+    inside[rng.integers(d**n)] = True
+    return n, d, np.flatnonzero(inside), terms
+
+
+OPS3 = local_ops(3)
+HARD_CORE_11 = np.sort(physical_mask(FockBasis(11, 3)))
+
+
+@examples
+@given(term_lists())
+# a single-site off-diagonal factor hits the entries of a pair support
+@example((2, 3, None, [(0.7, ((0, OPS3.adag),)), (1.3, ((0, OPS3.adag), (1, OPS3.n))),
+                       (-0.7, ((0, OPS3.adag),))]))
+@example((11, 3, HARD_CORE_11, jja_terms(PAPER_CIRCUIT_11, 3, "full")))
+@example((11, 3, HARD_CORE_11, jja_terms(PAPER_CIRCUIT_11, 3, "simplified")))
+def test_one_pass_sum_equals_the_running_sum_bit_for_bit(case):
+    n, d, states, terms = case
+    basis = FockBasis(n, d, states)
+    op = assemble(basis, terms)
+    want, dropped, hermitian = oracles.running_sum_assemble(n, d, basis.states, terms,
+                                                            DROP_THRESHOLD, HERMITIAN_TOL)
+    assert np.array_equal(op.matrix.indptr, want.indptr)
+    assert np.array_equal(op.matrix.indices, want.indices)
+    assert np.array_equal(op.matrix.data.view(np.int64), want.data.view(np.int64))  # signed zeros too
+    assert (op.dropped, op.hermitian) == (dropped, hermitian)
 
 
 @examples

@@ -142,6 +142,7 @@ def _blocks(basis: FockBasis, terms) -> dict[tuple[int, ...], np.ndarray]:
             local = per_site[site]
             block = (local[:, None, :, None] * block[None, :, None, :]).reshape(
                 len(local) * len(block), -1)
+        # from +0.0, as a running sum's 0 + v: a block holds no -0.0 part
         blocks[support] = coeff * block + blocks.get(support, 0.0)
     return blocks
 

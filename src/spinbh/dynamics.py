@@ -7,7 +7,7 @@ sectors, such as fixed particle number, found without naming them), and a
 state never leaves the union S of the blocks psi0 touches.
 Propagators only propagate: each yields blocks of state columns, one column
 per output time, in grid order.  The dense one takes the uniform grid as its
-spacing and point count, diagonalizes only the blocks psi0 touches and yields
+spacing and point count, diagonalizes every block of H it is handed and yields
 columns 512 at a time (fewer past 4096 states, so a column block stays within
 32 MB; best up to a few thousand states per H block), phased from two small
 cos/sin tables.  A block with no imaginary stored value takes a real ``eigh``
@@ -20,16 +20,13 @@ evaluated for many times at once) is within ``STEP_TOLERANCE``.  A block
 never holds more than ``KRYLOV_DIM`` columns, so memory stays at two
 basis-sized arrays.  When not even the next grid point fits, the window
 halves a substep inside that interval until one fits.
-``evolve`` picks the propagator by |S|, runs the dense one on H and psi0
-restricted to S, cuts the columns of the Lanczos one to S, and records every
+``evolve`` finds the blocks once, restricts H, psi0, the observables and Q
+to S unless S is every state, picks the propagator by |S| and records every
 block on S in one loop, so observables that couple blocks keep their
 cross-block coherences; leakage is one more of them, <Q> of the diagonal
 projector Q off the mask, unless Q stores no entry on S and the leakage is
 exactly zero.  A real observable (each built one, and Q) takes one real
-product.  Lanczos propagates on every state of the H it is handed: d**N of
-them for a full-space H, while the command line hands over H built on the
-closure of psi0 (``operators.closure``), which holds S and which H never
-leaves.
+product.
 """
 
 from __future__ import annotations
@@ -180,7 +177,7 @@ def _lanczos(matvec, v: np.ndarray, m: int):
     return vecs[:k_used], propagate
 
 
-def _krylov_blocks(h, psi0, times):
+def _krylov_blocks(matrix, psi0, times):
     """Blocks of up to ``KRYLOV_DIM`` columns from Lanczos windows.
 
     A window is one basis, built at the last accepted time t0.  It serves the
@@ -190,7 +187,7 @@ def _krylov_blocks(h, psi0, times):
     grid point takes the longest substep (interval / 2**k, k <=
     ``MAX_HALVINGS``) that fits and moves t0 there without yielding.
     """
-    matvec = lambda x: h.matrix @ x
+    matvec = lambda x: matrix @ x
     cur, t0, idx = psi0, times[0], 1
     yield cur[:, None]
     while idx < len(times):
@@ -232,21 +229,19 @@ def _components(matrix) -> np.ndarray:
     return connected_components(pattern, directed=False)[1]
 
 
-def _dense_blocks(h, psi0, dt, n_points):
+def _dense_blocks(matrix, psi0, labels, dt, n_points):
     """Column blocks of up to 512 columns (and ``_CHUNK_ENTRIES`` entries) from
-    the spectral decomposition of every connected block of H that psi0 touches,
-    at the times k*dt for k < n_points.
+    the spectral decomposition of every connected block of H, the states that
+    share a label, at the times k*dt for k < n_points.
 
-    A block where psi0 is exactly zero stays zero for all times and is never
-    diagonalized; each column is rebuilt block by block into zeros of length
-    ``h.dim``.  The phase at k = q*L + r is the product of the phases at q*L,
-    tabulated per chunk, and at r < L, tabulated once per block; so each
-    eigenvalue takes about L + n_points/L cos/sin pairs, not n_points.
+    Every state lies in one block, so each column is assembled block by block.
+    The phase at k = q*L + r is the product of the phases at q*L, tabulated
+    per chunk, and at r < L, tabulated once per block; so each eigenvalue
+    takes about L + n_points/L cos/sin pairs, not n_points.
     """
-    csr = h.matrix.tocsr()  # sliceable even when h.matrix only forwards attributes
-    labels = _components(csr)
-    touched = [np.flatnonzero(labels == label) for label in np.unique(labels[psi0 != 0])]
-    subs = [s if s.data.imag.any() else s.real for s in (csr[i][:, i] for i in touched)]
+    csr = matrix.tocsr()  # sliceable even when the matrix only forwards attributes
+    blocks = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    subs = [s if s.data.imag.any() else s.real for s in (csr[i][:, i] for i in blocks)]
     size = max(sub.shape[0] for sub in subs)
     # kept eigenvectors + 32 B per entry of the largest block (its array, evr's copy or evd's work)
     need = sum(sub.dtype.itemsize * sub.shape[0] ** 2 for sub in subs) + 32 * size**2
@@ -254,20 +249,20 @@ def _dense_blocks(h, psi0, dt, n_points):
         raise InvalidSpecError(
             f"dense_eig would diagonalize a block of {size} states ({need / 2**30:.3g} GiB), "
             f"past the budget of {MAX_RUN_BYTES // 2**30} GiB; use method auto or krylov")
-    step = min(_GRID_CHUNK, max(1, _CHUNK_ENTRIES // h.dim))
+    step = min(_GRID_CHUNK, max(1, _CHUNK_ENTRIES // len(psi0)))
     stride = min(_PHASE_STRIDE, step)
     step -= step % stride  # chunks start at multiples of L; rounding down keeps _CHUNK_ENTRIES
     offsets = dt * np.arange(stride)
-    blocks = []
-    for idx, sub in zip(touched, subs):
+    spectra = []
+    for idx, sub in zip(blocks, subs):
         evals, evecs = sla.eigh(sub.toarray(), driver="evd" if np.isrealobj(sub) else None)
         inner = _phased(evals, offsets, np.ones(len(evals)))
-        blocks.append((idx, evals, evecs, evecs.conj().T @ psi0[idx], inner))
+        spectra.append((idx, evals, evecs, evecs.conj().T @ psi0[idx], inner))
     for start in range(0, n_points, step):
         width = min(step, n_points - start)
         strides = dt * np.arange(start, start + width, stride)
-        cols = np.zeros((h.dim, width), dtype=complex)
-        for idx, evals, evecs, w0, inner in blocks:
+        cols = np.empty((len(psi0), width), dtype=complex)
+        for idx, evals, evecs, w0, inner in spectra:
             outer = _phased(evals, strides, w0)
             z = (outer[:, :, None] * inner[:, None, :]).reshape(len(evals), -1)[:, :width]
             # a real evecs takes one real product on z's parts
@@ -289,8 +284,8 @@ def evolve(
     the mask as ``Trajectory.leakage``.
 
     ``auto`` resolves on |S|, the states of the blocks of H that psi0
-    touches; both propagators record with the observables and Q restricted
-    to S, which is exact because every state vanishes off S.
+    touches; both propagators run with H, psi0, the observables and Q
+    restricted to S, which is exact because every state vanishes off S.
 
     Non-Hermitian generators are refused; project them onto an invariant
     subspace first.  A grid whose largest phase 2*pi*rho*t_max is finite but
@@ -323,16 +318,17 @@ def evolve(
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
     labels = _components(csr)
     support = np.flatnonzero(np.isin(labels, labels[psi0 != 0]))
-    whole = len(support) == h.dim  # then slice and copy nothing
-    cut = slice(None) if whole else support
-    restrict = lambda m: m if whole else m.tocsr()[support][:, support]
-    recorded = {name: restrict(op.matrix) for name, op in observables.items()}
-    q = None if q is None else q[cut]
+    matrix = h.matrix  # unsliced when S is every state, so a wrapper sees each product
+    recorded = {name: op.matrix for name, op in observables.items()}
+    if len(support) < h.dim:
+        restrict = lambda m: m.tocsr()[support][:, support]
+        matrix, psi0, labels = restrict(csr), psi0[support], labels[support]
+        recorded = {name: restrict(m) for name, m in recorded.items()}
+        q = None if q is None else q[support]
     if cfg.resolve_method(len(support)) == "dense_eig":
-        h = SparseOperator(matrix=restrict(h.matrix), hermitian=True)
-        blocks = _dense_blocks(h, psi0[cut], cfg.t_max / (cfg.n_steps - 1), cfg.n_steps)
-    else:  # Lanczos propagates on all of h's states
-        blocks = (cols[cut] for cols in _krylov_blocks(h, psi0, times))
+        blocks = _dense_blocks(matrix, psi0, labels, cfg.t_max / (cfg.n_steps - 1), cfg.n_steps)
+    else:
+        blocks = _krylov_blocks(matrix, psi0, times)
     leak = None
     if q is not None:
         if q.any():  # Q under a key that names no observable

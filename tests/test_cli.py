@@ -415,6 +415,19 @@ def test_validation_error_run_beyond_the_memory_budget(tmp_path, capsys, n_sites
     assert not (tmp_path / "o").exists()
 
 
+# a design takes about 1.2 KB per site, so 10**8 sites would need over 100 GB
+@pytest.mark.parametrize("n_sites, code", [(100, EXIT_OK), (10**8, EXIT_VALIDATION)])
+def test_design_run_within_the_memory_budget(tmp_path, capsys, n_sites, code):
+    path = write(tmp_path, "design.ini", DESIGN_INI.replace("n_sites = 4", f"n_sites = {n_sites}"))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == code
+    if code == EXIT_OK:
+        assert (tmp_path / "o" / "parameter_sheet.csv").is_file()
+    else:
+        err = capsys.readouterr().err
+        assert "estimated peak memory" in err and "budget of 4 GiB" in err
+        assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("j", None), ("n_sites", [2]), ("n_sites", 2.7), ("j", True),
 ])
@@ -737,6 +750,35 @@ def test_method_override_changes_propagator_not_results(tmp_path):
     for ra, rk in zip(rows_a, rows_k):
         va, vk = float(ra.split(",")[1]), float(rk.split(",")[1])
         assert abs(va - vk) < 1e-8
+
+
+def test_forced_krylov_compare_runs_both_sides_on_the_touched_states(tmp_path, monkeypatch):
+    # domain_wall at N=8 touches the C(8, 4) = 70 half-filling states of the
+    # 256 spin states, and its cutoff-3 closure is the same 70 hard-core states
+    from spinbh import dynamics
+
+    starts = {}  # Lanczos start lengths under each side's label
+    evolve, lanczos = dynamics.evolve, dynamics._lanczos
+
+    def evolve_spy(*args, **kwargs):
+        starts[kwargs["hamiltonian_label"]] = []
+        return evolve(*args, **kwargs)
+
+    def lanczos_spy(matvec, v, m):
+        list(starts.values())[-1].append(len(v))
+        return lanczos(matvec, v, m)
+
+    monkeypatch.setattr(dynamics, "evolve", evolve_spy)
+    monkeypatch.setattr(dynamics, "_lanczos", lanczos_spy)
+    ini = COMPARE_INI.replace("n_sites = 4", "n_sites = 8").replace("cutoff = 2", "cutoff = 3")
+    out = tmp_path / "kry"
+    assert run_cli(["run", write(tmp_path, "cmp.ini", ini), "--method", "krylov",
+                    "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    assert list(starts) == ["compare:spin", "compare:boson"]
+    assert all(lengths and set(lengths) == {70} for lengths in starts.values())
+    for row in (out / "trajectory_distance.csv").read_text().splitlines()[1:]:
+        _, max_abs, rms, _ = row.split(",")
+        assert float(max_abs) < 1e-12 and float(rms) < 1e-12
 
 
 def test_verify_kind_ebh(tmp_path):

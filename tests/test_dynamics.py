@@ -255,22 +255,22 @@ def test_leakage_series_matches_expm_population_outside_the_hard_core_states(sta
     assert np.max(traj.leakage) > 1e-3
 
 
-def test_cutoff3_chain_of_ten_matches_expm_multiply_from_one_window():
+def test_cutoff3_chain_of_ten_matches_expm_multiply_from_one_window(lanczos_starts):
     # dim 3**10 = 59049 on the fig2 grid spacing (0.5 us / 1999): all nine
-    # intervals lie within reach of one or two Lanczos bases
+    # intervals lie within reach of one or two Lanczos bases, each built on
+    # the 252 states domain_wall touches
     n_steps = 10
     t_max = (n_steps - 1) * 0.5 / 1999
     basis = FockBasis(10, 3)
     h = build_h_ebh(chain_spec(10, 40.0, 4720.0), basis)
     psi0 = named_initial_state(basis, "domain_wall", "boson")
     obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx", "cxx")}
-    counted = CountingMatrix(h.matrix)
-    traj = evolve(SparseOperator(matrix=counted, hermitian=True), psi0,
-                  cfg(t_max, n_steps, "krylov"), obs)
+    traj = evolve(h, psi0, cfg(t_max, n_steps, "krylov"), obs)
     ref = expm_multiply_series(h, psi0, obs, t_max, n_steps)
     for name in obs:
         assert np.max(np.abs(traj.values[name] - ref[name])) < 1e-9
-    assert counted.matvecs <= 2 * dynamics.KRYLOV_DIM
+    assert 1 <= len(lanczos_starts) <= 2  # at most 2 * KRYLOV_DIM products
+    assert set(lanczos_starts) == {(252,)}
 
 
 # ---------------------------------------------------------------- invariants
@@ -332,7 +332,7 @@ def test_total_sz_conserved():
 @pytest.mark.parametrize("method", ["dense_eig", "krylov"])
 def test_time_reversal_returns_initial_state(method):
     columns = dense_columns if method == "dense_eig" else (
-        lambda h, psi0, times: np.hstack(list(dynamics._krylov_blocks(h, psi0, times))))
+        lambda h, psi0, times: np.hstack(list(dynamics._krylov_blocks(h.matrix, psi0, times))))
     h = build_h_spin(chain_spec(4, 3.0, 1.0))
     psi0 = named_initial_state(FockBasis(4, 2), "neel", "spin")
     times = np.linspace(0.0, 0.4, 41)
@@ -468,7 +468,7 @@ def test_krylov_windows_restart_and_halve_within_the_column_cap(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_lanczos", spy)
     blocks = []
-    for cols in dynamics._krylov_blocks(h, psi0, times):
+    for cols in dynamics._krylov_blocks(h.matrix, psi0, times):
         events.append(cols.shape[1])
         blocks.append(cols)
     assert all(cols.shape[1] <= 6 for cols in blocks)
@@ -500,11 +500,16 @@ def full_eigh_columns(h_dense, psi0, times):
     return evecs @ (phases * (evecs.conj().T @ psi0)[:, None])
 
 
+def dense_blocks(h, psi0, dt, n_points):
+    """The dense propagator's column blocks on every block of H."""
+    return dynamics._dense_blocks(h.matrix, psi0, dynamics._components(h.matrix), dt, n_points)
+
+
 def dense_columns(h, psi0, times):
     """The dense propagator's columns on ``times``, a grid from np.linspace(0, t_max, n)."""
     n = len(times)
     assert np.array_equal(times, np.linspace(0.0, times[-1], n))
-    return np.hstack(list(dynamics._dense_blocks(h, psi0, times[-1] / (n - 1), n)))
+    return np.hstack(list(dense_blocks(h, psi0, times[-1] / (n - 1), n)))
 
 
 class EighCalls(list):
@@ -584,12 +589,14 @@ def test_dense_blocks_on_a_chain_cut_by_a_zero_link(eigh_shapes):
     assert np.max(np.abs(cols - full_eigh_columns(ref_h, psi0, times))) < 1e-9
     sizes = sorted(shape[0] for shape in eigh_shapes)
     assert sizes == sorted(math.comb(3, a) * math.comb(3, b) for a in range(4) for b in range(4))
-    # domain_wall: left half full, right half empty, so one 1-state block
-    eigh_shapes.clear()
+    # domain_wall: left half full, right half empty, so one 1-state block,
+    # the only one evolve diagonalizes
     psi0 = named_initial_state(basis, "domain_wall", "spin")
     cols = dense_columns(h, psi0, times)
-    assert eigh_shapes == [(1, 1)]
     assert np.allclose(np.abs(cols), np.abs(psi0)[:, None], atol=1e-14)
+    eigh_shapes.clear()
+    evolve(h, psi0, cfg(t_max=0.1, n_steps=11), {})
+    assert eigh_shapes == [(1, 1)]
 
 
 def test_dense_blocks_of_a_diagonal_hamiltonian(eigh_shapes):
@@ -620,12 +627,13 @@ def test_dense_blocks_keep_purely_imaginary_hoppings(eigh_shapes):
     cols = dense_columns(h, psi0, times)
     assert np.max(np.abs(cols - full_eigh_columns(m, psi0, times))) < 1e-12
     assert np.max(np.abs(cols[1])) > 0.5
-    assert eigh_shapes == [(3, 3)]
+    assert eigh_shapes == [(3, 3), (1, 1)]
     # evolve finds the touched states from the same pattern
+    eigh_shapes.clear()
     n1 = SparseOperator.from_matrix(sp.diags([0.0, 1.0, 0.0, 0.0]))
     traj = evolve(h, psi0, cfg(t_max=0.3, n_steps=13), {"n1": n1})
     assert np.max(np.abs(traj.values["n1"] - np.abs(cols[1]) ** 2)) < 1e-12
-    assert eigh_shapes == [(3, 3)] * 2
+    assert eigh_shapes == [(3, 3)]
 
 
 def test_dense_blocks_take_real_arithmetic_only_on_real_blocks(eigh_shapes):
@@ -699,7 +707,7 @@ def test_dense_columns_cross_chunk_and_stride_boundaries_on_a_wide_spectrum(
     if chunk:
         monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", chunk * basis.dim)
     psi0 = named_initial_state(basis, "all_up_x", "spin")  # touches all 7 blocks
-    blocks = list(dynamics._dense_blocks(h, psi0, 0.5 / 1299, 1300))
+    blocks = list(dense_blocks(h, psi0, 0.5 / 1299, 1300))
     assert [cols.shape[1] for cols in blocks] == widths
     times = np.linspace(0.0, 0.5, 1300)
     assert np.max(np.abs(np.hstack(blocks) - full_eigh_columns(m, psi0, times))) < 1e-9
@@ -766,9 +774,18 @@ def test_forced_dense_cutoff3_chain_of_ten_matches_krylov():
         diff = runs["dense_eig"].values[name] - runs["krylov"].values[name]
         assert np.max(np.abs(diff)) < 1e-8
     assert np.all(runs["dense_eig"].leakage == 0.0)
-    # full-length chunks shrink past DENSE_DIM_LIMIT, so memory stays bounded
-    widths = [cols.shape[1] for cols in dynamics._dense_blocks(h, psi0, t_max / 79, 80)]
-    assert sum(widths) == 80 and max(widths) * basis.dim <= dynamics._CHUNK_ENTRIES
+
+
+def test_dense_chunks_shrink_past_the_dense_limit():
+    # a 13-site chain with every second link at zero splits into blocks of at
+    # most 2**6 states, but all_up_x touches all 8192 > DENSE_DIM_LIMIT of
+    # them; full-length chunks shrink, so memory stays bounded
+    n = 13
+    h = build_h_spin(SpinModelSpec(
+        n, tuple((j, j + 1, 40.0 if j % 2 == 0 else 0.0) for j in range(n - 1)), (4720.0,) * n))
+    psi0 = named_initial_state(FockBasis(n, 2), "all_up_x", "spin")
+    widths = [cols.shape[1] for cols in dense_blocks(h, psi0, 0.5 / 1999, 80)]
+    assert sum(widths) == 80 and max(widths) * 2**n <= dynamics._CHUNK_ENTRIES
 
 
 # ---------------------------------------------------------------- touched support
@@ -835,7 +852,8 @@ def test_evolve_on_the_touched_states_matches_expm_multiply_on_the_full_space(n,
         assert np.max(np.abs(traj.leakage - ref_leak)) < 1e-9
 
 
-def test_auto_evolves_a_cutoff3_chain_of_ten_on_its_touched_states(eigh_shapes, monkeypatch):
+def test_auto_evolves_a_cutoff3_chain_of_ten_on_its_touched_states(eigh_shapes, lanczos_starts,
+                                                                   monkeypatch):
     # dim 3**10 = 59049 is past DENSE_DIM_LIMIT, but domain_wall touches only the
     # 252 hard-core states at half filling, so auto diagonalizes and records on those
     n_steps = 10
@@ -853,10 +871,8 @@ def test_auto_evolves_a_cutoff3_chain_of_ten_on_its_touched_states(eigh_shapes, 
             yield cols
 
     monkeypatch.setattr(dynamics, "_dense_blocks", spy)
-    counted = CountingMatrix(h.matrix)
-    auto = evolve(SparseOperator(matrix=counted, hermitian=True), psi0, cfg(t_max, n_steps),
-                  obs, leakage_mask=physical_mask(basis))
-    assert counted.matvecs == 0
+    auto = evolve(h, psi0, cfg(t_max, n_steps), obs, leakage_mask=physical_mask(basis))
+    assert lanczos_starts == []
     assert eigh_shapes == [(252, 252)]
     assert lengths and set(lengths) == {252}
     assert np.all(auto.leakage == 0.0)
@@ -900,19 +916,23 @@ def test_auto_builds_lanczos_bases_when_the_touched_states_pass_the_dense_limit(
     h = build_h_ebh(chain_spec(8, 40.0, 4720.0), basis)
     psi0 = product_state(basis, [np.ones(3)] * 8)
     obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx")}
-    traj = evolve(h, psi0, cfg(t_max=1e-3, n_steps=3), obs)
+    counted = CountingMatrix(h.matrix)
+    traj = evolve(SparseOperator(matrix=counted, hermitian=True), psi0, cfg(t_max=1e-3, n_steps=3),
+                  obs)
     assert lanczos_starts and set(lanczos_starts) == {(basis.dim,)}
     assert eigh_shapes == []
     assert traj.max_norm_deviation < 1e-9
-    # S is the whole space, so each observable is recorded through its own
-    # matrix, not a sliced copy, on full-length columns
+    # S is the whole space, so every Lanczos product goes through the matrix
+    # handed in, and each observable is recorded through its own matrix, not
+    # a sliced copy, on full-length columns
+    assert counted.matvecs == dynamics.KRYLOV_DIM * len(lanczos_starts)
     assert {id(m) for m, _ in recorded} == {id(op.matrix) for op in obs.values()}
     assert {rows for _, rows in recorded} == {basis.dim}
 
 
 def test_forced_krylov_records_a_cutoff3_chain_of_ten_on_its_touched_states(lanczos_starts,
                                                                              recorded):
-    # Lanczos propagates the 59049-long state, but recording reads only the 252
+    # of the 59049 states, Lanczos propagates and recording reads only the 252
     # hard-core states at half filling that domain_wall touches, where Q is zero
     n_steps = 10
     t_max = (n_steps - 1) * 0.5 / 1999
@@ -922,13 +942,34 @@ def test_forced_krylov_records_a_cutoff3_chain_of_ten_on_its_touched_states(lanc
     obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx", "cxx")}
     krylov = evolve(h, psi0, cfg(t_max, n_steps, "krylov"), obs,
                     leakage_mask=physical_mask(basis))
-    assert lanczos_starts and set(lanczos_starts) == {(basis.dim,)}
+    assert lanczos_starts and set(lanczos_starts) == {(252,)}
     assert {(m.shape, rows) for m, rows in recorded} == {((252, 252), 252)}
     assert len(recorded) % len(obs) == 0  # no block records Q
     assert np.all(krylov.leakage == 0.0)
     dense = evolve(h, psi0, cfg(t_max, n_steps, "dense_eig"), obs)
     for name in obs:
         assert np.max(np.abs(krylov.values[name] - dense.values[name])) < 1e-8
+
+
+@pytest.mark.parametrize("method", ["dense_eig", "krylov"])
+@pytest.mark.parametrize("state, touched", [("domain_wall", 20), ("all_up_x", 64)])
+def test_evolve_finds_the_blocks_once(monkeypatch, lanczos_starts, method, state, touched):
+    # domain_wall touches the 20 half-filling states of 64, all_up_x every state
+    calls = []
+    components = dynamics._components
+
+    def spy(matrix):
+        calls.append(matrix.shape)
+        return components(matrix)
+
+    monkeypatch.setattr(dynamics, "_components", spy)
+    basis = FockBasis(6, 2)
+    h = build_h_spin(chain_spec(6, 40.0, 4720.0))
+    psi0 = named_initial_state(basis, state, "spin")
+    evolve(h, psi0, cfg(t_max=0.01, n_steps=5, method=method),
+           {"sz1": observable("sz1", "spin", basis)})
+    assert calls == [(64, 64)]
+    assert set(lanczos_starts) == (set() if method == "dense_eig" else {(touched,)})
 
 
 def test_forced_dense_refuses_a_block_past_the_memory_budget(eigh_shapes, lanczos_starts):

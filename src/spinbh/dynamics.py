@@ -19,14 +19,23 @@ following grid point whose error bound (Expokit's a-posteriori bound,
 evaluated for many times at once) is within ``STEP_TOLERANCE``.  A block
 never holds more than ``KRYLOV_DIM`` columns, so memory stays at two
 basis-sized arrays.  When not even the next grid point fits, the window
-halves a substep inside that interval until one fits.
+halves a substep inside that interval until one fits.  It propagates
+H - diag(c), c_b the midpoint of block b's Gershgorin interval, and gives
+each column back its per-block phase exp(-i*2*pi*c_b*t), exactly since H
+stores no entry between blocks; so a window's reach is set by the spread
+within a block, not by the offsets between blocks.
 ``evolve`` finds the blocks once, restricts H, psi0, the observables and Q
-to S unless S is every state, picks the propagator by |S| and records every
+to S unless S is every state, picks the propagator and records every
 block on S in one loop, so observables that couple blocks keep their
 cross-block coherences; leakage is one more of them, <Q> of the diagonal
 projector Q off the mask, unless Q stores no entry on S and the leakage is
 exactly zero.  A real observable (each built one, and Q) takes one real
-product.
+product.  ``auto`` runs Lanczos past ``DENSE_DIM_LIMIT`` states in S, or
+when one basis covers the grid: when the largest shifted phase
+2*pi*w*t_max, w the widest touched block's Gershgorin half-width about c_b,
+is at most ``KRYLOV_DIM`` rad.  A basis of m vectors is a polynomial of
+degree m - 1 in H, and the Chebyshev coefficients of exp(-i*phi*x) become
+small only past degree phi.
 """
 
 from __future__ import annotations
@@ -63,8 +72,10 @@ class EvolutionConfig:
     """Output grid and propagator choice.
 
     ``n_steps`` counts grid points (at most ``MAX_GRID_POINTS``) on the inclusive grid [0, t_max];
-    ``method`` is one of dense_eig, krylov, auto (dense up to 4096 states in
-    the blocks of H that the initial state touches).
+    ``method`` is one of dense_eig, krylov, auto.  ``auto`` runs Lanczos when
+    the blocks of H that the initial state touches hold more than 4096
+    states, or when the largest phase the per-block shifted Lanczos must
+    resolve over the grid is at most ``KRYLOV_DIM`` rad; otherwise dense.
     """
 
     t_max: float
@@ -79,10 +90,12 @@ class EvolutionConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
-    def resolve_method(self, dim: int) -> str:
+    def resolve_method(self, dim: int, phase: float = np.inf) -> str:
+        """The method for ``dim`` touched states whose shifted Lanczos must
+        resolve a phase of at most ``phase`` rad (unknown by default)."""
         if self.method != "auto":
             return self.method
-        return "dense_eig" if dim <= DENSE_DIM_LIMIT else "krylov"
+        return "krylov" if dim > DENSE_DIM_LIMIT or phase <= KRYLOV_DIM else "dense_eig"
 
 
 @dataclass
@@ -177,9 +190,13 @@ def _lanczos(matvec, v: np.ndarray, m: int):
     return vecs[:k_used], propagate
 
 
-def _krylov_blocks(matrix, psi0, times):
+def _krylov_blocks(matrix, psi0, times, shift):
     """Blocks of up to ``KRYLOV_DIM`` columns from Lanczos windows.
 
+    Lanczos propagates H - diag(shift), where ``shift`` is constant on each
+    connected block of H, so diag(shift) commutes with H; each yielded column
+    then takes back its per-block phase exp(-i*2*pi*shift*(t - times[0])).
+    The windows carry the shifted-frame state from one to the next.
     A window is one basis, built at the last accepted time t0.  It serves the
     longest run of following grid points whose error bound is within
     ``STEP_TOLERANCE``, ``KRYLOV_DIM`` columns per block, and the next window
@@ -187,7 +204,9 @@ def _krylov_blocks(matrix, psi0, times):
     grid point takes the longest substep (interval / 2**k, k <=
     ``MAX_HALVINGS``) that fits and moves t0 there without yielding.
     """
-    matvec = lambda x: matrix @ x
+    matvec = lambda x: matrix @ x - shift * x
+    levels, level_of = np.unique(shift, return_inverse=True)  # one phase per block and time
+    ones = np.ones(len(levels))
     cur, t0, idx = psi0, times[0], 1
     yield cur[:, None]
     while idx < len(times):
@@ -200,7 +219,7 @@ def _krylov_blocks(matrix, psi0, times):
             n = len(fits) if fits.all() else int(np.argmin(fits))
             if n:
                 cols = vecs.T @ coeffs[:, :n]
-                yield cols
+                yield cols * _phased(levels, targets[:n] - times[0], ones)[level_of]
                 cur, idx = cols[:, -1], idx + n
             if n < len(fits):
                 break
@@ -227,6 +246,17 @@ def _components(matrix) -> np.ndarray:
     # the pattern, not the values: a complex-to-real cast would drop imaginary hoppings
     pattern = sp.csr_matrix((np.ones(len(csr.indices)), csr.indices, csr.indptr), shape=csr.shape)
     return connected_components(pattern, directed=False)[1]
+
+
+def _block_centers(diag, row_sums, labels):
+    """Per state, the midpoint c_b of its block's Gershgorin interval (which
+    holds every eigenvalue of the block), and the largest half-width of those
+    intervals; ``row_sums`` are the rows' absolute sums, diagonal included."""
+    radius = row_sums - np.abs(diag)
+    lo, hi = np.full(labels.max() + 1, np.inf), np.full(labels.max() + 1, -np.inf)
+    np.minimum.at(lo, labels, diag - radius)
+    np.maximum.at(hi, labels, diag + radius)  # a label absent here keeps hi - lo = -inf
+    return (lo[labels] + hi[labels]) / 2, float(np.max(hi - lo)) / 2
 
 
 def _dense_blocks(matrix, psi0, labels, dt, n_points):
@@ -284,8 +314,9 @@ def evolve(
     the mask as ``Trajectory.leakage``.
 
     ``auto`` resolves on |S|, the states of the blocks of H that psi0
-    touches; both propagators run with H, psi0, the observables and Q
-    restricted to S, which is exact because every state vanishes off S.
+    touches, and on the widest touched block's Gershgorin half-width; both
+    propagators run with H, psi0, the observables and Q restricted to S,
+    which is exact because every state vanishes off S.
 
     Non-Hermitian generators are refused; project them onto an invariant
     subspace first.  A grid whose largest phase 2*pi*rho*t_max is finite but
@@ -307,8 +338,9 @@ def evolve(
     if not dev < NORM_TOL:  # NaN fails too, and a zero psi0 touches no state
         raise NumericalError(f"initial state norm is off by {dev:.3e}")
     csr = h.matrix.tocsr()
-    rho = float(sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
-                .sum(1).max())
+    row_sums = np.asarray(sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr),
+                                        shape=csr.shape).sum(1)).ravel()
+    rho = float(row_sums.max())
     phase = TWO_PI * rho * cfg.t_max
     if MAX_PHASE < phase < np.inf:  # an overflowing one fails the non-finite checks below
         raise InvalidSpecError(
@@ -322,13 +354,15 @@ def evolve(
     recorded = {name: op.matrix for name, op in observables.items()}
     if len(support) < h.dim:
         restrict = lambda m: m.tocsr()[support][:, support]
-        matrix, psi0, labels = restrict(csr), psi0[support], labels[support]
+        csr = matrix = restrict(csr)
+        psi0, labels, row_sums = psi0[support], labels[support], row_sums[support]
         recorded = {name: restrict(m) for name, m in recorded.items()}
         q = None if q is None else q[support]
-    if cfg.resolve_method(len(support)) == "dense_eig":
+    shift, width = _block_centers(csr.diagonal().real, row_sums, labels)
+    if cfg.resolve_method(len(support), TWO_PI * width * cfg.t_max) == "dense_eig":
         blocks = _dense_blocks(matrix, psi0, labels, cfg.t_max / (cfg.n_steps - 1), cfg.n_steps)
     else:
-        blocks = _krylov_blocks(matrix, psi0, times)
+        blocks = _krylov_blocks(matrix, psi0, times, shift)
     leak = None
     if q is not None:
         if q.any():  # Q under a key that names no observable

@@ -52,6 +52,8 @@ def project(op: SparseOperator, mask) -> tuple[SparseOperator, float]:
     if op.dropped and mask.size != op.dim:
         raise ValueError("an operator with entries leaving its basis projects only onto all of it")
     out = outside(op.dim, mask)
+    if not out.any():  # P H P is H itself, and Q H P is what the build dropped
+        return SparseOperator(matrix=op.matrix, hermitian=op.hermitian), op.dropped
     csr = op.matrix
     # a stored entry is in Q H P when its row is outside the mask (1) and its column inside (0)
     in_qhp = np.repeat(out, np.diff(csr.indptr)) > out[csr.indices]

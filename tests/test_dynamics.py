@@ -14,7 +14,7 @@ from spinbh import dynamics
 from spinbh.dynamics import EvolutionConfig, evolve
 from spinbh.errors import HermiticityError, InvalidSpecError, NumericalError
 from spinbh.hilbert import FockBasis, basis_state, named_initial_state, physical_mask, product_state
-from spinbh.mapping import derive_jja_params
+from spinbh.mapping import derive_jja_params, exact_couplings
 from spinbh.model import SpinModelSpec, chain_circuit, chain_spec
 from spinbh.operators import (
     SparseOperator,
@@ -332,7 +332,7 @@ def test_total_sz_conserved():
 @pytest.mark.parametrize("method", ["dense_eig", "krylov"])
 def test_time_reversal_returns_initial_state(method):
     columns = dense_columns if method == "dense_eig" else (
-        lambda h, psi0, times: np.hstack(list(dynamics._krylov_blocks(h.matrix, psi0, times))))
+        lambda h, psi0, times: np.hstack(list(krylov_blocks(h, psi0, times))))
     h = build_h_spin(chain_spec(4, 3.0, 1.0))
     psi0 = named_initial_state(FockBasis(4, 2), "neel", "spin")
     times = np.linspace(0.0, 0.4, 41)
@@ -435,8 +435,16 @@ def test_config_invariants():
 
 
 def test_auto_method_selection():
-    assert EvolutionConfig(t_max=1.0).resolve_method(4096) == "dense_eig"
-    assert EvolutionConfig(t_max=1.0).resolve_method(4097) == "krylov"
+    auto = EvolutionConfig(t_max=1.0)
+    limit, reach = dynamics.DENSE_DIM_LIMIT, dynamics.KRYLOV_DIM
+    assert auto.resolve_method(limit) == "dense_eig"  # phase unknown: the dimension decides
+    assert auto.resolve_method(limit + 1) == "krylov"
+    assert auto.resolve_method(limit, reach) == "krylov"  # one basis covers the grid
+    assert auto.resolve_method(1, np.nextafter(reach, np.inf)) == "dense_eig"
+    assert auto.resolve_method(limit + 1, 1e6) == "krylov"
+    assert auto.resolve_method(limit, np.nan) == "dense_eig"
+    for method in ("dense_eig", "krylov"):
+        assert EvolutionConfig(t_max=1.0, method=method).resolve_method(limit + 1, 0.0) == method
 
 
 def test_krylov_gives_up_after_sixty_halvings(monkeypatch):
@@ -468,7 +476,7 @@ def test_krylov_windows_restart_and_halve_within_the_column_cap(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_lanczos", spy)
     blocks = []
-    for cols in dynamics._krylov_blocks(h.matrix, psi0, times):
+    for cols in krylov_blocks(h, psi0, times):
         events.append(cols.shape[1])
         blocks.append(cols)
     assert all(cols.shape[1] <= 6 for cols in blocks)
@@ -498,6 +506,15 @@ def full_eigh_columns(h_dense, psi0, times):
     evals, evecs = np.linalg.eigh(h_dense)
     phases = np.exp(-2j * np.pi * np.outer(evals, times))
     return evecs @ (phases * (evecs.conj().T @ psi0)[:, None])
+
+
+def krylov_blocks(h, psi0, times):
+    """The Lanczos propagator's column blocks on every block of H, each block
+    shifted by its Gershgorin midpoint as ``evolve`` shifts it."""
+    labels = dynamics._components(h.matrix)
+    row_sums = np.asarray(abs(h.matrix).sum(1)).ravel()
+    shift, _ = dynamics._block_centers(h.matrix.diagonal().real, row_sums, labels)
+    return dynamics._krylov_blocks(h.matrix, psi0, times, shift)
 
 
 def dense_blocks(h, psi0, dt, n_points):
@@ -595,7 +612,7 @@ def test_dense_blocks_on_a_chain_cut_by_a_zero_link(eigh_shapes):
     cols = dense_columns(h, psi0, times)
     assert np.allclose(np.abs(cols), np.abs(psi0)[:, None], atol=1e-14)
     eigh_shapes.clear()
-    evolve(h, psi0, cfg(t_max=0.1, n_steps=11), {})
+    evolve(h, psi0, cfg(t_max=0.1, n_steps=11, method="dense_eig"), {})
     assert eigh_shapes == [(1, 1)]
 
 
@@ -631,7 +648,7 @@ def test_dense_blocks_keep_purely_imaginary_hoppings(eigh_shapes):
     # evolve finds the touched states from the same pattern
     eigh_shapes.clear()
     n1 = SparseOperator.from_matrix(sp.diags([0.0, 1.0, 0.0, 0.0]))
-    traj = evolve(h, psi0, cfg(t_max=0.3, n_steps=13), {"n1": n1})
+    traj = evolve(h, psi0, cfg(t_max=0.3, n_steps=13, method="dense_eig"), {"n1": n1})
     assert np.max(np.abs(traj.values["n1"] - np.abs(cols[1]) ** 2)) < 1e-12
     assert eigh_shapes == [(3, 3)]
 
@@ -855,7 +872,10 @@ def test_evolve_on_the_touched_states_matches_expm_multiply_on_the_full_space(n,
 def test_auto_evolves_a_cutoff3_chain_of_ten_on_its_touched_states(eigh_shapes, lanczos_starts,
                                                                    monkeypatch):
     # dim 3**10 = 59049 is past DENSE_DIM_LIMIT, but domain_wall touches only the
-    # 252 hard-core states at half filling, so auto diagonalizes and records on those
+    # 252 hard-core states at half filling.  Over nine intervals at the fig2
+    # spacing their shifted phase is 2.5 rad, which one Lanczos basis
+    # covers; over the whole fig2 grid it is hundreds of rad, so auto
+    # diagonalizes and records on those states instead
     n_steps = 10
     t_max = (n_steps - 1) * 0.5 / 1999
     basis = FockBasis(10, 3)
@@ -872,13 +892,69 @@ def test_auto_evolves_a_cutoff3_chain_of_ten_on_its_touched_states(eigh_shapes, 
 
     monkeypatch.setattr(dynamics, "_dense_blocks", spy)
     auto = evolve(h, psi0, cfg(t_max, n_steps), obs, leakage_mask=physical_mask(basis))
+    assert lanczos_starts == [(252,)]
+    assert eigh_shapes == [] and lengths == []
+    assert np.all(auto.leakage == 0.0)
+    dense = evolve(h, psi0, cfg(t_max, n_steps, "dense_eig"), obs)
+    for name in obs:
+        assert np.max(np.abs(auto.values[name] - dense.values[name])) < 1e-8
+    lanczos_starts.clear()
+    eigh_shapes.clear()
+    fig2 = evolve(h, psi0, cfg(0.5, 2000), obs, leakage_mask=physical_mask(basis))
     assert lanczos_starts == []
     assert eigh_shapes == [(252, 252)]
-    assert lengths and set(lengths) == {252}
-    assert np.all(auto.leakage == 0.0)
-    krylov = evolve(h, psi0, cfg(t_max, n_steps, "krylov"), obs)
+    assert set(lengths) == {252}
+    assert np.all(fig2.leakage == 0.0)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(n=st.integers(3, 5), state=st.sampled_from(["all_up_x", "random"]),
+       t_max=st.floats(1e-3, 0.05), n_steps=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_shifted_lanczos_matches_expm_multiply_on_random_full_circuits(n, state, t_max, n_steps,
+                                                                       seed):
+    # each particle-number sector of an off-constraint full circuit sits
+    # about 5000 MHz per photon from the next; all_up_x touches every sector
+    # and a random sparse start several, so mx and cxx read the per-block
+    # phases that Lanczos on H - diag(c) leaves out and the columns get back
+    rng = np.random.default_rng(seed)
+    basis = FockBasis(n, 3)
+    h = random_cutoff3_hamiltonian(rng, n, "jja")
+    if state == "random":
+        psi0 = random_sparse_state(rng, basis.dim, int(rng.integers(2, 7)))
+    else:
+        psi0 = named_initial_state(basis, state, "boson")
+    obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx", "cxx")}
+    states = expm_multiply(-2j * np.pi * h.matrix, psi0,
+                           start=0.0, stop=t_max, num=n_steps, endpoint=True)
+    ref = {name: np.einsum("ti,ti->t", states.conj(), (op.matrix @ states.T).T).real
+           for name, op in obs.items()}
+    off = np.ones(basis.dim, dtype=bool)
+    off[physical_mask(basis)] = False
+    traj = evolve(h, psi0, cfg(t_max, n_steps, "krylov"), obs, leakage_mask=physical_mask(basis))
     for name in obs:
-        assert np.max(np.abs(auto.values[name] - krylov.values[name])) < 1e-8
+        assert np.max(np.abs(traj.values[name] - ref[name])) < 1e-9
+    assert np.max(np.abs(traj.leakage - np.sum(np.abs(states[:, off]) ** 2, axis=1))) < 1e-9
+
+
+def test_a_full_circuit_crosses_forty_fig2_intervals_in_few_lanczos_bases(lanczos_starts):
+    # full JJA at N=8, cutoff 3, exact coupling: all_up_x touches the sectors
+    # of 0 to 8 photons, 3834 of 6561 states, about 5000 MHz per photon apart.
+    # Unshifted, Lanczos resolved those offsets too and took 78 bases over
+    # these 39 intervals; the widest sector's Gershgorin half-width is 540 MHz
+    n, n_steps = 8, 40
+    t_max = (n_steps - 1) * 0.5 / 1999
+    circuit = chain_circuit(n, 200.0, 12500.0, 1562.5, 0.0, include_boundary=True)
+    params = derive_jja_params(dataclasses.replace(circuit, e_coup=exact_couplings(circuit)))
+    basis = FockBasis(n, 3)
+    h = build_h_jja(params, basis, "full")
+    psi0 = named_initial_state(basis, "all_up_x", "boson")
+    obs = {name: observable(name, "boson", basis) for name in ("sz1", "mx")}
+    traj = evolve(h, psi0, cfg(t_max, n_steps, "krylov"), obs)
+    assert 1 <= len(lanczos_starts) <= 4
+    assert set(lanczos_starts) == {(3834,)}
+    ref = expm_multiply_series(h, psi0, obs, t_max, n_steps)
+    for name in obs:
+        assert np.max(np.abs(traj.values[name] - ref[name])) < 1e-9
 
 
 @pytest.fixture

@@ -70,6 +70,26 @@ def test_project_of_a_build_on_some_states_counts_the_entries_it_dropped():
         project(h, np.arange(4))
 
 
+@pytest.mark.parametrize("states", ["all", "hard-core"])
+def test_a_mask_covering_the_basis_projects_as_the_general_path(states):
+    # the general path slices csr[mask][:, mask], re-canonicalizes the copy and
+    # scans every stored entry for Q H P; a covering mask leaves H whole and
+    # Q H P empty, so only what the build dropped couples out of it
+    params = derive_jja_params(table_circuit(4))
+    full = FockBasis(4, 3)
+    basis = full if states == "all" else FockBasis(4, 3, physical_mask(full))
+    h = build_h_jja(params, basis, "full")
+    mask = np.arange(basis.dim)
+    php, coupling = project(h, mask)
+    general = SparseOperator.from_matrix(h.matrix[mask][:, mask])
+    assert np.array_equal(php.matrix.indptr, general.matrix.indptr)
+    assert np.array_equal(php.matrix.indices, general.matrix.indices)
+    assert np.array_equal(php.matrix.data.view(np.int64), general.matrix.data.view(np.int64))
+    assert (php.hermitian, php.dropped) == (general.hermitian, general.dropped)
+    assert coupling == h.dropped
+    assert (coupling > 0.0) == (states == "hard-core")
+
+
 # ---------------------------------------------------------------- compare_projected
 
 def test_constructed_offset_is_recovered():

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import configparser
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import get_type_hints
 
-from .dynamics import MAX_GRID_POINTS, MAX_RUN_BYTES, METHODS
+from .dynamics import MAX_RUN_BYTES, EvolutionConfig
 from .errors import InvalidSpecError
-from .hilbert import MAX_DIM, NAMED_STATES
-from .operators import MAX_CUTOFF, MAX_SPIN_SITES, OBSERVABLE_NAMES, VARIANTS
+from .hilbert import FockBasis, named_kets
+from .model import chain_spec
+from .operators import full_variant, local_ops, observable_terms
 
 KINDS = ("spin", "boson", "jja", "compare", "design", "verify")
 ENCODINGS = ("ebh", "jja")
@@ -170,58 +170,54 @@ def model_source(cfg: ExperimentConfig) -> str | None:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Refuse ``cfg`` with one InvalidSpecError that lists every problem."""
+    """Refuse ``cfg`` with one InvalidSpecError that lists every problem.  Each
+    limit on a value is judged by the library constructor that owns it, asked
+    here on the config's values."""
     if cfg.kind not in KINDS:  # the checks below depend on the kind
         raise InvalidSpecError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
     problems: list[str] = []
     err = problems.append
-    if cfg.n_sites < 1:
-        err(f"n_sites must be >= 1, got {cfg.n_sites}")
-    if cfg.cutoff < 2:
-        err(f"cutoff must be >= 2, got {cfg.cutoff}")
-    elif cfg.kind in ("boson", "jja", "compare", "verify"):
-        # a boson basis has cutoff**n_sites states; 2**64 > MAX_DIM, so capping
-        # the exponent at 64 keeps the verdict and the check cheap
-        if cfg.cutoff > MAX_CUTOFF:
-            err(f"cutoff = {cfg.cutoff} exceeds the limit of {MAX_CUTOFF} levels per site")
-        elif cfg.cutoff ** min(cfg.n_sites, 64) > MAX_DIM:
-            err(f"basis dimension {cfg.cutoff}**{cfg.n_sites} exceeds {MAX_DIM}")
-    if cfg.kind in ("spin", "compare", "verify") and cfg.n_sites > MAX_SPIN_SITES:
-        err(f"n_sites = {cfg.n_sites} exceeds the {MAX_SPIN_SITES}-site limit of the spin side")
-    if cfg.method not in METHODS:
-        err(f"method must be one of {METHODS}, got {cfg.method!r}")
+
+    def ask(owner, *args):  # what owner returns, or None once its refusal is recorded
+        try:
+            return owner(*args)
+        except InvalidSpecError as exc:
+            err(str(exc))
+
+    spin_side = cfg.kind in ("spin", "compare", "verify")
+    boson_side = cfg.kind in ("boson", "jja", "compare", "verify")
+    if boson_side:
+        ask(local_ops, cfg.cutoff)
+    else:
+        ask(FockBasis, 1, cfg.cutoff)  # the cutoff is not read, but must suit some basis
+    # the bases of the run's sides, spin side first, O(1) to make; once they are
+    # accepted, n_sites is small enough for the term lists and the budget below
+    bases = [ask(FockBasis, cfg.n_sites, d) for d in [2] * spin_side + [cfg.cutoff] * boson_side]
+    evolves = cfg.kind in ("spin", "boson", "jja", "compare")
+    grid = cfg if evolves else ExperimentConfig()  # the other kinds read only the method
+    ask(EvolutionConfig, grid.t_max, grid.n_steps, cfg.method)
+    ask(full_variant, cfg.variant)
     if cfg.encoding not in ENCODINGS:
         err(f"encoding must be one of {ENCODINGS}, got {cfg.encoding!r}")
     elif cfg.encoding == "jja" and cfg.kind in ("spin", "boson", "design"):
         err(f"encoding = jja selects the boson side of compare and verify only; "
             f"kind = {cfg.kind} ignores it (use kind = jja for a circuit run)")
-    if cfg.variant not in VARIANTS:
-        err(f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
     if cfg.precision < 1 or cfg.precision > 17:
         err(f"precision must be in [1, 17], got {cfg.precision}")
     if not cfg.out_dir:
         err("out_dir must not be empty")
 
-    needs_evolution = cfg.kind in ("spin", "boson", "jja", "compare")
-    if needs_evolution:
-        if not 0 < cfg.t_max < math.inf:
-            err(f"t_max must be positive and finite, got {cfg.t_max}")
-        if not 2 <= cfg.n_steps <= MAX_GRID_POINTS:
-            err(f"n_steps must be in [2, {MAX_GRID_POINTS}], got {cfg.n_steps}")
+    if evolves:  # an evolving run has a side, so its bases bound n_sites once accepted
         if not cfg.observables:
             err("at least one observable is required")
         for name in dict.fromkeys(cfg.observables):  # each name once, in order
             count = cfg.observables.count(name)
-            if name not in OBSERVABLE_NAMES:
-                err(f"unknown observable {name!r}; expected one of {OBSERVABLE_NAMES}")
-            elif count > 1:  # its output files would be written twice
+            if count > 1:  # its output files would be written twice
                 err(f"observable {name!r} is listed {count} times")
-        if cfg.initial_state not in NAMED_STATES:
-            err(f"unknown initial_state {cfg.initial_state!r}; expected one of {NAMED_STATES}")
-        if cfg.initial_state == "domain_wall" and cfg.n_sites % 2 != 0:
-            err("domain_wall needs an even number of sites")
-        if "cxx" in cfg.observables and cfg.n_sites < 2:
-            err("cxx needs at least two sites")
+            if all(bases):
+                ask(observable_terms, name, cfg.n_sites, 2)
+        if all(bases):
+            ask(named_kets, cfg.initial_state, cfg.n_sites, 2)
 
     source = model_source(cfg)
     if source == "spin":
@@ -233,34 +229,24 @@ def validate_config(cfg: ExperimentConfig) -> None:
     elif source == "circuit":
         if cfg.e_c is None or cfg.e_j is None or cfg.eprime_j is None:
             err("circuit experiments require model keys e_c, e_j, eprime_j")
-    if cfg.kind == "design":
+    if cfg.kind == "design":  # chain_spec judges one site as it would n_sites, in O(1)
+        ask(chain_spec, min(cfg.n_sites, 1), cfg.coupling or 0.0, cfg.fieldstrength or 0.0)
         if cfg.coupling is None:
             err("design requires model key J")
         if cfg.e_c is None:
             err("design requires model key e_c")
         if cfg.match_field and cfg.fieldstrength is None and cfg.e_j is None:
             err("design needs either a target field h or an anchored e_j")
-    # the size checks above passed, so no power formed here is large
-    if not problems:
-        need = _run_bytes(cfg)
+    if not problems:  # bytes per state times states on the larger side, or per design site
+        sizes = [BYTES_PER_STATE * basis.full_dim for basis in bases]
+        if cfg.kind == "verify":  # bases[-1] is the boson side
+            sizes[-1] = VERIFY_BYTES_PER_BOSON_STATE * bases[-1].full_dim
+        need = DESIGN_BYTES_PER_SITE * cfg.n_sites if cfg.kind == "design" else max(sizes)
         if need > MAX_RUN_BYTES:
             err(f"estimated peak memory {need / 2**30:.3g} GiB exceeds the "
                 f"budget of {MAX_RUN_BYTES // 2**30} GiB")
     if problems:
-        raise InvalidSpecError("; ".join(problems))
-
-
-def _run_bytes(cfg: ExperimentConfig) -> int:
-    """Bytes per state times states on the run's larger side, or per site times a design's sites."""
-    if cfg.kind == "design":
-        return DESIGN_BYTES_PER_SITE * cfg.n_sites
-    spin = BYTES_PER_STATE * 2**cfg.n_sites
-    if cfg.kind == "spin":
-        return spin
-    boson_states = cfg.cutoff**cfg.n_sites
-    if cfg.kind == "verify":
-        return max(spin, VERIFY_BYTES_PER_BOSON_STATE * boson_states)
-    return BYTES_PER_STATE * boson_states  # boson, jja and compare: cutoff >= 2
+        raise InvalidSpecError("; ".join(dict.fromkeys(problems)))
 
 
 PRESETS: dict[str, dict] = {

@@ -83,12 +83,14 @@ class EvolutionConfig:
     method: str = "auto"
 
     def __post_init__(self):
-        if not 0 < self.t_max < np.inf:
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        problems = [] if 0 < self.t_max < np.inf else [
+            f"t_max must be positive and finite, got {self.t_max}"]
         if not 2 <= self.n_steps <= MAX_GRID_POINTS:
-            raise ValueError(f"n_steps must be in [2, {MAX_GRID_POINTS}], got {self.n_steps}")
+            problems.append(f"n_steps must be in [2, {MAX_GRID_POINTS}], got {self.n_steps}")
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            problems.append(f"method must be one of {METHODS}, got {self.method!r}")
+        if problems:
+            raise InvalidSpecError("; ".join(problems))
 
     def resolve_method(self, dim: int, phase: float = np.inf) -> str:
         """The method for ``dim`` touched states whose shifted Lanczos must

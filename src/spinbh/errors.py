@@ -5,8 +5,9 @@ class SpinBHError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidSpecError(SpinBHError):
-    """A model, circuit, or experiment specification is unusable as given."""
+class InvalidSpecError(SpinBHError, ValueError):
+    """A model, circuit, or experiment specification is unusable as given;
+    also a ValueError, so callers that catch ValueError keep working."""
 
 
 class HermiticityError(SpinBHError):

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidSpecError
+
 MAX_DIM = 2**31
 
 
@@ -28,21 +30,21 @@ class FockBasis:
     states: np.ndarray | None = field(default=None, compare=False)  # bases compare by (N, d)
 
     def __post_init__(self):
-        if self.n_sites < 1:
-            raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
-        if self.local_dim < 2:
-            raise ValueError(f"local_dim must be >= 2, got {self.local_dim}")
+        n, d = self.n_sites, self.local_dim
+        problems = [] if n >= 1 else [f"n_sites must be >= 1, got {n}"]
+        if d < 2:
+            problems.append(f"local dimension must be >= 2, got {d}")
         # 2**32 > MAX_DIM, so a capped exponent keeps the verdict and skips a huge power
-        if self.local_dim ** min(self.n_sites, 32) > MAX_DIM:
-            raise ValueError(
-                f"basis dimension {self.local_dim}**{self.n_sites} exceeds {MAX_DIM}"
-            )
-        if self.states is not None:
+        if not problems and d ** min(n, 32) > MAX_DIM:
+            problems.append(f"basis dimension {d}**{n} exceeds {MAX_DIM}")
+        if not problems and self.states is not None:
             states = np.asarray(self.states, dtype=np.int64)
             if (states.ndim != 1 or not states.size or states[0] < 0
                     or states[-1] >= self.full_dim or np.any(np.diff(states) <= 0)):
-                raise ValueError("states must be non-empty, sorted, unique and within range")
+                problems.append("states must be non-empty, sorted, unique and within range")
             object.__setattr__(self, "states", None if states.size == self.full_dim else states)
+        if problems:
+            raise InvalidSpecError("; ".join(problems))
 
     @property
     def full_dim(self) -> int:
@@ -105,30 +107,32 @@ def product_state(basis: FockBasis, local_kets) -> np.ndarray:
 NAMED_STATES = ("domain_wall", "all_up_x", "neel")
 
 
-def named_initial_state(basis: FockBasis, name: str, sector: str = "boson") -> np.ndarray:
-    """Benchmark product states.
+def named_kets(name: str, n_sites: int, local_dim: int) -> list[np.ndarray]:
+    """One length-``local_dim`` ket per site of a benchmark product state.
 
     domain_wall  first half occupied / spin up, second half empty / down
     all_up_x     every site in (|0> + |1>)/sqrt(2)
     neel         alternating occupied/empty starting occupied at site 0
     """
+    if name not in NAMED_STATES:
+        raise InvalidSpecError(f"unknown initial_state {name!r}; expected one of {NAMED_STATES}")
+    if name == "domain_wall" and n_sites % 2 != 0:
+        raise InvalidSpecError("domain_wall needs an even number of sites")
+    empty, full = np.eye(local_dim, 2, dtype=complex).T
+    if name == "all_up_x":
+        return [empty + full] * n_sites
+    if name == "neel":
+        return [(full, empty)[site % 2] for site in range(n_sites)]
+    return [full] * (n_sites // 2) + [empty] * (n_sites // 2)
+
+
+def named_initial_state(basis: FockBasis, name: str, sector: str = "boson") -> np.ndarray:
+    """The product state of ``named_kets`` on the basis states."""
     if sector not in ("spin", "boson"):
         raise ValueError(f"unknown sector {sector!r}")
     if sector == "spin" and basis.local_dim != 2:
         raise ValueError("spin sector requires local_dim = 2")
-    n = basis.n_sites
-    if name == "domain_wall":
-        if n % 2 != 0:
-            raise ValueError("domain_wall is defined for even chains only (half/half split)")
-        occ = [1] * (n // 2) + [0] * (n // 2)
-        return basis_state(basis, occ)
-    if name == "neel":
-        return basis_state(basis, [(site + 1) % 2 for site in range(n)])
-    if name == "all_up_x":
-        ket = np.zeros(basis.local_dim, dtype=complex)
-        ket[0] = ket[1] = 1.0
-        return product_state(basis, [ket] * n)
-    raise ValueError(f"unknown initial state {name!r}; expected one of {NAMED_STATES}")
+    return product_state(basis, named_kets(name, basis.n_sites, basis.local_dim))
 
 
 def site_offsets(d: int, sites, levels: int | None = None) -> np.ndarray:

@@ -53,8 +53,8 @@ VARIANTS = ("simplified", "full")
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Compressed-row matrix with a measured (never assumed) hermitian flag;
-    complex, except the real observables that ``observable`` returns.
+    """Compressed-row matrix with a measured (never assumed) hermitian flag,
+    |M - M^H| <= HERMITIAN_TOL * max |M|; complex, except the real observables.
     ``dropped`` is the largest |entry| that leaves the basis it was built on,
     0.0 on the full space."""
 
@@ -76,7 +76,8 @@ class SparseOperator:
         m.eliminate_zeros()
         m.sort_indices()
         dev = hermiticity_deviation(m)
-        return cls(matrix=m, hermitian=bool(dev <= HERMITIAN_TOL), dropped=dropped)
+        scale = np.max(np.abs(m.data), initial=0.0)
+        return cls(matrix=m, hermitian=bool(dev <= HERMITIAN_TOL * scale), dropped=dropped)
 
     @property
     def dim(self) -> int:
@@ -108,8 +109,10 @@ class LocalOperatorSet:
 
 def local_ops(local_dim: int) -> LocalOperatorSet:
     d = local_dim
-    if not 2 <= d <= MAX_CUTOFF:
-        raise ValueError(f"local dimension must be in [2, {MAX_CUTOFF}], got {d}")
+    if d < 2:
+        raise InvalidSpecError(f"local dimension must be >= 2, got {d}")
+    if d > MAX_CUTOFF:
+        raise InvalidSpecError(f"local dimension {d} exceeds the limit of {MAX_CUTOFF} levels per site")
     a = np.zeros((d, d), dtype=complex)
     for k in range(1, d):
         a[k - 1, k] = np.sqrt(k)
@@ -326,13 +329,18 @@ def build_h_dm(spec: SpinModelSpec, basis: FockBasis) -> SparseOperator:
     return assemble(basis, _dm_terms(spec, local_ops(basis.local_dim)))
 
 
+def full_variant(variant: str) -> bool:
+    """Whether ``variant`` of ``build_h_jja`` adds the anharmonic and pair-hopping terms."""
+    if variant not in VARIANTS:
+        raise InvalidSpecError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return variant == "full"
+
+
 def jja_terms(params: "JJAParams", local_dim: int, variant: str = "simplified"):
     """Terms of ``build_h_jja`` at local dimension ``local_dim``."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    full = full_variant(variant)
     ops = local_ops(local_dim)
     a, ad, n = ops.a, ops.adag, ops.n
-    full = variant == "full"
     terms = []
     for s in range(params.n_sites):
         terms.append((params.omega[s] + params.delta_omega[s] - params.delta_tilde[s], ((s, n),)))
@@ -372,6 +380,21 @@ def build_h_jja(params: "JJAParams", basis: FockBasis,
 OBSERVABLE_NAMES = ("sz1", "mx", "cxx")
 
 
+def observable_terms(name: str, n_sites: int, local_dim: int):
+    """Terms of ``observable`` at local dimension ``local_dim``."""
+    if name not in OBSERVABLE_NAMES:
+        raise InvalidSpecError(f"unknown observable {name!r}; expected one of {OBSERVABLE_NAMES}")
+    if name == "cxx" and n_sites < 2:
+        raise InvalidSpecError("cxx needs at least two sites")
+    ops = local_ops(local_dim)
+    x = 0.5 * (ops.a + ops.adag)
+    if name == "sz1":
+        return [(1.0, ((0, ops.hp_sz),))]
+    if name == "mx":
+        return [(1.0 / n_sites, ((s, x),)) for s in range(n_sites)]
+    return [(1.0, ((0, x), (1, x)))]
+
+
 def observable(name: str, sector: str, basis: FockBasis) -> SparseOperator:
     """Benchmark observables.
 
@@ -386,19 +409,7 @@ def observable(name: str, sector: str, basis: FockBasis) -> SparseOperator:
         raise ValueError(f"unknown sector {sector!r}")
     if sector == "spin" and basis.local_dim != 2:
         raise ValueError("spin sector requires local_dim = 2")
-    ops = local_ops(basis.local_dim)
-    x = 0.5 * (ops.a + ops.adag)
-    if name == "sz1":
-        terms = [(1.0, ((0, ops.hp_sz),))]
-    elif name == "mx":
-        terms = [(1.0 / basis.n_sites, ((s, x),)) for s in range(basis.n_sites)]
-    elif name == "cxx":
-        if basis.n_sites < 2:
-            raise ValueError("cxx needs at least two sites")
-        terms = [(1.0, ((0, x), (1, x)))]
-    else:
-        raise ValueError(f"unknown observable {name!r}; expected one of {OBSERVABLE_NAMES}")
-    op = assemble(basis, terms)
+    op = assemble(basis, observable_terms(name, basis.n_sites, basis.local_dim))
     m = op.matrix  # csr.real would keep a strided data view, copied by every product
     real = sp.csr_matrix((np.ascontiguousarray(m.data.real), m.indices, m.indptr), shape=m.shape)
     return replace(op, matrix=real)

@@ -72,16 +72,11 @@ def compare_projected(h_boson: SparseOperator, h_spin: SparseOperator, mask) -> 
     trace_spin = complex(h_spin.matrix.diagonal().sum())
     offset = (trace_boson - trace_spin).real / dim
     resid = php.matrix - h_spin.matrix - offset * sp.identity(dim, dtype=complex, format="csr")
-    if resid.nnz:
-        residual_max = float(np.max(np.abs(resid.data)))
-        residual_frob = float(np.sqrt(np.sum(np.abs(resid.data) ** 2)))
-    else:
-        residual_max = residual_frob = 0.0
     return EquivalenceReport(
         physical_dim=dim,
         offset_mhz=offset,
-        residual_max=residual_max,
-        residual_frobenius=residual_frob,
+        residual_max=float(np.max(np.abs(resid.data), initial=0.0)),
+        residual_frobenius=float(np.sqrt(np.sum(np.abs(resid.data) ** 2))),
         coupling_norm=coupling,
         hermiticity_boson=hermiticity_deviation(h_boson.matrix),
         hermiticity_spin=hermiticity_deviation(h_spin.matrix),
@@ -100,12 +95,11 @@ class TrajectoryDistance:
 def compare_trajectories(a: Trajectory, b: Trajectory) -> TrajectoryDistance:
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
         raise ValueError("trajectories must share an identical time grid")
-    names = [n for n in a.values if n in b.values]
     if set(a.values) != set(b.values):
         raise ValueError("trajectories record different observables")
     max_abs, rms = {}, {}
     overall = 0.0
-    for name in names:
+    for name in a.values:
         diff = np.abs(a.values[name] - b.values[name])
         max_abs[name] = float(np.max(diff))
         rms[name] = float(np.sqrt(np.mean(diff**2)))

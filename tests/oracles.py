@@ -136,7 +136,8 @@ def running_sum_assemble(n_sites, d, states, terms, drop, hermitian_tol):
     Kronecker products.  Columns are the sorted full-space ``states`` (None:
     all d**n_sites); rows outside them are left out, and the largest of their
     |values| above ``drop`` is returned as ``dropped``.  Returns (csr matrix,
-    dropped, hermitian), with entries of |value| <= ``drop`` removed."""
+    dropped, hermitian), with entries of |value| <= ``drop`` removed;
+    hermitian when |M - M^H| is within ``hermitian_tol`` times the largest |entry|."""
     cols = np.arange(d**n_sites) if states is None else np.asarray(states)
     blocks = {}
     for coeff, factors in terms:
@@ -169,7 +170,8 @@ def running_sum_assemble(n_sites, d, states, terms, drop, hermitian_tol):
     m.eliminate_zeros()
     m.sort_indices()
     diff = m - m.conj().T
-    return m, dropped, bool(np.max(np.abs(diff.data), initial=0.0) <= hermitian_tol)
+    scale = np.max(np.abs(m.data), initial=0.0)
+    return m, dropped, bool(np.max(np.abs(diff.data), initial=0.0) <= hermitian_tol * scale)
 
 
 def brute_force_expectation_series(h, psi0, op, times):

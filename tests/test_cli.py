@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import fields
 from typing import get_type_hints
@@ -213,17 +214,42 @@ def test_validate_config_catches_bad_values():
     for bad, message in [
         ({"t_max": 0.0}, r"^t_max must be positive and finite, got 0\.0$"),
         ({"t_max": math.inf}, r"^t_max must be positive and finite, got inf$"),
-        ({"cutoff": 1}, r"^cutoff must be >= 2, got 1$"),
+        ({"cutoff": 1}, r"^local dimension must be >= 2, got 1$"),
         ({"observables": ("sy",)}, r"^unknown observable 'sy'"),
         ({"n_sites": 5}, r"^domain_wall needs an even number of sites$"),
     ]:
         with pytest.raises(InvalidSpecError, match=message):
             validate_config(replace(cfg, **bad))
     # one error lists every problem, in the order of the checks
-    with pytest.raises(InvalidSpecError, match=r"^cutoff must be >= 2, got 1; t_max must be"):
+    with pytest.raises(InvalidSpecError, match=r"^local dimension must be >= 2, got 1; t_max must be"):
         validate_config(replace(cfg, t_max=0.0, cutoff=1))
+    with pytest.raises(InvalidSpecError, match=r"^n_steps must be in \[2, 1000000\], got 1; "
+                                               r"method must be one of .*, got 'foo'$"):
+        validate_config(replace(cfg, n_steps=1, method="foo"))
     with pytest.raises(InvalidSpecError, match=r"^kind must be one of .*, got 'spins'$"):
         validate_config(replace(cfg, kind="spins", t_max=0.0))  # the kind stops the check
+    # each verdict, whatever its message: refused (True) or accepted
+    for changes, refused in [
+        ({"kind": "verify", "method": "foo"}, True),
+        ({"kind": "verify", "t_max": 0.0}, False),  # verify evolves nothing
+        ({"kind": "spin", "cutoff": 1}, True),
+        ({"kind": "spin", "cutoff": 3, "n_sites": 21, "initial_state": "neel"}, False),
+        ({"kind": "design", "e_c": 200.0, "observables": ("foo",)}, False),
+        ({"kind": "design", "e_c": 200.0, "n_sites": 0}, True),
+        ({"kind": "spin", "variant": "x"}, True),
+        ({"kind": "boson", "cutoff": 65, "n_sites": 1, "initial_state": "neel"}, True),
+        ({"kind": "spin", "n_sites": 10**9}, True),
+        ({"kind": "boson", "cutoff": 3, "n_sites": 10**9}, True),
+        ({"kind": "compare", "observables": ("cxx",), "n_sites": 1, "initial_state": "neel"}, True),
+    ]:
+        start = time.perf_counter()
+        try:
+            validate_config(replace(cfg, **changes))
+            assert not refused, changes
+        except InvalidSpecError:
+            assert refused, changes
+        # 3**(10**9) alone would take minutes: no verdict forms a huge power
+        assert time.perf_counter() - start < 1.0, changes
 
 
 def test_presets_parse_clean():
@@ -364,7 +390,7 @@ CIRCUIT_KEYS = {"e_c": 200.0, "e_j": 12500.0, "eprime_j": 1562.5}
     ("verify", 20, 3, "3**20 exceeds"),
     ("boson", 20, 3, "3**20 exceeds"),
     ("jja", 20, 3, "3**20 exceeds"),
-    ("spin", 40, 2, "24-site limit"),
+    ("spin", 40, 2, "2**40 exceeds"),
 ])
 def test_validation_error_oversized_basis(tmp_path, capsys, kind, n_sites, cutoff, message):
     model = {"n_sites": n_sites, **(CIRCUIT_KEYS if kind == "jja" else SPIN_KEYS)}
@@ -400,6 +426,21 @@ def test_validation_error_grid_or_cutoff_beyond_the_limit(tmp_path, capsys, data
     path = write(tmp_path, "big.json", json.dumps(data))
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_refusal_that_validation_misses_still_exits_2(tmp_path, capsys, monkeypatch):
+    # the owner of a limit refuses with InvalidSpecError, also past a validation
+    # that misses it, so the run exits 2 before it writes anything
+    import spinbh.config
+
+    monkeypatch.setattr(spinbh.config, "validate_config", lambda cfg: None)
+    data = {"model": {"n_sites": 2, **SPIN_KEYS}, "evolution": {"n_steps": 1},
+            "experiment": {"kind": "spin"}}
+    path = write(tmp_path, "c.json", json.dumps(data))
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_VALIDATION
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: n_steps must be in [2, 1000000], got 1"]
     assert not (tmp_path / "o").exists()
 
 

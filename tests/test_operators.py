@@ -207,6 +207,15 @@ def test_h_dm_non_hermitian_above_two_levels():
     assert dev > 0.1
 
 
+def test_hermitian_flag_is_relative_to_the_largest_entry():
+    # one ulp apart near 5e4 MHz: |M - M^H| = 7.3e-12, above 1e-12 but not
+    # above 1e-12 times the largest entry
+    near = np.nextafter(5e4, np.inf)
+    assert SparseOperator.from_matrix([[1.0, 5e4], [near, 2.0]]).hermitian
+    for clearly in ([[1.0, 5e4], [5e4 * (1 + 1e-9), 2.0]], [[0.0, 1.0], [0.0, 0.0]]):
+        assert not SparseOperator.from_matrix(clearly).hermitian
+
+
 def test_h_dm_single_site_hermitian():
     op = build_h_dm(chain_spec(1, 0.0, 2.0), FockBasis(1, 3))
     assert op.hermitian

@@ -245,7 +245,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if need > MAX_RUN_BYTES:
             err(f"estimated peak memory {need / 2**30:.3g} GiB exceeds the "
                 f"budget of {MAX_RUN_BYTES // 2**30} GiB")
-    if problems:
+    if problems:  # each once: two owners may refuse one value alike, as both bases n_sites = 0
         raise InvalidSpecError("; ".join(dict.fromkeys(problems)))
 
 

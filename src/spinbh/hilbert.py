@@ -98,10 +98,10 @@ def product_state(basis: FockBasis, local_kets) -> np.ndarray:
         if np.linalg.norm(k) == 0.0:
             raise ValueError(f"local ket at site {site} is zero; state would be degenerate")
     amp = np.array([1.0 + 0j])
-    for k in kets:  # site 0 first keeps it the fastest-varying index
-        amp = np.kron(k, amp)
-    amp /= np.linalg.norm(amp)
-    return basis.restrict(amp)
+    for k in kets:  # site 0 first keeps it the fastest-varying index; np.kron(k, amp)
+        amp = np.multiply.outer(k, amp).ravel()
+    norm = np.linalg.norm(amp)  # 1.0 for a basis state, which x / 1.0 would leave as it is
+    return basis.restrict(amp if norm == 1.0 else np.divide(amp, norm, out=amp))
 
 
 NAMED_STATES = ("domain_wall", "all_up_x", "neel")

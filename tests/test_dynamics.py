@@ -432,6 +432,11 @@ def test_config_invariants():
         EvolutionConfig(t_max=1.0, n_steps=dynamics.MAX_GRID_POINTS + 1)
     with pytest.raises(ValueError):
         EvolutionConfig(t_max=1.0, method="magic")
+    # one InvalidSpecError lists every problem
+    with pytest.raises(InvalidSpecError, match=r"^t_max must be positive and finite, got 0\.0; "
+                                               r"n_steps must be in \[2, 1000000\], got 1; "
+                                               r"method must be one of .*, got 'magic'$"):
+        EvolutionConfig(t_max=0.0, n_steps=1, method="magic")
 
 
 def test_auto_method_selection():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spinbh.errors import InvalidSpecError
 from spinbh.hilbert import (
     NAMED_STATES,
     FockBasis,
@@ -42,6 +43,12 @@ def test_occupation_round_trip(n_sites, d):
 def test_basis_rejects_overflow():
     with pytest.raises(ValueError):
         FockBasis(40, 2)
+
+
+def test_basis_lists_every_problem():
+    with pytest.raises(InvalidSpecError,
+                       match=r"^n_sites must be >= 1, got 0; local dimension must be >= 2, got 1$"):
+        FockBasis(0, 1)
 
 
 @pytest.mark.parametrize("n_sites, d, refused", [

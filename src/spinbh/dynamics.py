@@ -12,10 +12,12 @@ columns 512 at a time (fewer past 4096 states, so a column block stays within
 32 MB; best up to a few thousand states per H block), phased from two small
 cos/sin tables.  A block with no imaginary stored value takes a real ``eigh``
 and one real product per chunk; blocks whose eigenvectors and work arrays
-would pass ``MAX_RUN_BYTES`` are refused before any is formed.  The Lanczos
-one takes any target times and works in windows: one basis of
-``KRYLOV_DIM`` vectors, built at the last accepted time, serves every
-following grid point whose error bound (Expokit's a-posteriori bound,
+would pass ``MAX_RUN_BYTES`` are refused before any is formed.  The
+recorder reads each yielded block 64 columns at a time, and no block
+outlives its recording, so one chunk is alive besides 64-column
+temporaries.  The Lanczos one takes any target times and works in windows:
+one basis of ``KRYLOV_DIM`` vectors, built at the last accepted time, serves
+every following grid point whose error bound (Expokit's a-posteriori bound,
 evaluated for many times at once) is within ``STEP_TOLERANCE``.  A block
 never holds more than ``KRYLOV_DIM`` columns, so memory stays at two
 basis-sized arrays.  When not even the next grid point fits, the window
@@ -61,7 +63,9 @@ MAX_GRID_POINTS = 10**6  # per recorded series 8 MB, and one output row each
 MAX_RUN_BYTES = 4 * 2**30  # peak memory a run may plan for
 MAX_PHASE = 2.0**33  # rad; a float64 phase this large is known to about 1e-6 rad
 _GRID_CHUNK = 512
-_PHASE_STRIDE = 64  # L: grid offsets in one dense phase table, and a chunk's width divides by it
+# L: grid offsets in one dense phase table, which a chunk's width divides by,
+# and the widest slice of columns the recorder reads at once
+_PHASE_STRIDE = 64
 # entries of one dense chunk: 512 columns up to DENSE_DIM_LIMIT, fewer beyond
 _CHUNK_ENTRIES = _GRID_CHUNK * DENSE_DIM_LIMIT
 METHODS = ("dense_eig", "krylov", "auto")
@@ -269,7 +273,8 @@ def _dense_blocks(matrix, psi0, labels, dt, n_points):
     Every state lies in one block, so each column is assembled block by block.
     The phase at k = q*L + r is the product of the phases at q*L, tabulated
     per chunk, and at r < L, tabulated once per block; so each eigenvalue
-    takes about L + n_points/L cos/sin pairs, not n_points.
+    takes about L + n_points/L cos/sin pairs, not n_points.  No chunk or
+    phase array of one chunk is held while the next is formed.
     """
     csr = matrix.tocsr()  # sliceable even when the matrix only forwards attributes
     blocks = [np.flatnonzero(labels == label) for label in np.unique(labels)]
@@ -299,7 +304,9 @@ def _dense_blocks(matrix, psi0, labels, dt, n_points):
             z = (outer[:, :, None] * inner[:, None, :]).reshape(len(evals), -1)[:, :width]
             # a real evecs takes one real product on z's parts
             cols[idx] = (evecs @ z.view(float)).view(complex) if np.isrealobj(evecs) else evecs @ z
+        del z  # the last block's phases, as large as its share of the chunk
         yield cols
+        del cols  # the next chunk is allocated with no other alive
 
 
 def evolve(
@@ -318,7 +325,9 @@ def evolve(
     ``auto`` resolves on |S|, the states of the blocks of H that psi0
     touches, and on the widest touched block's Gershgorin half-width; both
     propagators run with H, psi0, the observables and Q restricted to S,
-    which is exact because every state vanishes off S.
+    which is exact because every state vanishes off S.  Each block of
+    columns a propagator yields is recorded from contiguous copies of at
+    most 64 columns, and released before the next block is formed.
 
     Non-Hermitian generators are refused; project them onto an invariant
     subspace first.  A grid whose largest phase 2*pi*rho*t_max is finite but
@@ -374,18 +383,24 @@ def evolve(
     values = {name: np.empty(len(times)) for name in recorded}
     max_imag = max_norm_dev = 0.0
     start = 0
-    for cols in blocks:
-        stop = start + cols.shape[1]
-        bras = cols.conj()
-        for name, matrix in recorded.items():
-            values[name][start:stop], imag = _expect_cols(matrix, cols, bras)
-            max_imag = max(max_imag, imag)
-        norms = np.sqrt(np.einsum("ij,ij->j", bras, cols).real)
-        dev = float(np.max(np.abs(norms - 1.0)))
-        if not dev < NORM_TOL:  # NaN fails too
-            raise NumericalError(f"norm drifted by {dev:.3e}")
-        max_norm_dev = max(max_norm_dev, dev)
-        start = stop
+    for block in blocks:
+        # 64 columns at a time keeps the temporaries small; each column's
+        # values do not depend on its neighbours, and the products run faster
+        # on a contiguous copy than on a strided view
+        for lo in range(0, block.shape[1], _PHASE_STRIDE):
+            cols = np.ascontiguousarray(block[:, lo : lo + _PHASE_STRIDE])
+            stop = start + cols.shape[1]
+            bras = cols.conj()
+            for name, matrix in recorded.items():
+                values[name][start:stop], imag = _expect_cols(matrix, cols, bras)
+                max_imag = max(max_imag, imag)
+            norms = np.sqrt(np.einsum("ij,ij->j", bras, cols).real)
+            dev = float(np.max(np.abs(norms - 1.0)))
+            if not dev < NORM_TOL:  # NaN fails too
+                raise NumericalError(f"norm drifted by {dev:.3e}")
+            max_norm_dev = max(max_norm_dev, dev)
+            start = stop
+        del block, cols, bras  # so the propagator forms the next block with none alive
     return Trajectory(
         times=times,
         leakage=values.pop(None, leak),

@@ -45,11 +45,11 @@ class SpinModelSpec:
         object.__setattr__(self, "fields", tuple(float(h) for h in self.fields))
         n = self.n_sites
         problems = [] if n >= 1 else [f"n_sites must be >= 1, got {n}"]
-        if len(self.fields) != n:
+        if n >= 1 and len(self.fields) != n:  # no length or range is judged against a bad n
             problems.append(f"fields has length {len(self.fields)}, expected {n}")
         seen = set()
         for j, k, v in self.edges:
-            if not (0 <= j < n and 0 <= k < n):
+            if n >= 1 and not (0 <= j < n and 0 <= k < n):
                 problems.append(f"edge ({j},{k}) out of range [0,{n})")
             if j >= k:
                 problems.append(f"edge ({j},{k}) violates j<k ordering")
@@ -84,9 +84,9 @@ class CircuitSpec:
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         n = self.n_sites
         problems = [] if n >= 1 else [f"n_sites must be >= 1, got {n}"]
-        if len(self.e_c) != n or len(self.e_j) != n:
+        if n >= 1 and (len(self.e_c) != n or len(self.e_j) != n):
             problems.append("e_c and e_j must have one entry per site")
-        if len(self.eprime_j) != n + 1 or len(self.e_coup) != n + 1:
+        if n >= 1 and (len(self.eprime_j) != n + 1 or len(self.e_coup) != n + 1):
             problems.append("eprime_j and e_coup must have n_sites+1 entries")
         for name in ("e_c", "e_j", "eprime_j", "e_coup"):
             problems += [f"{name}[{i}] is not finite"

@@ -13,7 +13,8 @@ import oracles
 from spinbh import dynamics
 from spinbh.dynamics import EvolutionConfig, evolve
 from spinbh.errors import HermiticityError, InvalidSpecError, NumericalError
-from spinbh.hilbert import FockBasis, basis_state, named_initial_state, physical_mask, product_state
+from spinbh.hilbert import (FockBasis, basis_state, named_initial_state, outside, physical_mask,
+                            product_state)
 from spinbh.mapping import derive_jja_params, exact_couplings
 from spinbh.model import SpinModelSpec, chain_circuit, chain_spec
 from spinbh.operators import (
@@ -770,6 +771,74 @@ def test_a_real_observable_takes_the_complex_products_values():
     for got, want in zip(dynamics._expect_cols(real, cols, bras),
                          dynamics._expect_cols(as_complex, cols, bras)):
         assert np.array_equal(got, want)
+
+
+def whole_chunk_series(h, psi0, t_max, n_steps, ops):
+    """Each of ``ops`` recorded with ``_expect_cols`` on every whole chunk the
+    dense propagator yields, restricted as ``evolve`` restricts them to the
+    states S of the blocks psi0 touches."""
+    labels = dynamics._components(h.matrix)
+    support = np.flatnonzero(np.isin(labels, labels[psi0 != 0]))
+    cut = (lambda m: m) if len(support) == h.dim else (lambda m: m.tocsr()[support][:, support])
+    series = {name: [] for name in ops}
+    for cols in dynamics._dense_blocks(cut(h.matrix), psi0[support], labels[support],
+                                       t_max / (n_steps - 1), n_steps):
+        bras = cols.conj()
+        for name, m in ops.items():
+            series[name].append(dynamics._expect_cols(cut(m), cols, bras)[0])
+    return {name: np.concatenate(parts) for name, parts in series.items()}
+
+
+@pytest.mark.parametrize("case", ["mx", "sy", "leakage"])
+def test_recording_a_chunk_in_slices_moves_no_bit(case):
+    # 1300 points make chunks of 512, 512 and 276 columns, which the recorder
+    # reads 64 at a time; every run touches several blocks of H
+    t_max, n_steps = 0.5, 1300
+    if case == "leakage":  # EBH at cutoff 3 from the sectors of 0 to 4 bosons, some off the mask
+        basis = FockBasis(5, 3)
+        h = build_h_ebh(chain_spec(5, 40.0, 4720.0), basis)
+        psi0 = product_state(basis, [np.ones(3)] * 2 + [np.array([1.0, 0.0, 0.0])] * 3)
+        mask = physical_mask(basis)
+        ops = {None: sp.diags(outside(basis.dim, mask), format="csr")}
+    else:
+        basis = FockBasis(6, 2)
+        h = build_h_spin(chain_spec(6, 40.0, 4720.0))
+        psi0 = named_initial_state(basis, "all_up_x", "spin")
+        mask = None
+        if case == "mx":
+            ops = {"mx": observable("mx", "spin", basis).matrix}
+        else:
+            sy = np.kron(np.eye(32), np.array([[0.0, 0.5j], [-0.5j, 0.0]]))
+            ops = {"sy": sp.csr_matrix(sy)}
+    traj = evolve(h, psi0, cfg(t_max, n_steps, "dense_eig"),
+                  {name: SparseOperator.from_matrix(m) for name, m in ops.items() if name},
+                  leakage_mask=mask)
+    want = whole_chunk_series(h, psi0, t_max, n_steps, ops)
+    got = {None: traj.leakage} if case == "leakage" else traj.values
+    for name, series in want.items():
+        assert np.array_equal(got[name], series)
+        assert np.max(np.abs(series)) > 1e-3
+
+
+def test_a_dense_record_of_every_sector_peaks_within_18_mb():
+    # fig2_mx's spin side: all_up_x touches all 1024 states of N=10; a chunk
+    # of 512 columns is 8.4 MB, and no second chunk may be alive beside it.
+    # Recording whole chunks peaked at 32 MB, and a propagator still holding
+    # its last chunk as it forms the next at 19.5 MB
+    import tracemalloc
+
+    basis = FockBasis(10, 2)
+    h = build_h_spin(chain_spec(10, 40.0, 4720.0))
+    psi0 = named_initial_state(basis, "all_up_x", "spin")
+    obs = {"mx": observable("mx", "spin", basis)}
+    evolve(h, psi0, cfg(0.5, 2, "dense_eig"), obs)  # lazy imports stay out of the count
+    tracemalloc.start()
+    try:
+        evolve(h, psi0, cfg(0.5, 2000, "dense_eig"), obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 10**6
 
 
 def test_fig2_sz_diagonalizes_one_half_filling_block_per_side(eigh_shapes, tmp_path):

@@ -75,6 +75,18 @@ def test_validate_flags_field_length():
         replace(chain_spec(3, 1.0, 0.0), fields=(0.0,))
 
 
+@pytest.mark.parametrize("make, n", [
+    (lambda n: SpinModelSpec(n, (), ()), -1),
+    (lambda n: SpinModelSpec(n, ((0, 1, 1.0),), ()), -2),
+    (lambda n: CircuitSpec(n, (), (), (), ()), -1),
+    (lambda n: CircuitSpec(n, (1.0,), (1.0,), (1.0,), (1.0,)), 0),
+], ids=["spin", "spin-edge", "circuit", "circuit-lengths"])
+def test_a_bad_site_count_is_the_only_problem_reported(make, n):
+    # no length or edge range is judged against a site count below 1
+    with pytest.raises(InvalidSpecError, match=rf"^n_sites must be >= 1, got {n}$"):
+        make(n)
+
+
 def test_validate_is_pure_and_idempotent():
     circuit = chain_circuit(2, 200.0, 500.0, 50.0, 1.0)
     first = validate(circuit)

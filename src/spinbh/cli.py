@@ -7,10 +7,9 @@ Usage:
 Exit codes: 0 success, 1 usage/parse error, 2 validation failure,
 3 numerical failure.  Outputs are deterministic: rerunning the same config
 produces byte-identical files.  Every output file goes through one streamed
-row writer, the only place where a number becomes text.  The boson side is
-built only on the states a run can reach: the closure of the initial state
-under H for dynamics, the hard-core states for verify.  The spin side keeps
-its 2**N states.
+row writer, the only place where a number becomes text.  Dynamics builds
+both sides only on the states a run can reach, the closure of the initial
+state under H; verify builds the boson side on the hard-core states.
 
 Heavy imports happen inside main() so the SPINBH_THREADS environment
 variable can cap the linear-algebra thread pools before they start.
@@ -146,25 +145,21 @@ def run_experiment(cfg, quiet: bool = False) -> int:
 
     evo = dynamics.EvolutionConfig(t_max=cfg.t_max, n_steps=cfg.n_steps, method=cfg.method)
 
+    sides = {"spin": (2, lambda: operators.spin_terms(spin_spec),  # (d, terms, builder)
+                      lambda basis: operators.build_h_spin(spin_spec, basis)),
+             "boson": (cfg.cutoff, boson_terms, build_boson)}
+
     def run_sector(sector: str):
-        if sector == "spin":
-            basis = FockBasis(cfg.n_sites, 2)
-            psi0 = named_initial_state(basis, cfg.initial_state, sector)
-            h = operators.build_h_spin(spin_spec)
-            mask = None
-        else:  # on the closure of psi0: the states H reaches from it
-            full = FockBasis(cfg.n_sites, cfg.cutoff)
-            psi0 = named_initial_state(full, cfg.initial_state, sector)
-            basis = operators.closure(full, boson_terms(), psi0.nonzero()[0])
-            psi0 = basis.restrict(psi0)
-            h = build_boson(basis)
-            mask = physical_mask(basis)
+        # on the closure of psi0: the states H reaches from it
+        local_dim, terms, build = sides[sector]
+        full = FockBasis(cfg.n_sites, local_dim)
+        psi0 = named_initial_state(full, cfg.initial_state, sector)
+        basis = operators.closure(full, terms(), psi0.nonzero()[0])
+        h = build(basis)
+        mask = None if sector == "spin" else physical_mask(basis)
         obs = {name: operators.observable(name, sector, basis) for name in cfg.observables}
-        return dynamics.evolve(
-            h, psi0, evo, obs, leakage_mask=mask,
-            hamiltonian_label=f"{cfg.kind}:{sector}",
-            initial_state_label=cfg.initial_state,
-        )
+        return dynamics.evolve(h, basis.restrict(psi0), evo, obs, leakage_mask=mask,
+                               hamiltonian_label=f"{cfg.kind}:{sector}")
 
     if cfg.kind in ("spin", "boson", "jja"):
         sector = "spin" if cfg.kind == "spin" else "boson"

@@ -114,7 +114,6 @@ class Trajectory:
     max_imag: float = 0.0
     max_norm_deviation: float = 0.0
     hamiltonian_label: str = ""
-    initial_state_label: str = ""
 
 
 def _check_observable(op: SparseOperator, dim: int, name: str) -> None:
@@ -316,7 +315,6 @@ def evolve(
     observables: dict[str, SparseOperator],
     leakage_mask=None,
     hamiltonian_label: str = "",
-    initial_state_label: str = "",
 ) -> Trajectory:
     """Evolve psi0, a complex array of length ``h.dim``, under exp(-i*2*pi*H*t)
     and record observables on the grid; with ``leakage_mask``, also <Q> off
@@ -408,5 +406,4 @@ def evolve(
         max_imag=max_imag,
         max_norm_deviation=max_norm_dev,
         hamiltonian_label=hamiltonian_label,
-        initial_state_label=initial_state_label,
     )

@@ -281,14 +281,21 @@ def _dm_terms(spec: SpinModelSpec, ops: LocalOperatorSet):
     return terms + _field_terms(spec, ops.hp_sz)
 
 
-def build_h_spin(spec: SpinModelSpec) -> SparseOperator:
-    """Heisenberg Hamiltonian on the 2^N spin space,
-    -sum_{j<k} J_jk ((S+_j S-_k + S-_j S+_k)/2 + S^z_j S^z_k) + sum_j h_j S^z_j.
+def spin_terms(spec: SpinModelSpec):
+    """Terms of ``build_h_spin``: on two levels the DM encoding is the spin model."""
+    return _dm_terms(spec, local_ops(2))
 
-    On two levels the DM encoding is the spin model, so this shares its terms."""
+
+def build_h_spin(spec: SpinModelSpec, basis: FockBasis | None = None) -> SparseOperator:
+    """Heisenberg Hamiltonian on the spin states of ``basis`` (all 2^N by default),
+    -sum_{j<k} J_jk ((S+_j S-_k + S-_j S+_k)/2 + S^z_j S^z_k) + sum_j h_j S^z_j."""
     if spec.n_sites > MAX_SPIN_SITES:
         raise InvalidSpecError(f"spin builder limited to {MAX_SPIN_SITES} sites")
-    return assemble(FockBasis(spec.n_sites, 2), _dm_terms(spec, local_ops(2)))
+    basis = FockBasis(spec.n_sites, 2) if basis is None else basis
+    if (basis.n_sites, basis.local_dim) != (spec.n_sites, 2):
+        raise InvalidSpecError(f"spin builder needs {spec.n_sites} sites at local dimension 2, "
+                               f"got {basis.n_sites} at {basis.local_dim}")
+    return assemble(basis, spin_terms(spec))
 
 
 def ebh_terms(spec: SpinModelSpec, local_dim: int):

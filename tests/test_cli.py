@@ -685,6 +685,33 @@ def test_spin_run_reads_no_cutoff(tmp_path):
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "spin"), "--quiet"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("method", ["dense_eig", "krylov"])
+@pytest.mark.parametrize("state", ["domain_wall", "neel"])
+def test_spin_run_on_the_closure_writes_the_full_space_series_bit_for_bit(tmp_path, state, method):
+    # the command line builds the spin side on the closure of psi0; evolve
+    # still takes the full 2**N space and restricts it to the touched blocks
+    from spinbh.dynamics import EvolutionConfig, evolve
+    from spinbh.hilbert import named_initial_state
+    from spinbh.model import chain_spec
+
+    names = ("sz1", "mx", "cxx")
+    ini = (SPIN_INI.replace("n_sites = 2", "n_sites = 6").replace("h = 0.0", "h = 4720.0")
+           .replace("n_steps = 11", f"n_steps = 11\nmethod = {method}").replace("neel", state)
+           .replace("observables = sz1", f"observables = {', '.join(names)}")
+           + "\n[output]\nprecision = 17\n")
+    out = tmp_path / "spin"
+    assert run_cli(["run", write(tmp_path, "spin.ini", ini), "--out-dir", str(out),
+                    "--quiet"]) == EXIT_OK
+    full = FockBasis(6, 2)
+    ref = evolve(operators.build_h_spin(chain_spec(6, 40.0, 4720.0)),
+                 named_initial_state(full, state, "spin"), EvolutionConfig(0.05, 11, method),
+                 {name: operators.observable(name, "spin", full) for name in names})
+    for name in names:
+        rows = (out / f"{name}_spin.csv").read_text().splitlines()[1:]
+        got = np.array([float(row.split(",")[1]) for row in rows])  # %.17g reads back exactly
+        assert np.array_equal(got.view(np.int64), ref.values[name].view(np.int64))
+
+
 def test_jja_run_with_leakage_column(tmp_path):
     out = tmp_path / "jja"
     path = write(tmp_path, "jja.ini", JJA_INI)
@@ -886,16 +913,17 @@ def test_verify_builds_no_entry_between_two_states_outside_the_hard_core_set(
     assert report["coupling_norm"] == f"{h.dropped:.12g}"
 
 
-def test_compare_builds_the_boson_side_on_the_closure_of_psi0_only(tmp_path, monkeypatch):
-    # domain_wall at N=10 reaches the 252 hard-core states with five particles of 3**10
+def test_compare_builds_both_sides_on_the_closure_of_psi0_only(tmp_path, monkeypatch):
+    # domain_wall at N=10 reaches the 252 hard-core states with five particles of
+    # 3**10 on the boson side, and the 252 states with five spins up of 2**10 on the spin side
     built = spy_builds(monkeypatch)
     ini = verify_ini("ebh", 10, 3).replace("kind = verify", "kind = compare\n"
                                            "initial_state = domain_wall\nobservables = sz1, mx, cxx")
     path = write(tmp_path, "c3.ini", ini + "\n[evolution]\nt_max = 0.001\nn_steps = 3\n")
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
     boson = [op.dim for name, basis, op in built if basis is not None and basis.local_dim == 3]
-    spin = [op.dim for name, basis, op in built if basis is None or basis.local_dim == 2]
-    assert boson == [252] * 4 and spin == [1024] * 4  # H and three observables a side
+    spin = [op.dim for name, basis, op in built if basis.local_dim == 2]
+    assert boson == [252] * 4 and spin == [252] * 4  # H and three observables a side
 
 
 @pytest.mark.parametrize("model", ["ebh", "full"])

@@ -113,6 +113,14 @@ def test_h_spin_rejects_oversized_chain():
         build_h_spin(chain_spec(25, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("basis", [FockBasis(3, 3), FockBasis(4, 2), FockBasis(3, 3, [0, 4])],
+                         ids=["cutoff", "sites", "subset"])
+def test_h_spin_refuses_a_basis_that_is_not_the_chains_spin_space(basis):
+    with pytest.raises(InvalidSpecError,
+                       match="^spin builder needs 3 sites at local dimension 2, got "):
+        build_h_spin(chain_spec(3, 1.0, 0.5), basis)
+
+
 @pytest.mark.parametrize("build", [
     build_h_spin,
     lambda spec: build_h_ebh(spec, FockBasis(3, 3)),

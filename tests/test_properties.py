@@ -30,7 +30,7 @@ import spinbh.mapping
 import spinbh.model
 from spinbh.cli import main
 from spinbh.config import ENCODINGS, KINDS
-from spinbh.dynamics import EvolutionConfig, evolve
+from spinbh.dynamics import EvolutionConfig, _components, evolve
 from spinbh.errors import InvalidSpecError
 from spinbh.hilbert import NAMED_STATES, FockBasis, named_initial_state, physical_mask
 from spinbh.mapping import (
@@ -64,6 +64,7 @@ from spinbh.operators import (
     jja_terms,
     local_ops,
     observable,
+    spin_terms,
 )
 from spinbh.verify import project
 
@@ -251,6 +252,37 @@ def test_subset_builds_equal_sliced_full_builds(case):
         assert project(part, np.arange(part.dim))[1] == part.dropped
     elif isinstance(subset, str):  # H never leaves a closure
         assert part.dropped == 0.0
+
+
+@examples
+@given(st.data())
+def test_spin_closure_is_the_touched_blocks_and_builds_slice_the_full_space(data):
+    # the command line's spin side: built and observed on the closure of psi0
+    # under the spin terms, which holds the blocks of H that psi0 touches, with
+    # every operator the full-space one sliced to it, bit for bit
+    spec = data.draw(st.integers(2, 8).flatmap(spin_specs))
+    name = data.draw(st.sampled_from(
+        [s for s in NAMED_STATES if s != "domain_wall" or spec.n_sites % 2 == 0]))
+    full_basis = FockBasis(spec.n_sites, 2)
+    psi0 = named_initial_state(full_basis, name, "spin")
+    basis = closure(full_basis, spin_terms(spec), np.flatnonzero(psi0))
+    full = build_h_spin(spec)
+    labels = _components(full.matrix)
+    states = np.arange(full.dim) if basis.states is None else basis.states
+    touched = np.flatnonzero(np.isin(labels, labels[psi0 != 0]))
+    assert np.isin(touched, states).all()
+    # a hopping J/2 at or below DROP_THRESHOLD is no stored entry of H, but the
+    # closure still follows it; with every hopping stored it holds no more states
+    if all(abs(0.5 * coupling) > DROP_THRESHOLD for _, _, coupling in spec.edges if coupling):
+        assert np.array_equal(states, touched)
+    pairs = [(build_h_spin(spec, basis), full)] + [
+        (observable(o, "spin", basis), observable(o, "spin", full_basis)) for o in OBSERVABLE_NAMES]
+    for got, want in pairs:
+        sliced = want.matrix[states][:, states].sorted_indices()
+        assert np.array_equal(got.matrix.indptr, sliced.indptr)
+        assert np.array_equal(got.matrix.indices, sliced.indices)
+        assert np.array_equal(got.matrix.data.view(np.int64), sliced.data.view(np.int64))
+        assert got.hermitian == want.hermitian
 
 
 @st.composite

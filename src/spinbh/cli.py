@@ -95,8 +95,9 @@ def run_experiment(cfg, quiet: bool = False) -> int:
         if not quiet:
             print(msg)
 
-    if cfg.kind == "design":
-        target = chain_spec(cfg.n_sites, cfg.coupling, cfg.fieldstrength or 0.0)
+    if cfg.kind == "design":  # the sheet of any longer chain is the SHEET_SITES one
+        target = chain_spec(min(cfg.n_sites, mapping.SHEET_SITES), cfg.coupling,
+                            cfg.fieldstrength or 0.0)
         circuit = _checked(mapping.design_circuit(
             target,
             e_c=cfg.e_c,

@@ -17,6 +17,7 @@ from typing import get_type_hints
 from .dynamics import MAX_RUN_BYTES, EvolutionConfig
 from .errors import InvalidSpecError
 from .hilbert import FockBasis, named_kets
+from .mapping import SHEET_SITES
 from .model import chain_spec
 from .operators import full_variant, local_ops, observable_terms
 
@@ -24,11 +25,9 @@ KINDS = ("spin", "boson", "jja", "compare", "design", "verify")
 ENCODINGS = ("ebh", "jja")
 
 # A run's peak memory, estimated before anything is built, must stay within
-# MAX_RUN_BYTES.  Measured peaks: about 1.5 KB per state for an evolving run; for
-# a verify about 30 B per boson state plus 1 KB per spin state (both builds).
+# MAX_RUN_BYTES: BYTES_PER_STATE per state of the largest basis it builds on.  Measured
+# peaks: about 1.5 KB per state of an evolving run, 1.2 KB per hard-core state of a verify.
 BYTES_PER_STATE = 2048
-VERIFY_BYTES_PER_BOSON_STATE = 64
-DESIGN_BYTES_PER_SITE = 1536  # measured peak: about 1.2 KB per site
 
 
 @dataclass(frozen=True)
@@ -186,10 +185,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     spin_side = cfg.kind in ("spin", "compare", "verify")
     boson_side = cfg.kind in ("boson", "jja", "compare", "verify")
-    if boson_side:
-        ask(local_ops, cfg.cutoff)
-    else:
-        ask(FockBasis, 1, cfg.cutoff)  # the cutoff is not read, but must suit some basis
+    ask(local_ops, cfg.cutoff)  # one rule for every kind, read or not
     # the bases of the run's sides, spin side first, O(1) to make; once they are
     # accepted, n_sites is small enough for the term lists and the budget below
     bases = [ask(FockBasis, cfg.n_sites, d) for d in [2] * spin_side + [cfg.cutoff] * boson_side]
@@ -229,19 +225,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
     elif source == "circuit":
         if cfg.e_c is None or cfg.e_j is None or cfg.eprime_j is None:
             err("circuit experiments require model keys e_c, e_j, eprime_j")
-    if cfg.kind == "design":  # chain_spec judges one site as it would n_sites, in O(1)
-        ask(chain_spec, min(cfg.n_sites, 1), cfg.coupling or 0.0, cfg.fieldstrength or 0.0)
+    if cfg.kind == "design":  # the chain it builds: a sheet reads at most SHEET_SITES sites
+        ask(chain_spec, min(cfg.n_sites, SHEET_SITES), cfg.coupling or 0.0, cfg.fieldstrength or 0.0)
         if cfg.coupling is None:
             err("design requires model key J")
         if cfg.e_c is None:
             err("design requires model key e_c")
         if cfg.match_field and cfg.fieldstrength is None and cfg.e_j is None:
             err("design needs either a target field h or an anchored e_j")
-    if not problems:  # bytes per state times states on the larger side, or per design site
-        sizes = [BYTES_PER_STATE * basis.full_dim for basis in bases]
-        if cfg.kind == "verify":  # bases[-1] is the boson side
-            sizes[-1] = VERIFY_BYTES_PER_BOSON_STATE * bases[-1].full_dim
-        need = DESIGN_BYTES_PER_SITE * cfg.n_sites if cfg.kind == "design" else max(sizes)
+    if not problems:  # verify builds both sides on the 2**n_sites hard-core states
+        built = bases[:1] if cfg.kind == "verify" else bases  # a design builds none
+        need = BYTES_PER_STATE * max([basis.full_dim for basis in built], default=0)
         if need > MAX_RUN_BYTES:
             err(f"estimated peak memory {need / 2**30:.3g} GiB exceeds the "
                 f"budget of {MAX_RUN_BYTES // 2**30} GiB")

@@ -49,6 +49,10 @@ from .errors import InvalidSpecError
 from .model import CircuitSpec, SpinModelSpec, chain_circuit
 
 FIELD_SOLVE_BRACKET = 1e6  # upper bound of a designed E_J, in units of E_C
+# A homogeneous design's sheet reads bulk site n//2, its links and its neighbours'
+# links: all interior from 4 sites on, so every longer chain gives the 4-site sheet
+# bit for bit (at 3 sites with bare ends, link 1's left site is an edge site).
+SHEET_SITES = 4
 
 
 @dataclass(frozen=True)

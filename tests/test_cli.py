@@ -241,6 +241,11 @@ def test_validate_config_catches_bad_values():
         ({"kind": "spin", "n_sites": 10**9}, True),
         ({"kind": "boson", "cutoff": 3, "n_sites": 10**9}, True),
         ({"kind": "compare", "observables": ("cxx",), "n_sites": 1, "initial_state": "neel"}, True),
+        # verify builds both sides on the 2**n_sites hard-core states
+        ({"kind": "verify", "cutoff": 3, "n_sites": 19}, False),
+        ({"kind": "verify", "cutoff": 3, "n_sites": 20}, True),  # 3**20 states past the cap
+        ({"kind": "verify", "cutoff": 2, "n_sites": 22}, True),  # 8 GiB for 2**22 states
+        ({"kind": "verify", "cutoff": 64, "n_sites": 5}, False),
     ]:
         start = time.perf_counter()
         try:
@@ -456,17 +461,32 @@ def test_validation_error_run_beyond_the_memory_budget(tmp_path, capsys, n_sites
     assert not (tmp_path / "o").exists()
 
 
-# a design takes about 1.2 KB per site, so 10**8 sites would need over 100 GB
-@pytest.mark.parametrize("n_sites, code", [(100, EXIT_OK), (10**8, EXIT_VALIDATION)])
+# a design builds at most SHEET_SITES sites, whose sheet every longer chain shares
+@pytest.mark.parametrize("n_sites, code", [(100, EXIT_OK), (10**8, EXIT_OK), (10**18, EXIT_OK),
+                                           (0, EXIT_VALIDATION)])
 def test_design_run_within_the_memory_budget(tmp_path, capsys, n_sites, code):
+    four = write(tmp_path, "four.ini", DESIGN_INI)  # run first, so the timing below imports nothing
+    assert run_cli(["run", four, "--out-dir", str(tmp_path / "four"), "--quiet"]) == EXIT_OK
     path = write(tmp_path, "design.ini", DESIGN_INI.replace("n_sites = 4", f"n_sites = {n_sites}"))
+    start = time.perf_counter()
     assert run_cli(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == code
+    assert time.perf_counter() - start < 1.0
     if code == EXIT_OK:
-        assert (tmp_path / "o" / "parameter_sheet.csv").is_file()
+        sheet = (tmp_path / "o" / "parameter_sheet.csv").read_bytes()
+        assert sheet == (tmp_path / "four" / "parameter_sheet.csv").read_bytes()
     else:
-        err = capsys.readouterr().err
-        assert "estimated peak memory" in err and "budget of 4 GiB" in err
+        assert capsys.readouterr().err.splitlines() == ["error: n_sites must be >= 1, got 0"]
         assert not (tmp_path / "o").exists()
+
+
+def test_weakly_anharmonic_design_warns_for_the_sites_it_builds(tmp_path, capsys):
+    # every site of a homogeneous design has the same ratio; the run builds four
+    ini = DESIGN_INI.replace("n_sites = 4", "n_sites = 6").replace("e_j = 12500.0", "e_j = 1000.0")
+    assert run_cli(["run", write(tmp_path, "design.ini", ini), "--out-dir", str(tmp_path / "o"),
+                    "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: site {s}: e_c/e_j = 0.2 exceeds 0.1; weakly anharmonic regime not satisfied"
+        for s in range(4)]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -679,10 +699,13 @@ def test_single_spin_run(tmp_path):
     assert header == "time_us,value"
 
 
-def test_spin_run_reads_no_cutoff(tmp_path):
-    # a spin run has no boson side, so not even a cutoff past MAX_CUTOFF is read
+def test_spin_run_refuses_a_cutoff_past_the_limit(tmp_path, capsys):
+    # a spin run reads no cutoff, but every kind holds it to MAX_CUTOFF alike
     path = write(tmp_path, "spin.ini", SPIN_INI + "cutoff = 100\n")
-    assert run_cli(["run", path, "--out-dir", str(tmp_path / "spin"), "--quiet"]) == EXIT_OK
+    assert run_cli(["run", path, "--out-dir", str(tmp_path / "spin"), "--quiet"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "error: local dimension 100 exceeds the limit of 64 levels per site"]
+    assert not (tmp_path / "spin").exists()
 
 
 @pytest.mark.parametrize("method", ["dense_eig", "krylov"])
@@ -872,6 +895,14 @@ cutoff = 4
     assert float(entries["coupling_norm"]) < 1e-12
     assert abs(float(entries["offset_mhz"])) < 1e-12
     assert int(entries["local_dim"]) == 4
+
+
+def test_cutoff3_verify_reaches_17_sites(tmp_path):
+    # 3**17 boson states, of which verify builds on the 2**17 hard-core ones
+    out = tmp_path / "ver"
+    path = write(tmp_path, "verify.ini", verify_ini("ebh", 17, 3))
+    assert run_cli(["run", path, "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    assert "residual_max = 0\n" in (out / "equivalence_report.txt").read_text()
 
 
 def verify_ini(model, n_sites, cutoff):

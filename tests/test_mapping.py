@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinbh.errors import InvalidSpecError
 from spinbh.mapping import (
@@ -11,6 +13,7 @@ from spinbh.mapping import (
     design_circuit,
     eprime_from_simplified_coupling,
     exact_coupling,
+    SHEET_SITES,
     parameter_sheet,
     simplified_coupling,
 )
@@ -220,3 +223,43 @@ def test_parameter_sheet_table_row():
     assert np.isclose(cells["J_MHz"], 40.0, rtol=1e-12)
     assert np.isclose(cells["h_bulk_MHz"], 4720.0, rtol=1e-12)
     assert np.isclose(cells["h_edge_MHz"], 4760.0, rtol=1e-12)
+
+
+def sheet_bits(n_sites, params, include_boundary, match_field):
+    """The column names and the float64 bits of the design's sheet."""
+    coupling, field, e_c, e_j = params
+    circuit = design_circuit(chain_spec(n_sites, coupling, field), e_c=e_c, e_j=e_j,
+                             match_field=match_field, include_boundary=include_boundary)
+    sheet = parameter_sheet(circuit)
+    return list(sheet), np.array(list(sheet.values()), dtype=np.float64).view(np.uint64)
+
+
+def positive(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@example(params=(40.0, 4720.0, E_C, E_J))
+@given(params=st.tuples(positive(0.0, 0.99), positive(0.0, 1e5), positive(10.0, 2000.0),
+                        positive(1e-3, 1e7)).map(lambda p: (p[0] * p[2], *p[1:])))
+def test_a_homogeneous_sheet_is_the_four_site_sheet_bit_for_bit(params):
+    # the design run builds SHEET_SITES sites at most and writes their sheet
+    assert SHEET_SITES == 4
+    for include_boundary in (True, False):
+        for match_field in (True, False):
+            try:
+                names, bits = sheet_bits(SHEET_SITES, params, include_boundary, match_field)
+            except InvalidSpecError:
+                continue  # refused at every length alike
+            for n_sites in (4, 5, 10, 1001):
+                longer, longer_bits = sheet_bits(n_sites, params, include_boundary, match_field)
+                assert longer == names
+                assert np.array_equal(longer_bits, bits), (n_sites, include_boundary, match_field)
+
+
+@pytest.mark.parametrize("match_field", [True, False])
+def test_a_three_site_sheet_with_bare_ends_reads_an_edge_site(match_field):
+    params = (40.0, 4720.0, E_C, E_J)
+    _, bits = sheet_bits(3, params, False, match_field)
+    _, bulk = sheet_bits(SHEET_SITES, params, False, match_field)
+    assert not np.array_equal(bits, bulk)

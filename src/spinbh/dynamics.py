@@ -37,7 +37,13 @@ when one basis covers the grid: when the largest shifted phase
 2*pi*w*t_max, w the widest touched block's Gershgorin half-width about c_b,
 is at most ``KRYLOV_DIM`` rad.  A basis of m vectors is a polynomial of
 degree m - 1 in H, and the Chebyshev coefficients of exp(-i*phi*x) become
-small only past degree phi.
+small only past degree phi.  Where that rule says dense, ``auto`` first
+builds one basis from psi0 and evaluates its bound at every grid point: a
+psi0 on few eigenvectors (``all_up_x`` on a uniform chain holds one energy
+per block) spans a Krylov space that closes early, and that one basis runs
+the whole grid; otherwise the basis is dropped, ``KRYLOV_DIM`` products
+spent, and the dense one runs.  ``Trajectory.method`` names the propagator that ran.
+Only numpy.linalg diagonalizes; scipy serves sparse matrices.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import HermiticityError, InvalidSpecError, NumericalError
@@ -69,6 +74,8 @@ _PHASE_STRIDE = 64
 # entries of one dense chunk: 512 columns up to DENSE_DIM_LIMIT, fewer beyond
 _CHUNK_ENTRIES = _GRID_CHUNK * DENSE_DIM_LIMIT
 METHODS = ("dense_eig", "krylov", "auto")
+# the dense blocks' eigensolver: LAPACK syevd on a real block, heevd on a complex one
+_block_eigh = np.linalg.eigh
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,9 @@ class EvolutionConfig:
     ``method`` is one of dense_eig, krylov, auto.  ``auto`` runs Lanczos when
     the blocks of H that the initial state touches hold more than 4096
     states, or when the largest phase the per-block shifted Lanczos must
-    resolve over the grid is at most ``KRYLOV_DIM`` rad; otherwise dense.
+    resolve over the grid is at most ``KRYLOV_DIM`` rad; otherwise
+    ``evolve`` runs Lanczos if one basis built from the initial state is
+    within its error bound at every grid point, and dense if not.
     """
 
     t_max: float
@@ -114,6 +123,7 @@ class Trajectory:
     max_imag: float = 0.0
     max_norm_deviation: float = 0.0
     hamiltonian_label: str = ""
+    method: str = ""  # the propagator that ran: dense_eig or krylov
 
 
 def _check_observable(op: SparseOperator, dim: int, name: str) -> None:
@@ -186,7 +196,8 @@ def _lanczos(matvec, v: np.ndarray, m: int):
         vecs[k + 1] = w / b
     if not (np.isfinite(alpha[:k_used]).all() and np.isfinite(beta[: k_used - 1]).all()):
         raise NumericalError("Lanczos coefficients are not finite")
-    evals, evecs = sla.eigh_tridiagonal(alpha[:k_used], beta[: k_used - 1])
+    off = beta[: k_used - 1]
+    evals, evecs = np.linalg.eigh(np.diag(alpha[:k_used]) + np.diag(off, 1) + np.diag(off, -1))
 
     def propagate(dts: np.ndarray):
         coeffs = nrm * (evecs @ _phased(evals, dts, evecs[0]))
@@ -195,7 +206,25 @@ def _lanczos(matvec, v: np.ndarray, m: int):
     return vecs[:k_used], propagate
 
 
-def _krylov_blocks(matrix, psi0, times, shift):
+def _shifted(matrix, shift):
+    """v -> (H - diag(shift)) v, the product every Lanczos basis is built from."""
+    return lambda x: matrix @ x - shift * x
+
+
+def _covering_window(matrix, psi0, times, shift):
+    """The Lanczos window built from psi0 at times[0] if its error bound is
+    within ``STEP_TOLERANCE`` at every grid point, else None.  The bound is
+    taken ``_GRID_CHUNK`` points at a time and stops at the first chunk that
+    fails, so no more than one chunk of coefficients is alive."""
+    vecs, propagate = _lanczos(_shifted(matrix, shift), psi0, KRYLOV_DIM)
+    dts = times[1:] - times[0]
+    for lo in range(0, len(dts), _GRID_CHUNK):
+        if not (propagate(dts[lo : lo + _GRID_CHUNK])[1] <= STEP_TOLERANCE).all():
+            return None  # NaN never fits
+    return vecs, propagate
+
+
+def _krylov_blocks(matrix, psi0, times, shift, window=None):
     """Blocks of up to ``KRYLOV_DIM`` columns from Lanczos windows.
 
     Lanczos propagates H - diag(shift), where ``shift`` is constant on each
@@ -208,15 +237,16 @@ def _krylov_blocks(matrix, psi0, times, shift):
     starts at the last of them.  A window that cannot reach even the next
     grid point takes the longest substep (interval / 2**k, k <=
     ``MAX_HALVINGS``) that fits and moves t0 there without yielding.
+    ``window``, if given, is the first one, built from psi0 at times[0].
     """
-    matvec = lambda x: matrix @ x - shift * x
+    matvec = _shifted(matrix, shift)
     levels, level_of = np.unique(shift, return_inverse=True)  # one phase per block and time
     ones = np.ones(len(levels))
     cur, t0, idx = psi0, times[0], 1
     yield cur[:, None]
     while idx < len(times):
-        vecs, propagate = _lanczos(matvec, cur, KRYLOV_DIM)
-        first = idx
+        vecs, propagate = window or _lanczos(matvec, cur, KRYLOV_DIM)
+        window, first = None, idx
         while idx < len(times):
             targets = times[idx : idx + KRYLOV_DIM]
             coeffs, err = propagate(targets - t0)
@@ -244,13 +274,35 @@ def _krylov_blocks(matrix, psi0, times, shift):
 
 
 def _components(matrix) -> np.ndarray:
-    """Label of every state's weakly connected component in the sparsity pattern."""
-    from scipy.sparse.csgraph import connected_components  # kept out of the import time
+    """Label of every state's weakly connected component in the sparsity
+    pattern, components numbered in the order of their lowest states.
 
+    A vectorized union-find over the stored entries (the pattern, not the
+    values: a zero or purely imaginary hopping still joins its states).
+    Every state points at a root no larger than itself.  A round hooks the
+    root at each end of every entry onto the smaller root at the other end,
+    then jumps pointers until each state points at its root; entries whose
+    ends share a root drop out.  Every round at least halves the number of
+    trees in a component, and each component ends as one tree rooted at its
+    lowest state.
+    """
     csr = matrix.tocsr()
-    # the pattern, not the values: a complex-to-real cast would drop imaginary hoppings
-    pattern = sp.csr_matrix((np.ones(len(csr.indices)), csr.indices, csr.indptr), shape=csr.shape)
-    return connected_components(pattern, directed=False)[1]
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    cols = csr.indices
+    root = np.arange(csr.shape[0])
+    while True:
+        a, b = root[rows], root[cols]
+        split = a != b
+        if not split.any():
+            return np.unique(root, return_inverse=True)[1]
+        rows, cols, a, b = rows[split], cols[split], a[split], b[split]
+        np.minimum.at(root, a, b)
+        np.minimum.at(root, b, a)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 def _block_centers(diag, row_sums, labels):
@@ -279,8 +331,14 @@ def _dense_blocks(matrix, psi0, labels, dt, n_points):
     blocks = [np.flatnonzero(labels == label) for label in np.unique(labels)]
     subs = [s if s.data.imag.any() else s.real for s in (csr[i][:, i] for i in blocks)]
     size = max(sub.shape[0] for sub in subs)
-    # kept eigenvectors + 32 B per entry of the largest block (its array, evr's copy or evd's work)
-    need = sum(sub.dtype.itemsize * sub.shape[0] ** 2 for sub in subs) + 32 * size**2
+    # every block's kept eigenvectors, and while the largest is diagonalized
+    # four more arrays of its size: the dense block, eigh's copy of it and the
+    # divide-and-conquer work (2n^2 doubles, or n^2 complex and 2n^2 doubles).
+    # Besides the dense block, np.linalg.eigh measured 32.5 B per entry of a
+    # real block of 6000 states and 64.7 B of a complex one of 4500, the
+    # excess over 32 and 64 about 3 KB per state
+    kept = [sub.dtype.itemsize * sub.shape[0] ** 2 for sub in subs]
+    need = sum(kept) + 4 * max(kept)
     if need > MAX_RUN_BYTES:
         raise InvalidSpecError(
             f"dense_eig would diagonalize a block of {size} states ({need / 2**30:.3g} GiB), "
@@ -291,7 +349,7 @@ def _dense_blocks(matrix, psi0, labels, dt, n_points):
     offsets = dt * np.arange(stride)
     spectra = []
     for idx, sub in zip(blocks, subs):
-        evals, evecs = sla.eigh(sub.toarray(), driver="evd" if np.isrealobj(sub) else None)
+        evals, evecs = _block_eigh(sub.toarray())
         inner = _phased(evals, offsets, np.ones(len(evals)))
         spectra.append((idx, evals, evecs, evecs.conj().T @ psi0[idx], inner))
     for start in range(0, n_points, step):
@@ -321,7 +379,9 @@ def evolve(
     the mask as ``Trajectory.leakage``.
 
     ``auto`` resolves on |S|, the states of the blocks of H that psi0
-    touches, and on the widest touched block's Gershgorin half-width; both
+    touches, and on the widest touched block's Gershgorin half-width, and
+    where those pick dense, on whether one Lanczos basis from psi0 covers the
+    grid; ``Trajectory.method`` names the propagator that ran.  Both
     propagators run with H, psi0, the observables and Q restricted to S,
     which is exact because every state vanishes off S.  Each block of
     columns a propagator yields is recorded from contiguous copies of at
@@ -368,10 +428,16 @@ def evolve(
         recorded = {name: restrict(m) for name, m in recorded.items()}
         q = None if q is None else q[support]
     shift, width = _block_centers(csr.diagonal().real, row_sums, labels)
-    if cfg.resolve_method(len(support), TWO_PI * width * cfg.t_max) == "dense_eig":
+    method = cfg.resolve_method(len(support), TWO_PI * width * cfg.t_max)
+    window = None
+    if method == "dense_eig" and cfg.method == "auto":
+        # a psi0 with weight on few eigenvectors may still take one basis
+        window = _covering_window(matrix, psi0, times, shift)
+        method = "dense_eig" if window is None else "krylov"
+    if method == "dense_eig":
         blocks = _dense_blocks(matrix, psi0, labels, cfg.t_max / (cfg.n_steps - 1), cfg.n_steps)
     else:
-        blocks = _krylov_blocks(matrix, psi0, times, shift)
+        blocks = _krylov_blocks(matrix, psi0, times, shift, window)
     leak = None
     if q is not None:
         if q.any():  # Q under a key that names no observable
@@ -406,4 +472,5 @@ def evolve(
         max_imag=max_imag,
         max_norm_deviation=max_norm_dev,
         hamiltonian_label=hamiltonian_label,
+        method=method,
     )

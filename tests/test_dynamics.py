@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
@@ -549,16 +549,17 @@ class EighCalls(list):
 
 @pytest.fixture
 def eigh_shapes(monkeypatch):
-    """Shapes (and dtypes) of the matrices the dense propagator diagonalizes."""
+    """Shapes (and dtypes) of the matrices the dense propagator diagonalizes:
+    its blocks' solver, not the Lanczos tridiagonal's ``np.linalg.eigh``."""
     shapes = EighCalls()
-    eigh = dynamics.sla.eigh
+    eigh = dynamics._block_eigh
 
     def spy(a, *args, **kwargs):
         shapes.append(a.shape)
         shapes.dtypes.append(a.dtype)
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics.sla, "eigh", spy)
+    monkeypatch.setattr(dynamics, "_block_eigh", spy)
     return shapes
 
 
@@ -657,6 +658,55 @@ def test_dense_blocks_keep_purely_imaginary_hoppings(eigh_shapes):
     traj = evolve(h, psi0, cfg(t_max=0.3, n_steps=13, method="dense_eig"), {"n1": n1})
     assert np.max(np.abs(traj.values["n1"] - np.abs(cols[1]) ** 2)) < 1e-12
     assert eigh_shapes == [(3, 3)]
+
+
+def csgraph_labels(matrix):
+    """The independent oracle: scipy's weakly connected components of the
+    ones-valued pattern of ``matrix``."""
+    from scipy.sparse.csgraph import connected_components
+
+    csr = sp.csr_matrix(matrix)
+    pattern = sp.csr_matrix((np.ones(len(csr.indices)), csr.indices, csr.indptr), shape=csr.shape)
+    return connected_components(pattern, directed=False)[1]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@example(kind="path", n=3000, density=0.0, one_sided=False, seed=1)
+@example(kind="path", n=3000, density=0.0, one_sided=True, seed=2)
+@given(kind=st.sampled_from(["random", "imaginary", "diagonal", "path"]),
+       n=st.integers(1, 3000), density=st.floats(0.0, 3.0), one_sided=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_components_partition_states_as_csgraph_does(kind, n, density, one_sided, seed):
+    # random patterns leave states isolated and may store zeros; purely
+    # imaginary hoppings count as much as real ones; a diagonal H makes every
+    # state its own block; a path through the states in random order is the
+    # worst case of label propagation.  One-sided entries join weakly
+    rng = np.random.default_rng(seed)
+    if kind == "path":
+        order = rng.permutation(n)
+        rows, cols = order[:-1], order[1:]
+    else:
+        n = min(n, 200)
+        m = 0 if kind == "diagonal" else int(density * n)
+        rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
+    values = rng.normal(size=len(rows)) * (1j if kind == "imaginary" else 1.0)
+    if kind == "random":
+        values[rng.random(len(rows)) < 0.1] = 0.0  # stored zeros still join their states
+    m = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
+    if not one_sided:
+        m = m + m.conj().T
+    m = m + sp.diags(rng.normal(size=n))
+    got, want = dynamics._components(m), csgraph_labels(m)
+    assert len(got) == n
+    # one label per component: the (got, want) pairs match one to one
+    assert len(set(zip(got, want))) == len(set(got)) == len(set(want))
+    # components are numbered in the order of their lowest states
+    assert np.array_equal(np.unique(got), np.arange(len(set(got))))
+    assert np.all(np.diff(np.unique(got, return_index=True)[1]) > 0)
+    if kind == "diagonal":
+        assert np.array_equal(got, np.arange(n))
+    if kind == "path":
+        assert not got.any()
 
 
 def test_dense_blocks_take_real_arithmetic_only_on_real_blocks(eigh_shapes):
@@ -849,6 +899,70 @@ def test_fig2_sz_diagonalizes_one_half_filling_block_per_side(eigh_shapes, tmp_p
     assert eigh_shapes.dtypes == [np.dtype(np.float64)] * 2  # both real symmetric
 
 
+@pytest.mark.parametrize("preset, flags, method", [
+    ("fig2_mx", [], "krylov"), ("fig2_sz", [], "dense_eig"), ("fig2_cxx", [], "dense_eig"),
+    ("fig2_mx", ["--method", "dense_eig"], "dense_eig"),
+    ("fig2_sz", ["--method", "krylov"], "krylov")])
+def test_each_fig2_side_records_the_propagator_it_ran(monkeypatch, tmp_path, preset, flags,
+                                                       method):
+    # under auto, all_up_x on the uniform chain keeps one Lanczos basis over
+    # the grid, and domain_wall and neel need the spectrum of their
+    # 252-state block; a forced method is the one that runs
+    from spinbh.cli import main
+
+    methods = {}
+    evolve = dynamics.evolve
+
+    def spy(*args, **kwargs):
+        traj = evolve(*args, **kwargs)
+        methods[kwargs["hamiltonian_label"]] = traj.method
+        return traj
+
+    monkeypatch.setattr(dynamics, "evolve", spy)
+    assert main(["--preset", preset, *flags, "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert methods == {"compare:spin": method, "compare:boson": method}
+
+
+def test_auto_keeps_one_lanczos_basis_that_covers_a_uniform_all_up_x_chain(eigh_shapes,
+                                                                           lanczos_starts):
+    # all_up_x on a uniform chain lies in the fully symmetric multiplet, one
+    # energy per block, so up to rounding its Krylov space has 9 vectors; the
+    # shifted phase over the fig2 grid is hundreds of rad, far past what
+    # resolve_method lets Lanczos take, yet one basis serves all 2000 points
+    n, t_max, n_steps = 8, 0.5, 2000
+    basis = FockBasis(n, 2)
+    h = build_h_spin(chain_spec(n, 40.0, 4720.0))
+    psi0 = named_initial_state(basis, "all_up_x", "spin")
+    obs = {name: observable(name, "spin", basis) for name in ("sz1", "mx", "cxx")}
+    auto = evolve(h, psi0, cfg(t_max, n_steps), obs)
+    assert lanczos_starts == [(basis.dim,)]
+    assert eigh_shapes == [] and auto.method == "krylov"
+    krylov = evolve(h, psi0, cfg(t_max, n_steps, "krylov"), obs)  # the same run, bit for bit
+    assert all(np.array_equal(auto.values[name], krylov.values[name]) for name in obs)
+    dense = evolve(h, psi0, cfg(t_max, n_steps, "dense_eig"), obs)
+    assert dense.method == "dense_eig" and len(eigh_shapes) == n + 1
+    ref = expm_multiply_series(h, psi0, obs, t_max, n_steps)
+    for name in obs:
+        assert np.max(np.abs(auto.values[name] - dense.values[name])) < 1e-9
+        assert np.max(np.abs(auto.values[name] - ref[name])) < 1e-9
+    assert np.max(np.abs(auto.values["mx"])) > 0.1
+
+
+def test_auto_diagonalizes_a_domain_wall_after_one_probe_basis(eigh_shapes, lanczos_starts):
+    # over the fig2 grid the one 252-state block of domain_wall needs more
+    # than one basis: the probe's bound fails, and the run is the dense one
+    basis = FockBasis(10, 2)
+    h = build_h_spin(chain_spec(10, 40.0, 4720.0))
+    psi0 = named_initial_state(basis, "domain_wall", "spin")
+    obs = {name: observable(name, "spin", basis) for name in ("sz1", "mx", "cxx")}
+    auto = evolve(h, psi0, cfg(0.5, 2000), obs)
+    assert lanczos_starts == [(252,)]
+    assert eigh_shapes == [(252, 252)] and auto.method == "dense_eig"
+    dense = evolve(h, psi0, cfg(0.5, 2000, "dense_eig"), obs)
+    assert all(np.array_equal(auto.values[name], dense.values[name]) for name in obs)
+    assert auto.max_norm_deviation == dense.max_norm_deviation
+
+
 def test_forced_dense_cutoff3_chain_of_ten_matches_krylov():
     # dim 3**10 = 59049 is past DENSE_DIM_LIMIT, but domain_wall touches only the
     # 252 hard-core states at half filling, which H never leaves
@@ -948,8 +1062,9 @@ def test_auto_evolves_a_cutoff3_chain_of_ten_on_its_touched_states(eigh_shapes, 
     # dim 3**10 = 59049 is past DENSE_DIM_LIMIT, but domain_wall touches only the
     # 252 hard-core states at half filling.  Over nine intervals at the fig2
     # spacing their shifted phase is 2.5 rad, which one Lanczos basis
-    # covers; over the whole fig2 grid it is hundreds of rad, so auto
-    # diagonalizes and records on those states instead
+    # covers; over the whole fig2 grid it is hundreds of rad, so auto tries
+    # one basis, whose bound fails, then diagonalizes and records on those
+    # states instead
     n_steps = 10
     t_max = (n_steps - 1) * 0.5 / 1999
     basis = FockBasis(10, 3)
@@ -968,17 +1083,17 @@ def test_auto_evolves_a_cutoff3_chain_of_ten_on_its_touched_states(eigh_shapes, 
     auto = evolve(h, psi0, cfg(t_max, n_steps), obs, leakage_mask=physical_mask(basis))
     assert lanczos_starts == [(252,)]
     assert eigh_shapes == [] and lengths == []
-    assert np.all(auto.leakage == 0.0)
+    assert np.all(auto.leakage == 0.0) and auto.method == "krylov"
     dense = evolve(h, psi0, cfg(t_max, n_steps, "dense_eig"), obs)
     for name in obs:
         assert np.max(np.abs(auto.values[name] - dense.values[name])) < 1e-8
     lanczos_starts.clear()
     eigh_shapes.clear()
     fig2 = evolve(h, psi0, cfg(0.5, 2000), obs, leakage_mask=physical_mask(basis))
-    assert lanczos_starts == []
+    assert lanczos_starts == [(252,)]
     assert eigh_shapes == [(252, 252)]
     assert set(lengths) == {252}
-    assert np.all(fig2.leakage == 0.0)
+    assert np.all(fig2.leakage == 0.0) and fig2.method == "dense_eig"
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)

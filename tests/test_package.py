@@ -35,6 +35,28 @@ def test_dynamics_import_leaves_csgraph_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_cli_runs_leave_scipy_linalg_and_csgraph_unloaded(tmp_path):
+    # dynamics runs on numpy.linalg and its own component search, so scipy
+    # serves sparse matrices only: neither a dense run (fig2_sz) nor a
+    # Lanczos one (fig2_mx) loads the two modules, whose import takes the
+    # RSS of numpy and scipy.sparse from 48.6 to 60.1 MB
+    src = os.path.dirname(os.path.dirname(spinbh.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "\n".join([
+        "import importlib, pkgutil, sys",
+        "import spinbh",
+        "for module in pkgutil.iter_modules(spinbh.__path__):",
+        "    importlib.import_module('spinbh.' + module.name)",
+        "for preset in ('fig2_mx', 'fig2_sz'):",
+        f"    out = {str(tmp_path)!r} + '/' + preset",
+        "    assert spinbh.cli.main(['--preset', preset, '--out-dir', out, '--quiet']) == 0",
+        "loaded = {'scipy.linalg', 'scipy.sparse.csgraph'} & set(sys.modules)",
+        "assert not loaded, loaded",
+    ])
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert (tmp_path / "fig2_mx" / "compare_mx.csv").exists()
+
+
 def test_no_module_level_import_goes_unused():
     # neither pyflakes nor ruff is a dependency; this is their unused-import rule
     unused = []

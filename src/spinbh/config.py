@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import get_type_hints
 
 from .dynamics import MAX_RUN_BYTES, EvolutionConfig
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, refuse
 from .hilbert import FockBasis, named_kets
 from .mapping import SHEET_SITES
 from .model import chain_spec
@@ -239,31 +239,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if need > MAX_RUN_BYTES:
             err(f"estimated peak memory {need / 2**30:.3g} GiB exceeds the "
                 f"budget of {MAX_RUN_BYTES // 2**30} GiB")
-    if problems:  # each once: two owners may refuse one value alike, as both bases n_sites = 0
-        raise InvalidSpecError("; ".join(dict.fromkeys(problems)))
+    if problems:  # two owners may refuse one value alike, as both bases n_sites = 0
+        refuse(problems)
 
 
+# Fig. 2 panels, each a cutoff-2 compare on the homogeneous 10-site chain at the circuit
+# design point: J = 40 MHz and the interior-site field 4720 MHz the mapped circuit produces.
+_FIG2_PANELS = {"fig2_sz": ("sz1", "domain_wall"), "fig2_mx": ("mx", "all_up_x"),
+                "fig2_cxx": ("cxx", "neel")}
 PRESETS: dict[str, dict] = {
-    # Homogeneous 10-site chain at the circuit design point: J = 40 MHz and
-    # the interior-site field 4720 MHz that the mapped circuit produces.
-    "fig2_sz": {
-        "model": {"n_sites": 10, "j": 40.0, "h": 4720.0},
-        "evolution": {"t_max": 0.5, "n_steps": 2000, "method": "auto"},
-        "experiment": {"kind": "compare", "observables": "sz1",
-                       "initial_state": "domain_wall", "cutoff": 2, "encoding": "ebh"},
-    },
-    "fig2_mx": {
-        "model": {"n_sites": 10, "j": 40.0, "h": 4720.0},
-        "evolution": {"t_max": 0.5, "n_steps": 2000, "method": "auto"},
-        "experiment": {"kind": "compare", "observables": "mx",
-                       "initial_state": "all_up_x", "cutoff": 2, "encoding": "ebh"},
-    },
-    "fig2_cxx": {
-        "model": {"n_sites": 10, "j": 40.0, "h": 4720.0},
-        "evolution": {"t_max": 0.5, "n_steps": 2000, "method": "auto"},
-        "experiment": {"kind": "compare", "observables": "cxx",
-                       "initial_state": "neel", "cutoff": 2, "encoding": "ebh"},
-    },
+    **{name: {"model": {"n_sites": 10, "j": 40.0, "h": 4720.0},
+              "evolution": {"t_max": 0.5, "n_steps": 2000, "method": "auto"},
+              "experiment": {"kind": "compare", "observables": observable,
+                             "initial_state": state, "cutoff": 2, "encoding": "ebh"}}
+       for name, (observable, state) in _FIG2_PANELS.items()},
     # Circuit design anchored at typical charging/Josephson energies.
     "table1_design": {
         "model": {"n_sites": 10, "j": 40.0, "e_c": 200.0, "e_j": 12500.0},

@@ -33,16 +33,16 @@ cross-block coherences; leakage is one more of them, <Q> of the diagonal
 projector Q off the mask, unless Q stores no entry on S and the leakage is
 exactly zero.  A real observable (each built one, and Q) takes one real
 product.  ``auto`` runs Lanczos past ``DENSE_DIM_LIMIT`` states in S, or
-when one basis covers the grid: when the largest shifted phase
-2*pi*w*t_max, w the widest touched block's Gershgorin half-width about c_b,
-is at most ``KRYLOV_DIM`` rad.  A basis of m vectors is a polynomial of
-degree m - 1 in H, and the Chebyshev coefficients of exp(-i*phi*x) become
-small only past degree phi.  Where that rule says dense, ``auto`` first
-builds one basis from psi0 and evaluates its bound at every grid point: a
-psi0 on few eigenvectors (``all_up_x`` on a uniform chain holds one energy
-per block) spans a Krylov space that closes early, and that one basis runs
-the whole grid; otherwise the basis is dropped, ``KRYLOV_DIM`` products
-spent, and the dense one runs.  ``Trajectory.method`` names the propagator that ran.
+when the largest shifted phase 2*pi*w*t_max, w the widest touched block's
+Gershgorin half-width about c_b, is at most ``KRYLOV_DIM`` rad, which a few
+bases cover.  A basis of m vectors is a polynomial of degree m - 1 in H, and
+the Chebyshev coefficients of exp(-i*phi*x) become small only past degree
+phi.  Where that rule says dense, ``auto`` first builds one basis from psi0
+and evaluates its bound at every grid point: a psi0 on few eigenvectors
+(``all_up_x`` on a uniform chain holds one energy per block) spans a Krylov
+space that closes early, and that one basis runs the whole grid; otherwise
+the basis is dropped, ``KRYLOV_DIM`` products spent, and the dense one runs.
+``Trajectory.method`` names the propagator that ran.
 Only numpy.linalg diagonalizes; scipy serves sparse matrices.
 """
 
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import HermiticityError, InvalidSpecError, NumericalError
+from .errors import HermiticityError, InvalidSpecError, NumericalError, refuse
 from .hilbert import outside
 from .operators import SparseOperator
 
@@ -86,9 +86,9 @@ class EvolutionConfig:
     ``method`` is one of dense_eig, krylov, auto.  ``auto`` runs Lanczos when
     the blocks of H that the initial state touches hold more than 4096
     states, or when the largest phase the per-block shifted Lanczos must
-    resolve over the grid is at most ``KRYLOV_DIM`` rad; otherwise
-    ``evolve`` runs Lanczos if one basis built from the initial state is
-    within its error bound at every grid point, and dense if not.
+    resolve over the grid is at most ``KRYLOV_DIM`` rad, which a few of its
+    bases cover; otherwise ``evolve`` runs Lanczos if one basis built from
+    the initial state is within its error bound at every grid point.
     """
 
     t_max: float
@@ -103,7 +103,7 @@ class EvolutionConfig:
         if self.method not in METHODS:
             problems.append(f"method must be one of {METHODS}, got {self.method!r}")
         if problems:
-            raise InvalidSpecError("; ".join(problems))
+            refuse(problems)
 
     def resolve_method(self, dim: int, phase: float = np.inf) -> str:
         """The method for ``dim`` touched states whose shifted Lanczos must

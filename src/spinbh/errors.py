@@ -10,6 +10,11 @@ class InvalidSpecError(SpinBHError, ValueError):
     also a ValueError, so callers that catch ValueError keep working."""
 
 
+def refuse(problems) -> None:
+    """Raise one InvalidSpecError that lists each of ``problems`` once, in order."""
+    raise InvalidSpecError("; ".join(dict.fromkeys(problems)))
+
+
 class HermiticityError(SpinBHError):
     """An operation that requires a Hermitian operator received one that is not."""
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, refuse
 
+# operators.assemble keys each output by shift * len(blocks) + block in int64,
+# |shift| up to d**N - 1: this cap keeps the key below 2**63 for < 2**32 supports
 MAX_DIM = 2**31
 
 
@@ -44,7 +46,7 @@ class FockBasis:
                 problems.append("states must be non-empty, sorted, unique and within range")
             object.__setattr__(self, "states", None if states.size == self.full_dim else states)
         if problems:
-            raise InvalidSpecError("; ".join(problems))
+            refuse(problems)
 
     @property
     def full_dim(self) -> int:
@@ -126,12 +128,17 @@ def named_kets(name: str, n_sites: int, local_dim: int) -> list[np.ndarray]:
     return [full] * (n_sites // 2) + [empty] * (n_sites // 2)
 
 
-def named_initial_state(basis: FockBasis, name: str, sector: str = "boson") -> np.ndarray:
-    """The product state of ``named_kets`` on the basis states."""
+def check_sector(basis: FockBasis, sector: str) -> None:
+    """ValueError unless boson, or spin on two levels: there DM and HP are the spin model."""
     if sector not in ("spin", "boson"):
         raise ValueError(f"unknown sector {sector!r}")
     if sector == "spin" and basis.local_dim != 2:
         raise ValueError("spin sector requires local_dim = 2")
+
+
+def named_initial_state(basis: FockBasis, name: str, sector: str = "boson") -> np.ndarray:
+    """The product state of ``named_kets`` on the basis states."""
+    check_sector(basis, sector)
     return product_state(basis, named_kets(name, basis.n_sites, basis.local_dim))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, refuse
 
 # Above this ratio the charging energy is no longer a small perturbation of
 # the Josephson well and the quadratic-oscillator treatment degrades.
@@ -61,7 +61,7 @@ class SpinModelSpec:
         problems += [f"field at site {j} is not finite"
                      for j, h in enumerate(self.fields) if not math.isfinite(h)]
         if problems:
-            raise InvalidSpecError("; ".join(problems))
+            refuse(problems)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class CircuitSpec:
             problems += [f"{name}[{i}] is not finite"
                          for i, x in enumerate(getattr(self, name)) if not math.isfinite(x)]
         if problems:
-            raise InvalidSpecError("; ".join(problems))
+            refuse(problems)
 
     def inductive_energies(self) -> tuple[float, ...]:
         """Per-site E_L: own Josephson energy plus both adjacent link energies."""
@@ -170,7 +170,7 @@ def validate(circuit: CircuitSpec) -> list[str]:
                 errors.append(f"link {link}: e_coup/e_c = {ratio:.3g} is at or beyond "
                               f"{COUPLING_RATIO_LIMIT}, where the low-coupling inversion diverges")
     if errors:
-        raise InvalidSpecError("; ".join(errors))
+        refuse(errors)
     from .mapping import exact_couplings  # needs positive energies; mapping imports this module
 
     e_l = circuit.inductive_energies()

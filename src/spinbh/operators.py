@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidSpecError
-from .hilbert import FockBasis, site_offsets
+from .hilbert import FockBasis, check_sector, site_offsets
 from .model import SpinModelSpec
 
 if TYPE_CHECKING:
@@ -46,7 +46,7 @@ if TYPE_CHECKING:
 
 DROP_THRESHOLD = 1e-15
 HERMITIAN_TOL = 1e-12
-MAX_SPIN_SITES = 24
+MAX_SPIN_STATES = 2**24
 MAX_CUTOFF = 64  # a pair term's dense d**4 block stays within 268 MB
 VARIANTS = ("simplified", "full")
 
@@ -287,14 +287,15 @@ def spin_terms(spec: SpinModelSpec):
 
 
 def build_h_spin(spec: SpinModelSpec, basis: FockBasis | None = None) -> SparseOperator:
-    """Heisenberg Hamiltonian on the spin states of ``basis`` (all 2^N by default),
+    """Heisenberg Hamiltonian on the spin states of ``basis`` (all 2^N by default,
+    at most ``MAX_SPIN_STATES``),
     -sum_{j<k} J_jk ((S+_j S-_k + S-_j S+_k)/2 + S^z_j S^z_k) + sum_j h_j S^z_j."""
-    if spec.n_sites > MAX_SPIN_SITES:
-        raise InvalidSpecError(f"spin builder limited to {MAX_SPIN_SITES} sites")
-    basis = FockBasis(spec.n_sites, 2) if basis is None else basis
+    basis = FockBasis(spec.n_sites, 2) if basis is None else basis  # O(1) to make
     if (basis.n_sites, basis.local_dim) != (spec.n_sites, 2):
         raise InvalidSpecError(f"spin builder needs {spec.n_sites} sites at local dimension 2, "
                                f"got {basis.n_sites} at {basis.local_dim}")
+    if basis.dim > MAX_SPIN_STATES:
+        raise InvalidSpecError(f"spin builder limited to {MAX_SPIN_STATES} states, got {basis.dim}")
     return assemble(basis, spin_terms(spec))
 
 
@@ -412,10 +413,7 @@ def observable(name: str, sector: str, basis: FockBasis) -> SparseOperator:
     On two levels n - 1/2 and (a + a+)/2 are S^z and S^x, so both sectors
     share the same local matrices.  They are real, so the matrix is float64.
     """
-    if sector not in ("spin", "boson"):
-        raise ValueError(f"unknown sector {sector!r}")
-    if sector == "spin" and basis.local_dim != 2:
-        raise ValueError("spin sector requires local_dim = 2")
+    check_sector(basis, sector)
     op = assemble(basis, observable_terms(name, basis.n_sites, basis.local_dim))
     m = op.matrix  # csr.real would keep a strided data view, copied by every product
     real = sp.csr_matrix((np.ascontiguousarray(m.data.real), m.indices, m.indptr), shape=m.shape)

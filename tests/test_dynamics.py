@@ -23,7 +23,9 @@ from spinbh.operators import (
     build_h_ebh,
     build_h_jja,
     build_h_spin,
+    closure,
     observable,
+    spin_terms,
 )
 
 
@@ -445,7 +447,7 @@ def test_auto_method_selection():
     limit, reach = dynamics.DENSE_DIM_LIMIT, dynamics.KRYLOV_DIM
     assert auto.resolve_method(limit) == "dense_eig"  # phase unknown: the dimension decides
     assert auto.resolve_method(limit + 1) == "krylov"
-    assert auto.resolve_method(limit, reach) == "krylov"  # one basis covers the grid
+    assert auto.resolve_method(limit, reach) == "krylov"  # a few bases cover the grid
     assert auto.resolve_method(1, np.nextafter(reach, np.inf)) == "dense_eig"
     assert auto.resolve_method(limit + 1, 1e6) == "krylov"
     assert auto.resolve_method(limit, np.nan) == "dense_eig"
@@ -961,6 +963,29 @@ def test_auto_diagonalizes_a_domain_wall_after_one_probe_basis(eigh_shapes, lanc
     dense = evolve(h, psi0, cfg(0.5, 2000, "dense_eig"), obs)
     assert all(np.array_equal(auto.values[name], dense.values[name]) for name in obs)
     assert auto.max_norm_deviation == dense.max_norm_deviation
+
+
+def test_auto_runs_lanczos_within_the_phase_rule_where_one_basis_does_not_cover(
+        eigh_shapes, lanczos_starts):
+    # domain_wall on 14 sites touches one block of 3432 states, which
+    # _block_centers gives a half-width w = 260 MHz at J = 40 MHz, h = 4720 MHz;
+    # over t_max = 0.0153 us the shifted phase 2 pi w t_max is about 25 rad,
+    # within KRYLOV_DIM, yet one basis does not cover the grid: the probe
+    # alone would fail there and diagonalize the block
+    n, t_max, n_steps = 14, 0.0153, 50
+    spec = chain_spec(n, 40.0, 4720.0)
+    full = FockBasis(n, 2)
+    psi0 = named_initial_state(full, "domain_wall", "spin")
+    basis = closure(full, spin_terms(spec), np.flatnonzero(psi0))
+    assert basis.dim == 3432
+    h, psi0 = build_h_spin(spec, basis), basis.restrict(psi0)
+    obs = {name: observable(name, "spin", basis) for name in ("sz1", "mx", "cxx")}
+    auto = evolve(h, psi0, cfg(t_max, n_steps), obs)
+    assert auto.method == "krylov" and eigh_shapes == []
+    assert len(lanczos_starts) >= 2
+    ref = expm_multiply_series(h, psi0, obs, t_max, n_steps)
+    for name in obs:
+        assert np.max(np.abs(auto.values[name] - ref[name])) < 1e-9
 
 
 def test_forced_dense_cutoff3_chain_of_ten_matches_krylov():

@@ -68,6 +68,15 @@ def test_validate_flags_duplicates_and_range():
         )
 
 
+def test_a_problem_met_twice_is_listed_once():
+    # a third copy of an edge and a repeated reversed edge each meet one problem again
+    with pytest.raises(InvalidSpecError, match=r"^duplicate edge \(0,1\); "
+                                               r"edge \(1,0\) violates j<k ordering; "
+                                               r"duplicate edge \(1,0\)$"):
+        SpinModelSpec(2, ((0, 1, 1.0), (0, 1, 2.0), (0, 1, 3.0), (1, 0, 1.0), (1, 0, 1.0)),
+                      (0.0, 0.0))
+
+
 def test_validate_flags_field_length():
     with pytest.raises(InvalidSpecError, match="fields has length 1, expected 3"):
         SpinModelSpec(n_sites=3, edges=(), fields=(0.0,))

@@ -21,6 +21,7 @@ from spinbh.operators import (
     embed,
     local_ops,
     observable,
+    spin_terms,
 )
 
 
@@ -109,8 +110,22 @@ def test_h_spin_hermitian_flag():
 
 
 def test_h_spin_rejects_oversized_chain():
-    with pytest.raises(InvalidSpecError):
-        build_h_spin(chain_spec(25, 1.0, 0.0))
+    with pytest.raises(InvalidSpecError, match="^spin builder limited to 16777216 states, got "):
+        build_h_spin(chain_spec(25, 40.0, 4720.0))
+
+
+def test_h_spin_builds_a_closure_of_a_chain_past_24_sites():
+    # the limit counts the states built on, not the sites: the one-magnon
+    # closure of 26 sites holds 26 states, and the DM build on it is the same
+    spec = chain_spec(26, 40.0, 4720.0)
+    full = FockBasis(26, 2)
+    basis = closure(full, spin_terms(spec), [full.index_of([1] + [0] * 25)])
+    assert basis.dim == 26
+    spin, dm = build_h_spin(spec, basis), build_h_dm(spec, basis)
+    assert np.array_equal(spin.matrix.indptr, dm.matrix.indptr)
+    assert np.array_equal(spin.matrix.indices, dm.matrix.indices)
+    assert spin.matrix.data.tobytes() == dm.matrix.data.tobytes()
+    assert spin.hermitian and dm.hermitian
 
 
 @pytest.mark.parametrize("basis", [FockBasis(3, 3), FockBasis(4, 2), FockBasis(3, 3, [0, 4])],

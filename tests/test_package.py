@@ -27,14 +27,6 @@ def test_cli_import_leaves_numpy_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_dynamics_import_leaves_csgraph_unloaded():
-    # the dense propagator imports the graph search on first use, not at import
-    src = os.path.dirname(os.path.dirname(spinbh.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, spinbh.dynamics; assert 'scipy.sparse.csgraph' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
 def test_cli_runs_leave_scipy_linalg_and_csgraph_unloaded(tmp_path):
     # dynamics runs on numpy.linalg and its own component search, so scipy
     # serves sparse matrices only: neither a dense run (fig2_sz) nor a

@@ -12,27 +12,25 @@ columns 512 at a time (fewer past 4096 states, so a column block stays within
 32 MB; best up to a few thousand states per H block), phased from two small
 cos/sin tables.  A block with no imaginary stored value takes a real ``eigh``
 and one real product per chunk; blocks whose eigenvectors and work arrays
-would pass ``MAX_RUN_BYTES`` are refused before any is formed.  The
-recorder reads each yielded block 64 columns at a time, and no block
-outlives its recording, so one chunk is alive besides 64-column
-temporaries.  The Lanczos one takes any target times and works in windows:
-one basis of ``KRYLOV_DIM`` vectors, built at the last accepted time, serves
-every following grid point whose error bound (Expokit's a-posteriori bound,
-evaluated for many times at once) is within ``STEP_TOLERANCE``.  A block
-never holds more than ``KRYLOV_DIM`` columns, so memory stays at two
-basis-sized arrays.  When not even the next grid point fits, the window
-halves a substep inside that interval until one fits.  It propagates
-H - diag(c), c_b the midpoint of block b's Gershgorin interval, and gives
-each column back its per-block phase exp(-i*2*pi*c_b*t), exactly since H
-stores no entry between blocks; so a window's reach is set by the spread
-within a block, not by the offsets between blocks.
+would pass ``MAX_RUN_BYTES`` are refused before any is formed; one chunk is
+alive at a time.  The Lanczos one takes any target times and works in
+windows: one basis of ``KRYLOV_DIM`` vectors, built at the last accepted
+time, serves every following grid point whose error bound (Expokit's
+a-posteriori bound, evaluated for many times at once) is within
+``STEP_TOLERANCE``.  A block never holds more than ``KRYLOV_DIM`` columns,
+so memory stays at two basis-sized arrays.  When not even the next grid
+point fits, the window halves a substep inside that interval until one fits.
+It propagates H - diag(c), c_b the midpoint of block b's Gershgorin interval,
+and gives each column back its per-block phase exp(-i*2*pi*c_b*t), exactly
+since H stores no entry between blocks; so a window's reach is set by the
+spread within a block, not by the offsets between blocks.
 ``evolve`` finds the blocks once, restricts H, psi0, the observables and Q
-to S unless S is every state, picks the propagator and records every
-block on S in one loop, so observables that couple blocks keep their
-cross-block coherences; leakage is one more of them, <Q> of the diagonal
-projector Q off the mask, unless Q stores no entry on S and the leakage is
-exactly zero.  A real observable (each built one, and Q) takes one real
-product.  ``auto`` runs Lanczos past ``DENSE_DIM_LIMIT`` states in S, or
+to S unless S is every state, picks the propagator and records every state
+on S in one loop, so observables that couple blocks keep their cross-block
+coherences; leakage is one more of them, <Q> of the diagonal projector Q
+off the mask, unless Q stores no entry on S and the leakage is exactly
+zero.  A real observable (each built one, and Q) takes one real product on
+columns.  ``auto`` runs Lanczos past ``DENSE_DIM_LIMIT`` states in S, or
 when the largest shifted phase 2*pi*w*t_max, w the widest touched block's
 Gershgorin half-width about c_b, is at most ``KRYLOV_DIM`` rad, which a few
 bases cover.  A basis of m vectors is a polynomial of degree m - 1 in H, and
@@ -40,8 +38,10 @@ the Chebyshev coefficients of exp(-i*phi*x) become small only past degree
 phi.  Where that rule says dense, ``auto`` first builds one basis from psi0
 and evaluates its bound at every grid point: a psi0 on few eigenvectors
 (``all_up_x`` on a uniform chain holds one energy per block) spans a Krylov
-space that closes early, and that one basis runs the whole grid; otherwise
-the basis is dropped, ``KRYLOV_DIM`` products spent, and the dense one runs.
+space that closes early, and that one basis runs the whole grid, recorded
+from its m coefficients against every observable projected onto it, so no
+state column is formed; otherwise the basis is dropped, ``KRYLOV_DIM``
+products spent, and the dense one runs.
 ``Trajectory.method`` names the propagator that ran.
 Only numpy.linalg diagonalizes; scipy serves sparse matrices.
 """
@@ -69,7 +69,7 @@ MAX_RUN_BYTES = 4 * 2**30  # peak memory a run may plan for
 MAX_PHASE = 2.0**33  # rad; a float64 phase this large is known to about 1e-6 rad
 _GRID_CHUNK = 512
 # L: grid offsets in one dense phase table, which a chunk's width divides by,
-# and the widest slice of columns the recorder reads at once
+# and the widest slice of the grid recorded at once
 _PHASE_STRIDE = 64
 # entries of one dense chunk: 512 columns up to DENSE_DIM_LIMIT, fewer beyond
 _CHUNK_ENTRIES = _GRID_CHUNK * DENSE_DIM_LIMIT
@@ -133,19 +133,47 @@ def _check_observable(op: SparseOperator, dim: int, name: str) -> None:
         raise HermiticityError(f"{name} is not Hermitian")
 
 
-def _expect_cols(matrix, cols: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray, float]:
-    """Real <psi|O|psi> of every column psi, and the largest |imaginary part|;
-    ``bras`` is ``cols.conj()``, taken once per block by the caller.  A real
-    ``matrix`` takes one real product on the interleaved parts of ``cols``,
-    equal to the complex product bit for bit."""
+def _expect_cols(matrix, cols: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of <psi|O|psi> of every column, ``bras`` their
+    conjugates.  A real ``matrix`` takes one real product on the interleaved
+    parts of ``cols``, equal to the complex product bit for bit."""
     applied = (matrix @ cols.view(float)).view(complex) if np.isrealobj(matrix) else matrix @ cols
     raw = np.einsum("ij,ij->j", bras, applied)
-    if not np.isfinite(raw).all():
-        raise NumericalError("expectation value is not finite")
-    imag = float(np.max(np.abs(raw.imag)))
-    if not imag < IMAG_TOL:
-        raise NumericalError(f"expectation imaginary part reached {imag:.3e}")
-    return raw.real, imag
+    return raw.real, raw.imag
+
+
+def _record(slices, series: list[np.ndarray]) -> tuple[float, float]:
+    """Fill ``series`` (one array per recorded matrix) from ``slices`` of the
+    grid in order, each the real and imaginary parts of every expectation
+    there (one row per matrix) and the states' squared norms; return the
+    largest |imaginary part| and norm deviation.  Both recorders refuse here."""
+    max_imag, max_dev, start = 0.0, 0.0, 0
+    for real, imag, sq_norms in slices:
+        if not (np.isfinite(real).all() and np.isfinite(imag).all()):
+            raise NumericalError("expectation value is not finite")
+        worst = float(np.max(np.abs(imag), initial=0.0))
+        if not worst < IMAG_TOL:
+            raise NumericalError(f"expectation imaginary part reached {worst:.3e}")
+        dev = float(np.max(np.abs(np.sqrt(sq_norms) - 1.0)))
+        if not dev < NORM_TOL:  # NaN fails too
+            raise NumericalError(f"norm drifted by {dev:.3e}")
+        for values, row in zip(series, real):
+            values[start : start + len(row)] = row
+        max_imag, max_dev, start = max(max_imag, worst), max(max_dev, dev), start + len(sq_norms)
+    return max_imag, max_dev
+
+
+def _column_slices(blocks, matrices):
+    """The slices ``_record`` takes, from the columns ``blocks`` yields, read 64
+    at a time: contiguous copies keep temporaries small and products fast."""
+    for block in blocks:
+        for lo in range(0, block.shape[1], _PHASE_STRIDE):
+            cols = np.ascontiguousarray(block[:, lo : lo + _PHASE_STRIDE])
+            bras = cols.conj()
+            parts = [_expect_cols(m, cols, bras) for m in matrices]
+            yield ([p[0] for p in parts], [p[1] for p in parts],
+                   np.einsum("ij,ij->j", bras, cols).real)
+        del block, cols, bras  # so the propagator forms the next block with none alive
 
 
 def _phased(evals: np.ndarray, dts: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -212,10 +240,11 @@ def _shifted(matrix, shift):
 
 
 def _covering_window(matrix, psi0, times, shift):
-    """The Lanczos window built from psi0 at times[0] if its error bound is
-    within ``STEP_TOLERANCE`` at every grid point, else None.  The bound is
-    taken ``_GRID_CHUNK`` points at a time and stops at the first chunk that
-    fails, so no more than one chunk of coefficients is alive."""
+    """The Lanczos window (basis rows and propagator) built from psi0 at
+    times[0] if its error bound is within ``STEP_TOLERANCE`` at every grid
+    point, else None; ``_basis_slices`` records the whole grid from it.  The
+    bound is taken ``_GRID_CHUNK`` points at a time and stops at the first
+    chunk that fails, so no more than one chunk of coefficients is alive."""
     vecs, propagate = _lanczos(_shifted(matrix, shift), psi0, KRYLOV_DIM)
     dts = times[1:] - times[0]
     for lo in range(0, len(dts), _GRID_CHUNK):
@@ -224,7 +253,40 @@ def _covering_window(matrix, psi0, times, shift):
     return vecs, propagate
 
 
-def _krylov_blocks(matrix, psi0, times, shift, window=None):
+def _basis_slices(vecs, propagate, shift, times, matrices):
+    """The slices ``_record`` takes, from a covering window's coefficients
+    c(t) on its basis V (``vecs``), ``_PHASE_STRIDE`` grid points at a time.
+
+    With t from times[0], the states I_a of shift level c_a hold
+    exp(-i*2*pi*c_a*t) V[:, I_a]^T c(t), so <O> sums exp(-i*2*pi*(c_b - c_a)*t)
+    c^H M_ab c over the level pairs O couples, M_ab = conj(V[:, I_a]) O[I_a, I_b]
+    V[:, I_b]^T; pairs with one gap c_b - c_a share one M.  The squared norm is
+    c^H conj(V) V^T c, which still sees a basis that lost orthogonality.
+    """
+    levels, level_of = np.unique(shift, return_inverse=True)
+    spans = [np.flatnonzero(level_of == a) for a in range(len(levels))]
+    terms = {(len(matrices), 0.0): vecs.conj() @ vecs.T}  # (output row, gap): M; the norm's last
+    for i, matrix in enumerate(matrices):
+        csr = matrix.tocsr()
+        for a, idx in enumerate(spans):
+            rows = csr[idx]  # one level's rows bound every product's size
+            for b in np.unique(level_of[rows.indices]):
+                pair = vecs[:, idx].conj() @ (rows[:, spans[b]] @ vecs[:, spans[b]].T)
+                key = (i, levels[b] - levels[a])
+                terms[key] = terms.get(key, 0) + pair
+    owner, gaps = map(np.array, zip(*terms))
+    stack, ones = np.concatenate(list(terms.values())), np.ones(len(gaps))
+    for lo in range(0, len(times), _PHASE_STRIDE):
+        dts = times[lo : lo + _PHASE_STRIDE] - times[0]
+        coeffs = propagate(dts)[0]
+        applied = (stack @ coeffs).reshape(len(gaps), -1, len(dts))
+        quad = np.einsum("kn,pkn->pn", coeffs.conj(), applied)  # c^H M_g c, one row per term
+        raw = np.zeros((len(matrices) + 1, len(dts)), dtype=complex)
+        np.add.at(raw, owner, _phased(gaps, dts, ones) * quad)
+        yield raw[:-1].real, raw[:-1].imag, raw[-1].real
+
+
+def _krylov_blocks(matrix, psi0, times, shift):
     """Blocks of up to ``KRYLOV_DIM`` columns from Lanczos windows.
 
     Lanczos propagates H - diag(shift), where ``shift`` is constant on each
@@ -237,7 +299,6 @@ def _krylov_blocks(matrix, psi0, times, shift, window=None):
     starts at the last of them.  A window that cannot reach even the next
     grid point takes the longest substep (interval / 2**k, k <=
     ``MAX_HALVINGS``) that fits and moves t0 there without yielding.
-    ``window``, if given, is the first one, built from psi0 at times[0].
     """
     matvec = _shifted(matrix, shift)
     levels, level_of = np.unique(shift, return_inverse=True)  # one phase per block and time
@@ -245,8 +306,8 @@ def _krylov_blocks(matrix, psi0, times, shift, window=None):
     cur, t0, idx = psi0, times[0], 1
     yield cur[:, None]
     while idx < len(times):
-        vecs, propagate = window or _lanczos(matvec, cur, KRYLOV_DIM)
-        window, first = None, idx
+        vecs, propagate = _lanczos(matvec, cur, KRYLOV_DIM)
+        first = idx
         while idx < len(times):
             targets = times[idx : idx + KRYLOV_DIM]
             coeffs, err = propagate(targets - t0)
@@ -385,7 +446,8 @@ def evolve(
     propagators run with H, psi0, the observables and Q restricted to S,
     which is exact because every state vanishes off S.  Each block of
     columns a propagator yields is recorded from contiguous copies of at
-    most 64 columns, and released before the next block is formed.
+    most 64 columns, and released before the next block is formed; a
+    covering basis forms no column (``_basis_slices``).
 
     Non-Hermitian generators are refused; project them onto an invariant
     subspace first.  A grid whose largest phase 2*pi*rho*t_max is finite but
@@ -434,43 +496,21 @@ def evolve(
         # a psi0 with weight on few eigenvectors may still take one basis
         window = _covering_window(matrix, psi0, times, shift)
         method = "dense_eig" if window is None else "krylov"
-    if method == "dense_eig":
-        blocks = _dense_blocks(matrix, psi0, labels, cfg.t_max / (cfg.n_steps - 1), cfg.n_steps)
-    else:
-        blocks = _krylov_blocks(matrix, psi0, times, shift, window)
     leak = None
     if q is not None:
         if q.any():  # Q under a key that names no observable
             recorded[None] = sp.diags(q, format="csr")
         else:  # nothing recorded can leave the mask
             leak = np.zeros(len(times))
+    matrices = list(recorded.values())
+    if window is not None:
+        slices = _basis_slices(*window, shift, times, matrices)
+    else:
+        blocks = (_dense_blocks(matrix, psi0, labels, cfg.t_max / (cfg.n_steps - 1), cfg.n_steps)
+                  if method == "dense_eig" else _krylov_blocks(matrix, psi0, times, shift))
+        slices = _column_slices(blocks, matrices)
     values = {name: np.empty(len(times)) for name in recorded}
-    max_imag = max_norm_dev = 0.0
-    start = 0
-    for block in blocks:
-        # 64 columns at a time keeps the temporaries small; each column's
-        # values do not depend on its neighbours, and the products run faster
-        # on a contiguous copy than on a strided view
-        for lo in range(0, block.shape[1], _PHASE_STRIDE):
-            cols = np.ascontiguousarray(block[:, lo : lo + _PHASE_STRIDE])
-            stop = start + cols.shape[1]
-            bras = cols.conj()
-            for name, matrix in recorded.items():
-                values[name][start:stop], imag = _expect_cols(matrix, cols, bras)
-                max_imag = max(max_imag, imag)
-            norms = np.sqrt(np.einsum("ij,ij->j", bras, cols).real)
-            dev = float(np.max(np.abs(norms - 1.0)))
-            if not dev < NORM_TOL:  # NaN fails too
-                raise NumericalError(f"norm drifted by {dev:.3e}")
-            max_norm_dev = max(max_norm_dev, dev)
-            start = stop
-        del block, cols, bras  # so the propagator forms the next block with none alive
-    return Trajectory(
-        times=times,
-        leakage=values.pop(None, leak),
-        values=values,
-        max_imag=max_imag,
-        max_norm_deviation=max_norm_dev,
-        hamiltonian_label=hamiltonian_label,
-        method=method,
-    )
+    max_imag, max_norm_dev = _record(slices, list(values.values()))
+    return Trajectory(times=times, leakage=values.pop(None, leak), values=values,
+                      max_imag=max_imag, max_norm_deviation=max_norm_dev,
+                      hamiltonian_label=hamiltonian_label, method=method)

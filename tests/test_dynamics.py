@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
@@ -939,8 +939,8 @@ def test_auto_keeps_one_lanczos_basis_that_covers_a_uniform_all_up_x_chain(eigh_
     auto = evolve(h, psi0, cfg(t_max, n_steps), obs)
     assert lanczos_starts == [(basis.dim,)]
     assert eigh_shapes == [] and auto.method == "krylov"
-    krylov = evolve(h, psi0, cfg(t_max, n_steps, "krylov"), obs)  # the same run, bit for bit
-    assert all(np.array_equal(auto.values[name], krylov.values[name]) for name in obs)
+    krylov = evolve(h, psi0, cfg(t_max, n_steps, "krylov"), obs)  # one propagation, two recorders
+    assert all(np.max(np.abs(auto.values[name] - krylov.values[name])) < 1e-11 for name in obs)
     dense = evolve(h, psi0, cfg(t_max, n_steps, "dense_eig"), obs)
     assert dense.method == "dense_eig" and len(eigh_shapes) == n + 1
     ref = expm_multiply_series(h, psi0, obs, t_max, n_steps)
@@ -948,6 +948,130 @@ def test_auto_keeps_one_lanczos_basis_that_covers_a_uniform_all_up_x_chain(eigh_
         assert np.max(np.abs(auto.values[name] - dense.values[name])) < 1e-9
         assert np.max(np.abs(auto.values[name] - ref[name])) < 1e-9
     assert np.max(np.abs(auto.values["mx"])) > 0.1
+
+
+def test_a_covering_basis_records_without_forming_a_state_column(monkeypatch):
+    # the whole grid is recorded from the probe basis's coefficients: neither
+    # propagator is entered, and the probe's products are the run's only ones
+    n = 10
+    basis = FockBasis(n, 2)
+    h = build_h_spin(chain_spec(n, 40.0, 4720.0))
+    psi0 = named_initial_state(basis, "all_up_x", "spin")
+    obs = {name: observable(name, "spin", basis) for name in ("sz1", "mx", "cxx")}
+    entered = []
+    for name in ("_krylov_blocks", "_dense_blocks"):
+        monkeypatch.setattr(dynamics, name, lambda *args, name=name: entered.append(name))
+    counted = CountingMatrix(h.matrix)
+    traj = evolve(SparseOperator(matrix=counted, hermitian=True), psi0, cfg(0.5, 2000), obs)
+    assert traj.method == "krylov" and entered == []
+    assert counted.matvecs == dynamics.KRYLOV_DIM
+    assert traj.max_norm_deviation < 1e-12 and np.max(np.abs(traj.values["mx"])) > 0.1
+
+
+def test_a_covering_record_of_twelve_sites_peaks_within_8_mb():
+    # 4096 states over 2000 points: the probe basis (30 x 4096 complex, 2 MB)
+    # and one level's slice of it per product.  Recording columns peaked at
+    # 12.1 MB, with a 4096 x 30 block of columns and its products alive
+    import tracemalloc
+
+    basis = FockBasis(12, 2)
+    h = build_h_spin(chain_spec(12, 40.0, 4720.0))
+    psi0 = named_initial_state(basis, "all_up_x", "spin")
+    obs = {name: observable(name, "spin", basis) for name in ("sz1", "mx", "cxx")}
+    evolve(h, psi0, cfg(0.5, 2), obs)  # lazy imports stay out of the count
+    tracemalloc.start()
+    try:
+        traj = evolve(h, psi0, cfg(0.5, 2000), obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.method == "krylov"
+    assert peak <= 8 * 10**6
+
+
+def interleaved_blocks(rng, sizes, complex_values):
+    """A Hermitian H of blocks of ``sizes``, every off-diagonal entry within a
+    block of modulus 10 to 40 MHz (so every block's Gershgorin half-width is
+    at least 10 MHz), block offsets of up to 5 GHz, and its states shuffled;
+    returns H and each block's states."""
+    n = sum(sizes)
+    order = rng.permutation(n)
+    h = np.zeros((n, n), dtype=complex)
+    blocks, lo = [], 0
+    for size in sizes:
+        idx = np.sort(order[lo : lo + size])
+        lo += size
+        hop = rng.uniform(10.0, 40.0, (size, size)) * rng.choice([-1.0, 1.0], (size, size))
+        if complex_values:
+            hop = hop * np.exp(2j * np.pi * rng.uniform(size=(size, size)))
+        sub = np.triu(hop, 1) + np.triu(hop, 1).conj().T
+        sub += np.diag(rng.uniform(-5000.0, 5000.0) + rng.uniform(-20.0, 20.0, size))
+        h[np.ix_(idx, idx)] = sub
+        blocks.append(idx)
+    return h, blocks
+
+
+@settings(derandomize=True, max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sizes=st.lists(st.integers(2, 6), min_size=2, max_size=4), n_eigvecs=st.integers(1, 3),
+       complex_h=st.booleans(), complex_obs=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(sizes=[3, 4, 2, 5], n_eigvecs=3, complex_h=True, complex_obs=True, seed=1)
+def test_a_covering_basis_records_what_a_full_eigh_gives(eigh_shapes, sizes, n_eigvecs,
+                                                         complex_h, complex_obs, seed):
+    # psi0 on a few eigenvectors of different blocks spans a Krylov space that
+    # one basis holds, while the widest block's shifted phase over the grid
+    # (2 pi w t_max >= 2 pi * 10 MHz * 0.5 us) is past what the phase rule lets
+    # Lanczos take; the observable couples every block, the mask leaves states
+    # of S out, and both are recorded on the basis alone
+    eigh_shapes.clear()
+    rng = np.random.default_rng(seed)
+    h_dense, blocks = interleaved_blocks(rng, sizes, complex_h)
+    n = len(h_dense)
+    psi0 = np.zeros(n, dtype=complex)
+    for b in rng.choice(len(blocks), size=min(n_eigvecs, len(blocks)), replace=False):
+        idx = blocks[b]
+        vec = np.linalg.eigh(h_dense[np.ix_(idx, idx)])[1][:, rng.integers(len(idx))]
+        psi0[idx] += (rng.normal() + 1j * rng.normal()) * vec
+    psi0 /= np.linalg.norm(psi0)
+    o = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_obs else 0.0)
+    o = (o + o.conj().T) / 2
+    touched = np.flatnonzero(np.abs(psi0) > 0)
+    mask = np.setdiff1d(rng.choice(n, size=n // 2, replace=False), touched[:1])
+    t_max, n_steps = 0.5, 150
+    traj = evolve(SparseOperator.from_matrix(h_dense), psi0, cfg(t_max, n_steps),
+                  {"o": SparseOperator.from_matrix(o)}, leakage_mask=mask)
+    assert traj.method == "krylov" and eigh_shapes == []
+    cols = full_eigh_columns(h_dense, psi0, traj.times)
+    ref = np.einsum("it,it->t", cols.conj(), o @ cols).real
+    scale = np.linalg.norm(o, 2)
+    assert np.max(np.abs(traj.values["o"] - ref)) < 1e-9 * scale
+    ref_leak = np.sum(np.abs(np.delete(cols, mask, axis=0)) ** 2, axis=0)
+    assert np.max(ref_leak) > 1e-6  # psi0 has weight off the mask
+    assert np.max(np.abs(traj.leakage - ref_leak)) < 1e-9
+    assert traj.max_norm_deviation < 1e-12
+
+
+@settings(derandomize=True, max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.sampled_from([8, 10]), state=st.sampled_from(["neel", "domain_wall"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_an_inhomogeneous_chain_whose_probe_fails_diagonalizes(eigh_shapes, lanczos_starts, n,
+                                                               state, seed):
+    # 70 or 252 states in one block, many eigenvectors in psi0, and a
+    # shifted phase of hundreds of rad: one basis cannot cover the grid
+    eigh_shapes.clear()
+    lanczos_starts.clear()
+    rng = np.random.default_rng(seed)
+    edges = tuple((j, j + 1, rng.uniform(20.0, 60.0)) for j in range(n - 1))
+    basis = FockBasis(n, 2)
+    h = build_h_spin(SpinModelSpec(n, edges, tuple(rng.uniform(-30.0, 30.0, n))))
+    psi0 = named_initial_state(basis, state, "spin")
+    obs = {name: observable(name, "spin", basis) for name in ("sz1", "mx", "cxx")}
+    auto = evolve(h, psi0, cfg(0.5, 300), obs)
+    assert len(lanczos_starts) == 1 and auto.method == "dense_eig" and eigh_shapes
+    dense = evolve(h, psi0, cfg(0.5, 300, "dense_eig"), obs)
+    assert all(np.array_equal(auto.values[name], dense.values[name]) for name in obs)
+    assert auto.max_norm_deviation == dense.max_norm_deviation
 
 
 def test_auto_diagonalizes_a_domain_wall_after_one_probe_basis(eigh_shapes, lanczos_starts):

@@ -10,10 +10,11 @@ per output time, in grid order.  The dense one takes the uniform grid as its
 spacing and point count, diagonalizes every block of H it is handed and yields
 columns 512 at a time (fewer past 4096 states, so a column block stays within
 32 MB; best up to a few thousand states per H block), phased from two small
-cos/sin tables.  A block with no imaginary stored value takes a real ``eigh``
-and one real product per chunk; blocks whose eigenvectors and work arrays
-would pass ``MAX_RUN_BYTES`` are refused before any is formed; one chunk is
-alive at a time.  The Lanczos one takes any target times and works in
+cos/sin tables into one phase array per run.  A block with no imaginary
+stored value takes a real ``eigh`` and one real product per chunk, written
+straight into the chunk when that block is S; blocks whose eigenvectors and
+work arrays would pass ``MAX_RUN_BYTES`` are refused before any is formed;
+one chunk is alive at a time.  The Lanczos one takes any target times and works in
 windows: one basis of ``KRYLOV_DIM`` vectors, built at the last accepted
 time, serves every following grid point whose error bound (Expokit's
 a-posteriori bound, evaluated for many times at once) is within
@@ -38,10 +39,10 @@ the Chebyshev coefficients of exp(-i*phi*x) become small only past degree
 phi.  Where that rule says dense, ``auto`` first builds one basis from psi0
 and evaluates its bound at every grid point: a psi0 on few eigenvectors
 (``all_up_x`` on a uniform chain holds one energy per block) spans a Krylov
-space that closes early, and that one basis runs the whole grid, recorded
-from its m coefficients against every observable projected onto it, so no
-state column is formed; otherwise the basis is dropped, ``KRYLOV_DIM``
-products spent, and the dense one runs.
+space that closes early (6 vectors on ``fig2_mx``), and that one basis runs
+the whole grid, recorded from its m coefficients against every observable
+projected onto it, so no state column is formed; otherwise the basis is
+dropped, its products spent, and the dense one runs.
 ``Trajectory.method`` names the propagator that ran.
 Only numpy.linalg diagonalizes; scipy serves sparse matrices.
 """
@@ -193,9 +194,10 @@ def _lanczos(matvec, v: np.ndarray, m: int):
     ``propagate(dts)`` returns the basis coefficients of exp(-i*2*pi*H*dt) v,
     one column per dt, from the exponential of the projected tridiagonal T,
     and each column's error bound: the weight it puts on the last basis
-    vector times the next off-diagonal (0 when the space is invariant, which
-    makes every propagation exact), 2*pi*dt and |v|.  Short Lanczos recurrence
-    with full reorthogonalization.
+    vector times the next off-diagonal (the residual at breakdown), 2*pi*dt
+    and |v|.  The basis ends early where its space closes: when the residual
+    is at most 1e-12 times T's largest |entry| so far.  Short Lanczos
+    recurrence with full reorthogonalization.
     """
     nrm = np.linalg.norm(v)
     dim = v.shape[0]
@@ -204,8 +206,7 @@ def _lanczos(matvec, v: np.ndarray, m: int):
     alpha = np.empty(m)
     beta = np.empty(max(m - 1, 1))  # beta[k] couples vecs[k] to vecs[k+1]
     vecs[0] = v / nrm
-    k_used = m
-    beta_next = 0.0
+    scale = 0.0  # T's largest |entry| so far, a lower estimate of |T|
     for k in range(m):
         w = matvec(vecs[k])
         alpha[k] = np.vdot(vecs[k], w).real
@@ -214,14 +215,12 @@ def _lanczos(matvec, v: np.ndarray, m: int):
         w -= vecs[: k + 1].T @ (vecs[: k + 1] @ w.conj()).conj()
         w -= vecs[: k + 1].T @ (vecs[: k + 1] @ w.conj()).conj()
         b = np.linalg.norm(w)
-        if k + 1 == m:
-            beta_next = b
-            break
-        if b < 1e-14 * nrm:
-            k_used = k + 1  # invariant subspace reached: propagation is exact
+        scale = max(scale, abs(alpha[k]), b)
+        if k + 1 == m or b <= 1e-12 * scale:  # the space closes: b is the residual
             break
         beta[k] = b
         vecs[k + 1] = w / b
+    k_used, beta_next = k + 1, b
     if not (np.isfinite(alpha[:k_used]).all() and np.isfinite(beta[: k_used - 1]).all()):
         raise NumericalError("Lanczos coefficients are not finite")
     off = beta[: k_used - 1]
@@ -385,8 +384,10 @@ def _dense_blocks(matrix, psi0, labels, dt, n_points):
     Every state lies in one block, so each column is assembled block by block.
     The phase at k = q*L + r is the product of the phases at q*L, tabulated
     per chunk, and at r < L, tabulated once per block; so each eigenvalue
-    takes about L + n_points/L cos/sin pairs, not n_points.  No chunk or
-    phase array of one chunk is held while the next is formed.
+    takes about L + n_points/L cos/sin pairs, not n_points.  Each block's
+    phases are formed in one array per run, sized for the largest block;
+    when one block is S, its product is written straight into the chunk.
+    No chunk is held while the next is formed.
     """
     csr = matrix.tocsr()  # sliceable even when the matrix only forwards attributes
     blocks = [np.flatnonzero(labels == label) for label in np.unique(labels)]
@@ -413,16 +414,20 @@ def _dense_blocks(matrix, psi0, labels, dt, n_points):
         evals, evecs = _block_eigh(sub.toarray())
         inner = _phased(evals, offsets, np.ones(len(evals)))
         spectra.append((idx, evals, evecs, evecs.conj().T @ psi0[idx], inner))
+    work = np.empty(size * step, dtype=complex)  # every block's phases, chunk after chunk
     for start in range(0, n_points, step):
         width = min(step, n_points - start)
         strides = dt * np.arange(start, start + width, stride)
         cols = np.empty((len(psi0), width), dtype=complex)
         for idx, evals, evecs, w0, inner in spectra:
-            outer = _phased(evals, strides, w0)
-            z = (outer[:, :, None] * inner[:, None, :]).reshape(len(evals), -1)[:, :width]
-            # a real evecs takes one real product on z's parts
-            cols[idx] = (evecs @ z.view(float)).view(complex) if np.isrealobj(evecs) else evecs @ z
-        del z  # the last block's phases, as large as its share of the chunk
+            z = work[: len(evals) * len(strides) * stride].reshape(len(evals), len(strides), stride)
+            np.multiply(_phased(evals, strides, w0)[:, :, None], inner[:, None, :], out=z)
+            z = z.reshape(len(evals), -1)[:, :width]
+            kind = float if np.isrealobj(evecs) else complex  # a real evecs takes z's parts
+            if len(spectra) == 1:  # the block is S: the product fills the chunk in place
+                np.matmul(evecs, z.view(kind), out=cols.view(kind))
+            else:
+                cols[idx] = (evecs @ z.view(kind)).view(complex)
         yield cols
         del cols  # the next chunk is allocated with no other alive
 

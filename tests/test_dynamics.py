@@ -893,6 +893,30 @@ def test_a_dense_record_of_every_sector_peaks_within_18_mb():
     assert peak <= 18 * 10**6
 
 
+def test_a_dense_record_of_one_block_forms_no_product_beside_its_chunk():
+    # fig2_sz's spin side: domain_wall's closure of 252 states, one block, so
+    # the product is written into the 252 x 512 chunk (2 MB) and the phases
+    # into one array per run.  A fresh phase array and product per chunk,
+    # beside the chunk, peaked at 7.1 MB
+    import tracemalloc
+
+    spec = chain_spec(10, 40.0, 4720.0)
+    full = FockBasis(10, 2)
+    psi0 = named_initial_state(full, "domain_wall", "spin")
+    basis = closure(full, spin_terms(spec), np.flatnonzero(psi0))
+    h, psi0 = build_h_spin(spec, basis), basis.restrict(psi0)
+    obs = {"sz1": observable("sz1", "spin", basis)}
+    evolve(h, psi0, cfg(0.5, 2), obs)  # lazy imports stay out of the count
+    tracemalloc.start()
+    try:
+        traj = evolve(h, psi0, cfg(0.5, 2000), obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.dim == 252 and traj.method == "dense_eig"
+    assert peak <= 6.5 * 10**6
+
+
 def test_fig2_sz_diagonalizes_one_half_filling_block_per_side(eigh_shapes, tmp_path):
     from spinbh.cli import main
 
@@ -950,22 +974,56 @@ def test_auto_keeps_one_lanczos_basis_that_covers_a_uniform_all_up_x_chain(eigh_
     assert np.max(np.abs(auto.values["mx"])) > 0.1
 
 
+def touched_shifted_energies(h_dense, psi0):
+    """The distinct energies E - c_b (to 1e-9 MHz) of the eigenvectors psi0 has
+    weight on, from a dense eigh of every block b of H (csgraph's components),
+    c_b the midpoint of block b's Gershgorin interval."""
+    labels = csgraph_labels(h_dense)
+    energies = []
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
+        sub = h_dense[np.ix_(idx, idx)]
+        diag = sub.diagonal().real
+        radius = np.abs(sub).sum(1) - np.abs(diag)
+        center = (np.min(diag - radius) + np.max(diag + radius)) / 2
+        evals, evecs = np.linalg.eigh(sub)
+        energies.extend(evals[np.abs(evecs.conj().T @ psi0[idx]) > 1e-8] - center)
+    energies = np.sort(energies)
+    return energies[np.append(True, np.diff(energies) > 1e-9)]
+
+
 def test_a_covering_basis_records_without_forming_a_state_column(monkeypatch):
     # the whole grid is recorded from the probe basis's coefficients: neither
-    # propagator is entered, and the probe's products are the run's only ones
-    n = 10
-    basis = FockBasis(n, 2)
-    h = build_h_spin(chain_spec(n, 40.0, 4720.0))
-    psi0 = named_initial_state(basis, "all_up_x", "spin")
-    obs = {name: observable(name, "spin", basis) for name in ("sz1", "mx", "cxx")}
+    # propagator is entered, and the probe's products are the run's only ones.
+    # all_up_x holds one energy per block, and the blocks of n and N - n up
+    # spins share their shifted energy, so the basis closes at N/2 + 1 vectors
     entered = []
     for name in ("_krylov_blocks", "_dense_blocks"):
         monkeypatch.setattr(dynamics, name, lambda *args, name=name: entered.append(name))
-    counted = CountingMatrix(h.matrix)
-    traj = evolve(SparseOperator(matrix=counted, hermitian=True), psi0, cfg(0.5, 2000), obs)
-    assert traj.method == "krylov" and entered == []
-    assert counted.matvecs == dynamics.KRYLOV_DIM
-    assert traj.max_norm_deviation < 1e-12 and np.max(np.abs(traj.values["mx"])) > 0.1
+    for n, closed in ((10, 6), (12, 7)):
+        basis = FockBasis(n, 2)
+        h = build_h_spin(chain_spec(n, 40.0, 4720.0))
+        psi0 = named_initial_state(basis, "all_up_x", "spin")
+        assert len(touched_shifted_energies(h.dense(), psi0)) == closed
+        obs = {name: observable(name, "spin", basis) for name in ("sz1", "mx", "cxx")}
+        counted = CountingMatrix(h.matrix)
+        traj = evolve(SparseOperator(matrix=counted, hermitian=True), psi0, cfg(0.5, 2000), obs)
+        assert traj.method == "krylov" and entered == []
+        assert counted.matvecs == closed
+        assert traj.max_norm_deviation < 1e-12 and np.max(np.abs(traj.values["mx"])) > 0.1
+
+
+def test_a_lanczos_basis_on_two_opposite_energies_closes_though_every_alpha_is_zero():
+    # psi0 on the eigenvectors of -E and +E of a hopping path: T is [[0, E], [E, 0]],
+    # so the closing residual is judged against E, not against the zero diagonal
+    h = 40.0 * (np.eye(60, k=1) + np.eye(60, k=-1))
+    evals, evecs = np.linalg.eigh(h)
+    psi0 = (evecs[:, 0] + evecs[:, -1]).astype(complex) / np.sqrt(2)
+    vecs, propagate = dynamics._lanczos(lambda x: h @ x, psi0, dynamics.KRYLOV_DIM)
+    coeffs, err = propagate(np.array([0.5]))
+    exact = evecs @ (np.exp(-1j * dynamics.TWO_PI * evals * 0.5) * (evecs.T @ psi0))
+    assert len(vecs) == 2 and err[0] <= dynamics.STEP_TOLERANCE
+    assert np.max(np.abs(vecs.T @ coeffs[:, 0] - exact)) < 1e-12
 
 
 def test_a_covering_record_of_twelve_sites_peaks_within_8_mb():

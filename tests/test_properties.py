@@ -4,8 +4,9 @@ builds on a subset of the states (the hard-core states, closures of the
 named states, random subsets) against the sliced full builds, ``project``
 against dense slicing on random chains and circuits, command-line runs on
 closures against library runs on the full space, the circuit designer
-on random homogeneous targets, and the command line on random, often
-broken, experiment configs.
+on random homogeneous targets, the command line on random, often
+broken, experiment configs, and Lanczos bases from a few eigenvectors
+against ``expm_multiply``.
 
 Examples are derandomized so the suite stays deterministic.  The dense
 oracles cost O(dim^3) per term, so (N, cutoff) pairs above dim 256 are not
@@ -22,15 +23,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import scipy.sparse as sp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
 import oracles
 import spinbh.mapping
 import spinbh.model
 from spinbh.cli import main
 from spinbh.config import ENCODINGS, KINDS
-from spinbh.dynamics import EvolutionConfig, _components, evolve
+from spinbh.dynamics import (
+    KRYLOV_DIM,
+    STEP_TOLERANCE,
+    EvolutionConfig,
+    _block_centers,
+    _components,
+    _lanczos,
+    _shifted,
+    evolve,
+)
 from spinbh.errors import InvalidSpecError
 from spinbh.hilbert import NAMED_STATES, FockBasis, named_initial_state, physical_mask
 from spinbh.mapping import (
@@ -645,3 +657,64 @@ def test_a_cutoff_past_the_particle_number_changes_no_closure_and_no_value(data)
         for name in sorted(os.listdir(outs[0])):
             with open(os.path.join(outs[0], name)) as a, open(os.path.join(outs[1], name)) as b:
                 assert a.read() == b.read(), name
+
+
+# ------------------------------------------------ Lanczos bases that close early
+
+def shifted_lanczos(h, psi0):
+    """``_lanczos`` from psi0 on H - diag(c), c the per-block shift ``evolve``
+    applies, and H - diag(c) as a sparse matrix."""
+    csr = h.matrix.tocsr()
+    shift, _ = _block_centers(csr.diagonal().real, np.asarray(abs(csr).sum(1)).ravel(),
+                              _components(csr))
+    return _lanczos(_shifted(csr, shift), psi0, KRYLOV_DIM), csr - sp.diags(shift)
+
+
+@st.composite
+def eigenvector_starts(draw):
+    """(H, psi0, k): a spin chain of 2-8 sites or an EBH chain of 2-5 sites at
+    cutoff 3, drawn as ``ebh_chains`` draws them, and psi0 a normalized
+    complex combination of k <= 4 eigenvectors from one full
+    ``np.linalg.eigh`` of H, each cut to the block of H it has most weight on
+    (an eigenvector of a level shared by several blocks may spread over them)."""
+    d = draw(st.sampled_from([2, 3]))
+    spec = draw(st.integers(2, 8 if d == 2 else 5).flatmap(ebh_chains))
+    h = build_h_spin(spec) if d == 2 else build_h_ebh(spec, FockBasis(spec.n_sites, d))
+    evecs = np.linalg.eigh(h.dense())[1]
+    labels = _components(h.matrix)
+    picks = draw(st.lists(st.integers(0, h.dim - 1), min_size=1, max_size=4, unique=True))
+    weight = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+    psi0 = np.zeros(h.dim, dtype=complex)
+    for j in picks:
+        vec = evecs[:, j]
+        block = labels == labels[np.argmax(np.abs(vec))]
+        psi0[block] += draw(weight) * vec[block] / np.linalg.norm(vec[block])
+    assume(np.linalg.norm(psi0) > 1e-3)
+    return h, psi0 / np.linalg.norm(psi0), len(picks)
+
+
+@examples
+@given(eigenvector_starts())
+def test_a_lanczos_basis_closes_on_a_few_eigenvectors_of_random_chains(case):
+    # k eigenvectors span a Krylov space of at most k vectors; the residual the
+    # basis ends on stays in its bound, and the propagated state is scipy's
+    # truncated-Taylor one.  Both at 0.05 us: on blocks 6 GHz wide (fields of
+    # +-5 GHz) expm_multiply itself drifts by 2e-10 over the fig2 0.5 us
+    h, psi0, k = case
+    t_max = 0.05
+    (vecs, propagate), shifted = shifted_lanczos(h, psi0)
+    assert len(vecs) <= k
+    coeffs, err = propagate(np.array([t_max]))
+    assert err[0] <= STEP_TOLERANCE
+    ref = expm_multiply(-2j * np.pi * t_max * shifted, psi0)
+    assert np.max(np.abs(vecs.T @ coeffs[:, 0] - ref)) <= 1e-10
+
+
+@examples
+@given(per(9, mhz(20.0, 100.0) | mhz(-100.0, -20.0)), per(10, mhz(-5000.0, 5000.0)))
+def test_a_domain_wall_builds_every_lanczos_vector_on_random_chains(couplings, fields):
+    # a product state holds many eigenvectors: nothing closes within KRYLOV_DIM
+    spec = SpinModelSpec(10, tuple((j, j + 1, c) for j, c in enumerate(couplings)), fields)
+    psi0 = named_initial_state(FockBasis(10, 2), "domain_wall", "spin")
+    (vecs, _), _ = shifted_lanczos(build_h_spin(spec), psi0)
+    assert len(vecs) == KRYLOV_DIM
